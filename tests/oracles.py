@@ -168,3 +168,135 @@ def min_shared_candidate_params(opset, num_cells, macro) -> int:
         if best is None or n < best:
             best = n
     return best
+
+
+def _naive_conv(x, w, b):
+    """Same-padded stride-1 convolution, one output pixel at a time."""
+    s, c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    out = np.zeros((s, c_out, h, wd))
+    for n in range(s):
+        for o in range(c_out):
+            for i in range(h):
+                for j in range(wd):
+                    acc = 0.0 if b is None else float(b[o])
+                    for c in range(c_in):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                ii, jj = i + di - kh // 2, j + dj - kw // 2
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    acc += float(x[n, c, ii, jj]) * float(w[o, c, di, dj])
+                    out[n, o, i, j] = acc
+    return out
+
+
+def _naive_pool(x, size, stride, pad):
+    """Window mean over size x size; zero padding counts toward the mean."""
+    s, c, h, wd = x.shape
+    oh, ow = (h + 2 * pad - size) // stride + 1, (wd + 2 * pad - size) // stride + 1
+    out = np.zeros((s, c, oh, ow))
+    for n in range(s):
+        for ch in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    acc = 0.0
+                    for di in range(size):
+                        for dj in range(size):
+                            ii, jj = i * stride + di - pad, j * stride + dj - pad
+                            if 0 <= ii < h and 0 <= jj < wd:
+                                acc += float(x[n, ch, ii, jj])
+                    out[n, ch, i, j] = acc / (size * size)
+    return out
+
+
+def _naive_edge(op, x, weights):
+    label = op.label
+    if label == "zeroize":
+        return np.zeros_like(x)
+    if label == "skipcon":
+        return x
+    if label == "avgpool3x3":
+        return _naive_pool(x, 3, 1, 1)
+    w, b = weights
+    return _naive_conv(x, w, b)
+
+
+class _NaiveLif:
+    """Scalar neuron updates over one stage; keeps every step's spikes."""
+
+    def __init__(self, p):
+        self.p = p
+        self.v = None
+        self.steps = []
+
+    def step(self, pre):
+        p = self.p
+        if self.v is None:
+            self.v = np.full(pre.shape, float(p.v_reset))
+        spikes = np.zeros(pre.shape)
+        for pos in np.ndindex(pre.shape):
+            v = self.v[pos]
+            v = v + (-(v - p.v_reset) + float(pre[pos])) / p.tau_leak
+            if v >= p.v_threshold:
+                spikes[pos] = 1.0
+                v = p.v_reset
+            self.v[pos] = v
+        self.steps.append(spikes)
+        return spikes
+
+    def codes(self, code_mode):
+        s = self.steps[0].shape[0]
+        if code_mode == "concat":
+            rows = [np.concatenate([st[n].ravel() for st in self.steps]) for n in range(s)]
+        else:
+            rows = [np.max([st[n].ravel() for st in self.steps], axis=0) for n in range(s)]
+        return np.array(rows, dtype=np.uint8)
+
+
+def naive_forward_codes(net, weights, batch, p, code_mode="any",
+                        input_coding="direct", coding_seed=0):
+    """Stage codes by per-pixel, per-timestep loops in float64.
+
+    Follows the network description directly: stem conv, each cell's
+    node sums (n1 = e01(n0), n2 = e02(n0) + e12(n1), out = e03(n0) +
+    e13(n1) + e23(n2)), 2x2 mean + 1x1 conv between cells, global
+    average pool and the classifier, with a spiking stage after each.
+    Returns (stage names, code matrices).
+    """
+    names = ["stem"]
+    for i in range(1, net.num_cells + 1):
+        names.append(f"cell{i}")
+        if i < net.num_cells:
+            names.append(f"down{i}")
+    names.append("classifier")
+    stages = {name: _NaiveLif(p) for name in names}
+    x0 = np.asarray(batch, dtype=np.float32)
+    rng = np.random.default_rng(coding_seed)
+    for _ in range(p.timesteps):
+        x = x0
+        if input_coding == "rate":
+            x = (rng.random(x0.shape, dtype=np.float32) < x0).astype(np.float32)
+        cur = stages["stem"].step(_naive_conv(x, *weights["stem.conv"]))
+        for i, cell in enumerate(net.cells, start=1):
+            w = lambda edge: weights.get(f"cell{i}.{edge}")
+            n1 = _naive_edge(cell.con01, cur, w("con01"))
+            n2 = _naive_edge(cell.con02, cur, w("con02")) + _naive_edge(cell.con12, n1, w("con12"))
+            out = (_naive_edge(cell.con03, cur, w("con03"))
+                   + _naive_edge(cell.con13, n1, w("con13"))
+                   + _naive_edge(cell.con23, n2, w("con23")))
+            cur = stages[f"cell{i}"].step(out)
+            if i < net.num_cells:
+                pooled = _naive_pool(cur, 2, 2, 0)
+                cur = stages[f"down{i}"].step(_naive_conv(pooled, *weights[f"down{i}.conv"]))
+        fc_w, fc_b = weights["classifier.fc"]
+        s, c = cur.shape[:2]
+        logits = np.zeros((s, fc_w.shape[0]))
+        for n in range(s):
+            gap = [float(np.mean(cur[n, ch])) for ch in range(c)]
+            for k in range(fc_w.shape[0]):
+                acc = 0.0 if fc_b is None else float(fc_b[k])
+                for ch in range(c):
+                    acc += gap[ch] * float(fc_w[k, ch])
+                logits[n, k] = acc
+        stages["classifier"].step(logits)
+    return tuple(names), tuple(stages[name].codes(code_mode) for name in names)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import naive_forward_codes
+
 from spikenas.arch import (
     CellArch,
+    FIVE_OPS,
     MacroConfig,
     Operation,
     THREE_OPS,
@@ -353,3 +356,46 @@ class TestBinaryCodes:
                                      np.zeros((3, 3), np.uint8)))
         with pytest.raises(ValueError):
             BinaryCodes((), ())
+
+
+O = Operation
+# Each op appears on at least one edge reading node 0 and one reading a
+# computed node, so every op sees spikes and real-valued maps.
+ORACLE_CELLS = [
+    CellArch(O.CONV3X3, O.CONV1X1, O.SKIPCON, O.AVGPOOL3X3, O.ZEROIZE, O.CONV3X3),
+    CellArch(O.AVGPOOL3X3, O.SKIPCON, O.CONV1X1, O.CONV3X3, O.CONV1X1, O.ZEROIZE),
+    CellArch(O.SKIPCON, O.ZEROIZE, O.CONV3X3, O.CONV1X1, O.AVGPOOL3X3, O.SKIPCON),
+    decode_cell(9876, FIVE_OPS),
+]
+
+
+class TestForwardOracle:
+    """forward_collect_codes against per-pixel loops on a 2-channel net."""
+
+    MACRO = MacroConfig(stem_channels=2, num_classes=3, input_shape=(3, 6, 6))
+    LIF = LIFParams(v_threshold=0.3, timesteps=3)
+
+    def _compare(self, cells, seed, **modes):
+        net = build_network(cells, self.MACRO)
+        weights = init_weights(net, seed)
+        batch = np.random.default_rng(seed).random((3, 3, 6, 6), dtype=np.float32)
+        got = forward_collect_codes(net, weights, batch, self.LIF, **modes)
+        names, want = naive_forward_codes(net, weights, batch, self.LIF, **modes)
+        assert got.layer_names == names
+        for name, g, w in zip(names, got.matrices, want):
+            assert g.dtype == np.uint8
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        return want
+
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("cell", range(len(ORACLE_CELLS)))
+    def test_one_cell_codes_equal(self, cell, code_mode):
+        want = self._compare([ORACLE_CELLS[cell]], seed=cell, code_mode=code_mode)
+        # the comparison means something only if some stage both fires and rests
+        assert any(0 < m.mean() < 1 for m in want)
+
+    def test_rate_coding_codes_equal(self):
+        self._compare([ORACLE_CELLS[0]], seed=5, input_coding="rate", coding_seed=9)
+
+    def test_two_cell_codes_equal(self):
+        self._compare(ORACLE_CELLS[:2], seed=3)
