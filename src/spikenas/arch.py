@@ -15,6 +15,7 @@ followed by a spiking activation stage.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from .errors import EdgeOpNotInSet, IndexOutOfRange, InvalidMacroConfig
@@ -284,6 +285,26 @@ class LayerSpec:
     def neurons(self) -> int:
         """Feature count of the layer output (used for spike codes)."""
         return self.out_channels * self.out_size[0] * self.out_size[1]
+
+    @property
+    def weight_shape(self) -> tuple[int, ...] | None:
+        """Shape of the layer's weight tensor; None for parameter-free layers.
+
+        Convolutions hold (out, in, kh, kw) and the classifier (out, in).
+        """
+        if self.kind == KIND_CONV:
+            return (self.out_channels, self.in_channels, *self.kernel)
+        if self.kind == KIND_FC:
+            return (self.out_channels, self.in_channels)
+        return None
+
+    @property
+    def num_params(self) -> int:
+        """Weights plus biases held by the layer."""
+        shape = self.weight_shape
+        if shape is None:
+            return 0
+        return math.prod(shape) + (self.out_channels if self.has_bias else 0)
 
 
 def network_layers(net: NetworkArch) -> tuple[LayerSpec, ...]:

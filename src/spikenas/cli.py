@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import report as report_mod
 from .arch import (
@@ -32,6 +33,8 @@ from .errors import ConfigError, SpikeNasError
 from .memmodel import MemoryBudget, count_network_params, footprint
 from .score import score_candidate, write_kernel_dump
 from .search import (
+    CARRY_BEST,
+    CARRY_LITERAL,
     MEMORY_AWARE,
     RANDOM,
     SearchConfig,
@@ -77,23 +80,55 @@ def scenario_name(cells: int, opset_size: int, constrained: bool) -> str:
     return f"{cells}C{opset_size}O" + ("_M" if constrained else "")
 
 
-@dataclass(frozen=True)
-class Settings:
-    """Resolved run settings shared by all subcommands."""
+def _cast(expected: str, ok, convert=None):
+    """Setting cast: values failing `ok` are rejected as not `expected`."""
+    def cast(value):
+        if not ok(value):
+            raise ValueError(expected)
+        return convert(value) if convert else value
+    return cast
 
-    data_dir: str | None
-    seed: int
-    alpha: float
-    batch_size: int
-    jobs: int
-    bits: int
-    budget_params: int | None
-    macro: MacroConfig
-    lif: LIFParams
-    code_mode: str
-    input_coding: str
-    carryover: str
-    keep_log: bool
+
+def _int(lo: int, hi: float = math.inf):
+    """Integers, not booleans, in [lo, hi]."""
+    return _cast(f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
+                 lambda v: type(v) is int and lo <= v <= hi)
+
+
+def _choice(*options: str):
+    return _cast("one of " + ", ".join(options), lambda v: v in options)
+
+
+_FLOAT = _cast("a finite number",
+               lambda v: type(v) in (int, float) and math.isfinite(v), float)
+_BOOL = _cast("true or false", lambda v: type(v) is bool)
+_STR = _cast("a string", lambda v: type(v) is str)
+
+# Every run setting as (key, cast, default[, environment variable]).  The
+# key names both the flag's destination and the config-file key; a value
+# from a flag, the file or the environment must pass the cast.
+SETTINGS = (
+    ("data_dir", _STR, None, DATA_DIR_ENV),
+    ("seed", _int(0), 0),
+    ("alpha", _FLOAT, 1.0),
+    ("batch_size", _int(2), 16),
+    ("jobs", _int(1), 1),
+    ("bits", _int(1, 64), 32),
+    ("budget", _int(1), None),
+    ("iterations", _int(1), 5000),
+    ("stem_channels", _int(1), 64),
+    ("width_mult", _int(1), 2),
+    ("classes", _int(1), 10),
+    ("no_bias", _BOOL, False),
+    ("tau_leak", _FLOAT, 2.0),
+    ("v_threshold", _FLOAT, 1.0),
+    ("v_reset", _FLOAT, 0.0),
+    ("timesteps", _int(1), 5),
+    ("code_mode", _choice("any", "concat"), "any"),
+    ("input_coding", _choice("direct", "rate"), "direct"),
+    ("carryover", _choice(CARRY_BEST, CARRY_LITERAL), CARRY_BEST),
+)
+_SEARCH_FIELDS = {f.name for f in fields(SearchConfig)}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -106,134 +141,83 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - {key for key, *_ in SETTINGS})
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
     return cfg
 
 
-def _resolve(flag_value, file_cfg: dict, key: str, default, cast=None,
-             env_var: str | None = None):
-    """Apply the flag > config file > environment > default precedence."""
-    if flag_value is not None:
-        return flag_value
-    sources = []
-    if key in file_cfg:
-        sources.append(file_cfg[key])
-    elif env_var and os.environ.get(env_var):
-        sources.append(os.environ[env_var])
-    if not sources:
-        return default
-    value = sources[0]
-    if cast is None:
-        return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+def _settings_from_args(args: argparse.Namespace) -> dict:
+    """Resolve SETTINGS by flag > config file > environment > default.
 
-
-def _settings_from_args(args: argparse.Namespace) -> Settings:
+    The macro and LIF keys are folded into `macro` and `lif`, and
+    `budget` becomes an explicit MemoryBudget or None, so that every key
+    that names a SearchConfig field holds that field's value.
+    """
     cfg = _load_config_file(getattr(args, "config", None))
-
-    def res(attr, key, default, cast=None, env_var=None):
-        flag = getattr(args, attr, None) if attr else None
-        return _resolve(flag, cfg, key, default, cast, env_var)
-
-    no_bias = res("no_bias", "no_bias", False, bool)
-    macro = MacroConfig(
-        stem_channels=res("stem_channels", "stem_channels", 64, int),
-        width_mult=res("width_mult", "width_mult", 2, int),
-        num_classes=res("classes", "classes", 10, int),
-    )
-    if no_bias:
-        macro = macro.without_bias()
+    s = {}
+    for key, cast, default, *env in SETTINGS:
+        value = getattr(args, key, None)
+        if value is None and key in cfg:
+            value = cfg[key]
+        elif value is None and env and os.environ.get(env[0]):
+            value = os.environ[env[0]]
+        elif value is None:
+            s[key] = default
+            continue
+        try:
+            s[key] = cast(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {value!r}; expected {exc}") from None
+    macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), s.pop("classes"))
+    s["macro"] = macro.without_bias() if s.pop("no_bias") else macro
     try:
-        lif = LIFParams(
-            tau_leak=res(None, "tau_leak", 2.0, float),
-            v_threshold=res(None, "v_threshold", 1.0, float),
-            v_reset=res(None, "v_reset", 0.0, float),
-            timesteps=res("timesteps", "timesteps", 5, int),
-        )
+        s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
+                             s.pop("v_reset"), s.pop("timesteps"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    bits = res("bits", "bits", 32, int)
-    if not 1 <= bits <= 64:
-        raise ConfigError(f"--bits must be in 1..64, got {bits}")
-    return Settings(
-        data_dir=res("data_dir", "data_dir", None, str, env_var=DATA_DIR_ENV),
-        seed=res("seed", "seed", 0, int),
-        alpha=res("alpha", "alpha", 1.0, float),
-        batch_size=res("batch_size", "batch_size", 16, int),
-        jobs=res("jobs", "jobs", 1, int),
-        bits=bits,
-        budget_params=res("budget", "budget", None, int),
-        macro=macro,
-        lif=lif,
-        code_mode=res("code_mode", "code_mode", "any", str),
-        input_coding=res("input_coding", "input_coding", "direct", str),
-        carryover=res("carryover", "carryover", "best", str),
-        keep_log=bool(getattr(args, "candidate_log", None)),
-    )
-
-
-def _make_budget(max_params: int, bits: int) -> MemoryBudget:
-    try:
-        return MemoryBudget(max_params, bits)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if s["budget"] is not None:
+        s["budget"] = MemoryBudget(s["budget"], s["bits"])
+    s["keep_candidate_log"] = bool(getattr(args, "candidate_log", None))
+    return s
 
 
 def _resolve_budget(scenario: Scenario | None, dataset: str,
-                    s: Settings) -> MemoryBudget | None:
-    if s.budget_params is not None:
-        return _make_budget(s.budget_params, s.bits)
-    if scenario is not None and scenario.constrained:
-        preset = PRESET_BUDGET_PARAMS.get(dataset)
-        if preset is None:
-            raise ConfigError(
-                f"scenario {scenario.name} is memory-constrained but dataset "
-                f"{dataset!r} has no preset budget; pass --budget"
-            )
-        return _make_budget(preset, s.bits)
-    return None
+                    s: dict) -> MemoryBudget | None:
+    """The explicit budget, else the dataset preset for a constrained scenario."""
+    if s["budget"] is not None or scenario is None or not scenario.constrained:
+        return s["budget"]
+    preset = PRESET_BUDGET_PARAMS.get(dataset)
+    if preset is None:
+        raise ConfigError(
+            f"scenario {scenario.name} is memory-constrained but dataset "
+            f"{dataset!r} has no preset budget; pass --budget"
+        )
+    return MemoryBudget(preset, s["bits"])
 
 
 def _search_config(dataset_name: str, opset_name: str, cells: int,
-                   budget: MemoryBudget | None, s: Settings,
-                   strategy: str = MEMORY_AWARE) -> SearchConfig:
-    dataset = load_dataset(dataset_name, s.data_dir, seed=s.seed)
+                   s: dict, strategy: str = MEMORY_AWARE) -> SearchConfig:
+    dataset = load_dataset(dataset_name, s["data_dir"], seed=s["seed"])
     try:
-        return SearchConfig(
-            dataset=dataset,
-            opset=get_opset(opset_name),
-            num_cells=cells,
-            macro=s.macro,
-            budget=budget,
-            seed=s.seed,
-            batch_size=s.batch_size,
-            lif=s.lif,
-            alpha=s.alpha,
-            jobs=s.jobs,
-            strategy=strategy,
-            carryover=s.carryover,
-            code_mode=s.code_mode,
-            input_coding=s.input_coding,
-            keep_candidate_log=s.keep_log,
-        )
+        return SearchConfig(dataset=dataset, opset=get_opset(opset_name),
+                            num_cells=cells, strategy=strategy,
+                            **{k: v for k, v in s.items() if k in _SEARCH_FIELDS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def run_scenario(scenario: Scenario, dataset_name: str, s: Settings, *,
-                 strategy: str = MEMORY_AWARE,
-                 iterations: int = 5000) -> tuple[report_mod.ReportDoc, SearchReport]:
+def run_scenario(scenario: Scenario, dataset_name: str, s: dict, *,
+                 strategy: str = MEMORY_AWARE) -> tuple[report_mod.ReportDoc, SearchReport]:
     """Execute one scenario and return its report document."""
-    budget = _resolve_budget(scenario, dataset_name, s)
+    s = dict(s, budget=_resolve_budget(scenario, dataset_name, s))
     cfg = _search_config(dataset_name, _OPSET_BY_SIZE[scenario.opset_size],
-                         scenario.cells, budget, s, strategy)
+                         scenario.cells, s, strategy)
     if strategy == RANDOM:
-        result = search_random(cfg, iterations)
+        result = search_random(cfg, s["iterations"])
     else:
         result = search_memory_aware(cfg)
-    doc = report_mod.from_search_report(result, scenario.name, dataset_name, s.bits)
+    doc = report_mod.from_search_report(result, scenario.name, dataset_name, s["bits"])
     return doc, result
 
 
@@ -254,20 +238,10 @@ def _emit(args: argparse.Namespace, doc: report_mod.ReportDoc,
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    """Both `search` and `random-search`; the subcommand sets the strategy."""
     s = _settings_from_args(args)
     scenario = parse_scenario(args.scenario)
-    doc, result = run_scenario(scenario, args.dataset, s)
-    _emit(args, doc, result)
-    return 0
-
-
-def _cmd_random_search(args: argparse.Namespace) -> int:
-    s = _settings_from_args(args)
-    scenario = parse_scenario(args.scenario)
-    cfg_file = _load_config_file(getattr(args, "config", None))
-    iterations = _resolve(args.iterations, cfg_file, "iterations", 5000, int)
-    doc, result = run_scenario(scenario, args.dataset, s,
-                               strategy=RANDOM, iterations=iterations)
+    doc, result = run_scenario(scenario, args.dataset, s, strategy=args.strategy)
     _emit(args, doc, result)
     return 0
 
@@ -278,15 +252,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         removed = Operation.from_label(args.remove)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    budget = None
-    if s.budget_params is not None:
-        budget = _make_budget(s.budget_params, s.bits)
-    cfg = _search_config(args.dataset, args.opset, args.cells, budget, s,
+    cfg = _search_config(args.dataset, args.opset, args.cells, s,
                          strategy=args.strategy)
-    cfg_file = _load_config_file(getattr(args, "config", None))
-    iterations = _resolve(args.iterations, cfg_file, "iterations", 5000, int)
-    result = ablate_operation(cfg, removed, iterations=iterations)
-    doc = report_mod.from_search_report(result, None, args.dataset, s.bits)
+    result = ablate_operation(cfg, removed, iterations=s["iterations"])
+    doc = report_mod.from_search_report(result, None, args.dataset, s["bits"])
     _emit(args, doc, result)
     return 0
 
@@ -306,12 +275,12 @@ def _parse_indices(text: str, opset_name: str) -> tuple[int, ...]:
     return indices
 
 
-def _net_from_args(args: argparse.Namespace, s: Settings):
+def _net_from_args(args: argparse.Namespace, s: dict):
     opset = get_opset(args.opset)
     indices = _parse_indices(args.indices, args.opset)
     cells = [decode_cell(i, opset) for i in indices]
     try:
-        return build_network(cells, s.macro)
+        return build_network(cells, s["macro"])
     except SpikeNasError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -319,10 +288,10 @@ def _net_from_args(args: argparse.Namespace, s: Settings):
 def _cmd_score(args: argparse.Namespace) -> int:
     s = _settings_from_args(args)
     net = _net_from_args(args, s)
-    dataset = load_dataset(args.dataset, s.data_dir, seed=s.seed)
-    batch = sample_batch(dataset, s.batch_size, s.seed)
-    result = score_candidate(net, batch.pixels, s.lif, s.seed, s.alpha,
-                             code_mode=s.code_mode, input_coding=s.input_coding,
+    dataset = load_dataset(args.dataset, s["data_dir"], seed=s["seed"])
+    batch = sample_batch(dataset, s["batch_size"], s["seed"])
+    result = score_candidate(net, batch.pixels, s["lif"], s["seed"], s["alpha"],
+                             code_mode=s["code_mode"], input_coding=s["input_coding"],
                              keep_kernels=bool(args.dump_kernels))
     if args.dump_kernels:
         write_kernel_dump(args.dump_kernels, result)
@@ -330,7 +299,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         "score": None if result.singular else result.value,
         "singular": result.singular,
         "n_param": count_network_params(net),
-        "seed": s.seed,
+        "seed": s["seed"],
     }, allow_nan=False))
     return 0
 
@@ -339,7 +308,7 @@ def _cmd_memcalc(args: argparse.Namespace) -> int:
     s = _settings_from_args(args)
     net = _net_from_args(args, s)
     n_param = count_network_params(net)
-    fp = footprint(n_param, s.bits)
+    fp = footprint(n_param, s["bits"])
     print(f"n_param={n_param} mem_bits={fp.bits} mem_bytes={fp.bytes}")
     return 0
 
@@ -391,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("cifar10", "cifar100", "synth"))
     p.add_argument("--budget", type=int, help="max parameter count")
     _add_common(p)
-    p.set_defaults(handler=_cmd_search)
+    p.set_defaults(handler=_cmd_search, strategy=MEMORY_AWARE)
 
     p = sub.add_parser("random-search", help="random baseline search")
     p.add_argument("--scenario", required=True)
@@ -400,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--iterations", type=int, help="number of draws (default 5000)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_random_search)
+    p.set_defaults(handler=_cmd_search, strategy=RANDOM)
 
     p = sub.add_parser("ablate", help="search with one operation removed")
     p.add_argument("--opset", default="5O", choices=sorted(OPSETS))

@@ -1,10 +1,11 @@
 """Analytical memory-footprint model.
 
-Parameter counting is per layer: a convolution holds
-kernel_h * kernel_w * in_channels * num_filters weights (plus one bias
-per filter when enabled), a fully-connected layer is the 1x1 special
-case, and pooling / skip / zeroize / spiking stages hold nothing.
-Counts convert to bits and bytes given a bit precision.
+Parameter counting is per layer, from `arch.LayerSpec.weight_shape`: a
+convolution holds kernel_h * kernel_w * in_channels * num_filters
+weights (plus one bias per filter when enabled), a fully-connected
+layer is the 1x1 special case, and pooling / skip / zeroize / spiking
+stages hold nothing.  Counts convert to bits and bytes given a bit
+precision.
 """
 
 from __future__ import annotations
@@ -13,27 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import arch
-from .arch import LayerSpec, NetworkArch
-
-CONV = "conv"
-FULLY_CONNECTED = "fully_connected"
-PARAMETER_FREE = "parameter_free"
-
-
-@dataclass(frozen=True)
-class LayerParamSpec:
-    """Weight-tensor geometry of a single layer."""
-
-    kernel_h: int
-    kernel_w: int
-    in_channels: int
-    num_filters: int
-    has_bias: bool
-    kind: str = CONV
-
-    def __post_init__(self) -> None:
-        if self.kind not in (CONV, FULLY_CONNECTED, PARAMETER_FREE):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+from .arch import NetworkArch
 
 
 @dataclass(frozen=True)
@@ -56,29 +37,9 @@ class MemoryFootprint:
     bytes: int
 
 
-def count_layer_params(spec: LayerParamSpec) -> int:
-    """Weights plus biases held by one layer."""
-    if spec.kind == PARAMETER_FREE:
-        return 0
-    weights = spec.kernel_h * spec.kernel_w * spec.in_channels * spec.num_filters
-    return weights + (spec.num_filters if spec.has_bias else 0)
-
-
-def layer_param_spec(layer: LayerSpec) -> LayerParamSpec:
-    """Parameter geometry of a flattened-layer-list entry."""
-    if layer.kind == arch.KIND_CONV:
-        kh, kw = layer.kernel
-        return LayerParamSpec(kh, kw, layer.in_channels, layer.out_channels,
-                              layer.has_bias, CONV)
-    if layer.kind == arch.KIND_FC:
-        return LayerParamSpec(1, 1, layer.in_channels, layer.out_channels,
-                              layer.has_bias, FULLY_CONNECTED)
-    return LayerParamSpec(0, 0, 0, 0, False, PARAMETER_FREE)
-
-
 def count_network_params(net: NetworkArch) -> int:
     """Total parameter count over the network's flattened layer list."""
-    return sum(count_layer_params(layer_param_spec(l)) for l in arch.network_layers(net))
+    return sum(layer.num_params for layer in arch.network_layers(net))
 
 
 def footprint(n_param: int, bit_precision: int) -> MemoryFootprint:

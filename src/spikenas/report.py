@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -87,90 +87,27 @@ def from_search_report(result: SearchReport, scenario: str | None,
     )
 
 
-def _macro_to_dict(macro: MacroConfig) -> dict:
-    return {
-        "stem_channels": macro.stem_channels,
-        "width_mult": macro.width_mult,
-        "num_classes": macro.num_classes,
-        "input_shape": list(macro.input_shape),
-        "stem_bias": macro.stem_bias,
-        "cell_bias": macro.cell_bias,
-        "down_bias": macro.down_bias,
-        "fc_bias": macro.fc_bias,
-    }
-
-
-def _macro_from_dict(d: dict) -> MacroConfig:
-    return MacroConfig(
-        stem_channels=d["stem_channels"],
-        width_mult=d["width_mult"],
-        num_classes=d["num_classes"],
-        input_shape=tuple(d["input_shape"]),
-        stem_bias=d["stem_bias"],
-        cell_bias=d["cell_bias"],
-        down_bias=d["down_bias"],
-        fc_bias=d["fc_bias"],
-    )
-
-
 def to_dict(doc: ReportDoc) -> dict:
-    budget = None
-    if doc.budget is not None:
-        budget = {"max_params": doc.budget.max_params,
-                  "bit_precision": doc.budget.bit_precision}
-    return {
-        "scenario": doc.scenario,
-        "dataset": doc.dataset,
-        "opset": doc.opset,
-        "cells": doc.cells,
-        "budget": budget,
-        "best_arch": {
-            "cell_indices": list(doc.cell_indices),
-            "opset": doc.opset,
-            "macro": _macro_to_dict(doc.macro),
-        },
-        "best_score": None if doc.singular else doc.best_score,
-        "singular": doc.singular,
-        "n_param": doc.n_param,
-        "mem_bits": doc.mem_bits,
-        "evaluations_total": doc.evaluations_total,
-        "evaluations_skipped": doc.evaluations_skipped,
-        "seed": doc.seed,
-        "wall_time_ms": doc.wall_time_ms,
-        "engine_version": doc.engine_version,
-        "strategy": doc.strategy,
-        "iterations": doc.iterations,
-        "removed_op": doc.removed_op,
-    }
+    """JSON form: cell indices and macro nest under best_arch; a singular score is null."""
+    d = asdict(doc)
+    d["best_arch"] = {"cell_indices": d.pop("cell_indices"), "opset": doc.opset,
+                      "macro": d.pop("macro")}
+    if doc.singular:
+        d["best_score"] = None
+    return d
 
 
 def from_dict(d: dict) -> ReportDoc:
-    budget = None
-    if d["budget"] is not None:
-        budget = MemoryBudget(d["budget"]["max_params"],
-                              d["budget"]["bit_precision"])
-    singular = d["singular"]
-    return ReportDoc(
-        scenario=d["scenario"],
-        dataset=d["dataset"],
-        opset=d["opset"],
-        cells=d["cells"],
-        budget=budget,
-        cell_indices=tuple(d["best_arch"]["cell_indices"]),
-        macro=_macro_from_dict(d["best_arch"]["macro"]),
-        best_score=-math.inf if singular else d["best_score"],
-        singular=singular,
-        n_param=d["n_param"],
-        mem_bits=d["mem_bits"],
-        evaluations_total=d["evaluations_total"],
-        evaluations_skipped=d["evaluations_skipped"],
-        seed=d["seed"],
-        wall_time_ms=d["wall_time_ms"],
-        engine_version=d["engine_version"],
-        strategy=d["strategy"],
-        iterations=d["iterations"],
-        removed_op=d["removed_op"],
-    )
+    kw = {f.name: d[f.name] for f in fields(ReportDoc)
+          if f.name not in ("cell_indices", "macro")}
+    if kw["budget"] is not None:
+        kw["budget"] = MemoryBudget(**kw["budget"])
+    if kw["singular"]:
+        kw["best_score"] = -math.inf
+    best = d["best_arch"]
+    macro = dict(best["macro"], input_shape=tuple(best["macro"]["input_shape"]))
+    return ReportDoc(**kw, cell_indices=tuple(best["cell_indices"]),
+                     macro=MacroConfig(**macro))
 
 
 def to_json(doc: ReportDoc) -> str:

@@ -16,11 +16,12 @@ so reports do not depend on the worker pool size.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -135,18 +136,22 @@ def _beats(rec: CandidateRecord, best: CandidateRecord | None) -> bool:
     return (rec.phase, rec.index) < (best.phase, best.index)
 
 
-def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
-           base_cells: tuple[CellArch, ...] | None, phase: int,
-           index: int) -> CandidateRecord:
-    index = int(index)
+def _cells(cfg: SearchConfig, base: tuple[CellArch, ...] | None, phase: int,
+           index: int) -> tuple[CellArch, ...]:
+    """Candidate `index` as every cell in phase 1, else as cell `phase` of `base`."""
     cand = decode_cell(index, cfg.opset)
     if phase == 1:
-        cells: tuple[CellArch, ...] = (cand,) * cfg.num_cells
-    else:
-        mutable = list(base_cells)
-        mutable[phase - 1] = cand
-        cells = tuple(mutable)
-    net = build_network(cells, cfg.macro)
+        return (cand,) * cfg.num_cells
+    cells = list(base)
+    cells[phase - 1] = cand
+    return tuple(cells)
+
+
+def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
+           base: tuple[CellArch, ...] | None, phase: int,
+           index: int) -> CandidateRecord:
+    index = int(index)
+    net = build_network(_cells(cfg, base, phase, index), cfg.macro)
     n_param = count_network_params(net)
     if not within_budget(n_param, cfg.budget):
         return CandidateRecord(phase, index, n_param, False, None)
@@ -156,70 +161,44 @@ def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
     return CandidateRecord(phase, index, n_param, True, result.value)
 
 
-def _run_all(visit: Callable[[int], CandidateRecord], indices: Iterable[int],
+def _run_all(visit: Callable[[int], CandidateRecord], indices: Sequence[int],
              jobs: int) -> list[CandidateRecord]:
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(indices))
+    if workers <= 1:
         return [visit(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(visit, indices))
 
 
-def _cells_of(cfg: SearchConfig, base_cells: tuple[CellArch, ...] | None,
-              rec: CandidateRecord) -> tuple[CellArch, ...]:
-    cand = decode_cell(rec.index, cfg.opset)
-    if rec.phase == 1:
-        return (cand,) * cfg.num_cells
-    mutable = list(base_cells)
-    mutable[rec.phase - 1] = cand
-    return tuple(mutable)
+def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
+            draws: np.ndarray | None) -> SearchReport:
+    """Visit, count, log and reduce to the best feasible candidate.
 
-
-def _finish(cfg: SearchConfig, best: CandidateRecord,
-            best_cells: tuple[CellArch, ...], total: int, skipped: int,
-            elapsed: float, strategy: str, iterations: int | None,
-            log: list[CandidateRecord] | None) -> SearchReport:
-    return SearchReport(
-        opset_name=cfg.opset.name,
-        num_cells=cfg.num_cells,
-        strategy=strategy,
-        best_arch=build_network(best_cells, cfg.macro),
-        per_cell_best_indices=tuple(encode_cell(c, cfg.opset) for c in best_cells),
-        best_score=best.score,
-        singular=best.score == score_mod.NEG_INF,
-        n_param=best.n_param,
-        evaluations_total=total,
-        evaluations_skipped_by_budget=skipped,
-        wall_time_s=elapsed,
-        seed=cfg.seed,
-        budget=cfg.budget,
-        iterations=iterations,
-        candidate_log=tuple(log) if log is not None else None,
-    )
-
-
-def search_memory_aware(cfg: SearchConfig, *,
-                        score_fn: ScoreFn | None = None) -> SearchReport:
-    """Per-cell consecutive search under the configured memory budget."""
+    With `draws` None this is the memory-aware search: one phase per cell
+    over the whole space.  Otherwise it is one shared-cell phase over
+    the drawn indices.
+    """
     score_fn = score_fn or score_mod.score_candidate
     start = time.perf_counter()
     pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
     space = search_space_size(cfg.opset)
-    last_candidate = decode_cell(space - 1, cfg.opset)
+    phases = cfg.num_cells if draws is None else 1
 
     best: CandidateRecord | None = None
     best_cells: tuple[CellArch, ...] | None = None
     total = skipped = 0
     log: list[CandidateRecord] | None = [] if cfg.keep_candidate_log else None
 
-    for phase in range(1, cfg.num_cells + 1):
+    for phase in range(1, phases + 1):
         if phase == 1:
             base = None
         elif cfg.carryover == CARRY_LITERAL:
-            base = (last_candidate,) * cfg.num_cells
+            base = (decode_cell(space - 1, cfg.opset),) * cfg.num_cells
         else:
             base = best_cells
         visit = partial(_visit, cfg, pixels, score_fn, base, phase)
-        for rec in _run_all(visit, range(space), cfg.jobs):
+        indices = range(space) if draws is None else draws
+        for rec in _run_all(visit, indices, cfg.jobs):
             if rec.feasible:
                 total += 1
             else:
@@ -228,15 +207,37 @@ def search_memory_aware(cfg: SearchConfig, *,
                 log.append(rec)
             if rec.feasible and _beats(rec, best):
                 best = rec
-                best_cells = _cells_of(cfg, base, rec)
-        if phase == 1 and best is None:
+                best_cells = _cells(cfg, base, phase, rec.index)
+        if best is None:
+            what = (f"all {space} shared-cell candidates exceed" if draws is None
+                    else f"none of the {len(draws)} drawn candidates fit")
             raise NoFeasibleArchitecture(
-                f"all {space} shared-cell candidates exceed the budget of "
-                f"{cfg.budget.max_params} parameters"
+                f"{what} the budget of {cfg.budget.max_params} parameters"
             )
 
-    return _finish(cfg, best, best_cells, total, skipped,
-                   time.perf_counter() - start, MEMORY_AWARE, None, log)
+    return SearchReport(
+        opset_name=cfg.opset.name,
+        num_cells=cfg.num_cells,
+        strategy=MEMORY_AWARE if draws is None else RANDOM,
+        best_arch=build_network(best_cells, cfg.macro),
+        per_cell_best_indices=tuple(encode_cell(c, cfg.opset) for c in best_cells),
+        best_score=best.score,
+        singular=best.score == score_mod.NEG_INF,
+        n_param=best.n_param,
+        evaluations_total=total,
+        evaluations_skipped_by_budget=skipped,
+        wall_time_s=time.perf_counter() - start,
+        seed=cfg.seed,
+        budget=cfg.budget,
+        iterations=None if draws is None else len(draws),
+        candidate_log=tuple(log) if log is not None else None,
+    )
+
+
+def search_memory_aware(cfg: SearchConfig, *,
+                        score_fn: ScoreFn | None = None) -> SearchReport:
+    """Per-cell consecutive search under the configured memory budget."""
+    return _search(cfg, score_fn, None)
 
 
 def search_random(cfg: SearchConfig, iterations: int, *,
@@ -249,36 +250,10 @@ def search_random(cfg: SearchConfig, iterations: int, *,
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    score_fn = score_fn or score_mod.score_candidate
-    start = time.perf_counter()
-    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
-    space = search_space_size(cfg.opset)
     draws = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 1])
-    ).integers(0, space, size=iterations)
-
-    best: CandidateRecord | None = None
-    total = skipped = 0
-    log: list[CandidateRecord] | None = [] if cfg.keep_candidate_log else None
-    visit = partial(_visit, cfg, pixels, score_fn, None, 1)
-    for rec in _run_all(visit, draws, cfg.jobs):
-        if rec.feasible:
-            total += 1
-        else:
-            skipped += 1
-        if log is not None:
-            log.append(rec)
-        if rec.feasible and _beats(rec, best):
-            best = rec
-    if best is None:
-        raise NoFeasibleArchitecture(
-            f"none of the {iterations} drawn candidates fit the budget of "
-            f"{cfg.budget.max_params} parameters"
-        )
-
-    best_cells = (decode_cell(best.index, cfg.opset),) * cfg.num_cells
-    return _finish(cfg, best, best_cells, total, skipped,
-                   time.perf_counter() - start, RANDOM, iterations, log)
+    ).integers(0, search_space_size(cfg.opset), size=iterations)
+    return _search(cfg, score_fn, draws)
 
 
 def ablate_operation(cfg: SearchConfig, removed: Operation, *,

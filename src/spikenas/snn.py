@@ -16,6 +16,7 @@ operators preserve the stage shape so node summations are well defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,18 +47,6 @@ class LIFParams:
             )
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
-
-
-@dataclass(frozen=True, eq=False)
-class SpikeTensor:
-    """A (samples, channels, height, width) feature map.
-
-    `binary` marks tensors whose values are known to be 0/1 spikes;
-    convolutions and pooling produce real-valued maps.
-    """
-
-    values: np.ndarray
-    binary: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,20 +118,20 @@ def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
     return x.reshape(s, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
 
-def apply_edge_op(op: Operation, t: SpikeTensor,
-                  weights: tuple[np.ndarray, np.ndarray | None] | None = None) -> SpikeTensor:
+def apply_edge_op(op: Operation, x: np.ndarray,
+                  weights: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
     """Apply one cell-edge operation to a stage-shaped feature map."""
     if op is Operation.ZEROIZE:
-        return SpikeTensor(np.zeros_like(t.values), binary=True)
+        return np.zeros_like(x)
     if op is Operation.SKIPCON:
-        return t
+        return x
     if op is Operation.AVGPOOL3X3:
-        return SpikeTensor(avgpool3x3_same(t.values), binary=False)
+        return avgpool3x3_same(x)
     if op in arch.CONV_OPS:
         if weights is None:
             raise MissingWeights(f"{op.label} edge has no weights")
         w, b = weights
-        return SpikeTensor(conv2d_same(t.values, w, b), binary=False)
+        return conv2d_same(x, w, b)
     raise ValueError(f"unhandled operation {op!r}")
 
 
@@ -156,15 +145,10 @@ def init_weights(net: NetworkArch, seed: int) -> WeightSet:
     rng = np.random.default_rng(seed)
     out: WeightSet = {}
     for layer in arch.network_layers(net):
-        if layer.kind == arch.KIND_CONV:
-            kh, kw = layer.kernel
-            fan_in = kh * kw * layer.in_channels
-            shape = (layer.out_channels, layer.in_channels, kh, kw)
-        elif layer.kind == arch.KIND_FC:
-            fan_in = layer.in_channels
-            shape = (layer.out_channels, layer.in_channels)
-        else:
+        shape = layer.weight_shape
+        if shape is None:
             continue
+        fan_in = math.prod(shape[1:])
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
         b = np.zeros(layer.out_channels, dtype=np.float32) if layer.has_bias else None
         out[layer.name] = (w, b)
@@ -202,7 +186,7 @@ class _LifStage:
 
 def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
     for layer in arch.network_layers(net):
-        if layer.kind in (arch.KIND_CONV, arch.KIND_FC) and layer.name not in weights:
+        if layer.weight_shape is not None and layer.name not in weights:
             raise MissingWeights(f"no weights for layer {layer.name!r}")
 
 
@@ -210,15 +194,12 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
                         prefix: str) -> np.ndarray:
     """Sum-combined node values of one cell, before its spiking stage."""
     w = lambda edge: weights.get(f"{prefix}.{edge}")
-    n0 = SpikeTensor(x_spikes, binary=True)
-    n1 = apply_edge_op(cell.con01, n0, w("con01"))
-    n2 = SpikeTensor(
-        apply_edge_op(cell.con02, n0, w("con02")).values
-        + apply_edge_op(cell.con12, n1, w("con12")).values
-    )
-    return (apply_edge_op(cell.con03, n0, w("con03")).values
-            + apply_edge_op(cell.con13, n1, w("con13")).values
-            + apply_edge_op(cell.con23, n2, w("con23")).values)
+    n1 = apply_edge_op(cell.con01, x_spikes, w("con01"))
+    n2 = (apply_edge_op(cell.con02, x_spikes, w("con02"))
+          + apply_edge_op(cell.con12, n1, w("con12")))
+    return (apply_edge_op(cell.con03, x_spikes, w("con03"))
+            + apply_edge_op(cell.con13, n1, w("con13"))
+            + apply_edge_op(cell.con23, n2, w("con23")))
 
 
 def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarray,

@@ -15,7 +15,8 @@ from spikenas.cli import (
 )
 from spikenas.data import DATA_DIR_ENV, synth_dataset, write_cifar10
 from spikenas.errors import ConfigError
-from spikenas.memmodel import count_network_params, footprint
+from spikenas.memmodel import MemoryBudget, count_network_params, footprint
+from spikenas.snn import LIFParams
 from spikenas import report as report_mod
 
 TINY = ["--stem-channels", "4", "--classes", "4", "--batch-size", "4",
@@ -88,30 +89,30 @@ class TestSettingsPrecedence:
         monkeypatch.setenv(DATA_DIR_ENV, "/from/env")
 
         flag = _settings_from_args(_args(config=str(cfg), data_dir="/from/flag"))
-        assert flag.data_dir == "/from/flag"
+        assert flag["data_dir"] == "/from/flag"
 
         file_only = _settings_from_args(_args(config=str(cfg)))
-        assert file_only.data_dir == "/from/file"
-        assert file_only.seed == 5
+        assert file_only["data_dir"] == "/from/file"
+        assert file_only["seed"] == 5
 
         env_only = _settings_from_args(_args())
-        assert env_only.data_dir == "/from/env"
+        assert env_only["data_dir"] == "/from/env"
 
         monkeypatch.delenv(DATA_DIR_ENV)
         default = _settings_from_args(_args())
-        assert default.data_dir is None
-        assert default.seed == 0
+        assert default["data_dir"] is None
+        assert default["seed"] == 0
 
     def test_lif_settings_from_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"v_threshold": 0.25, "timesteps": 3}))
         s = _settings_from_args(_args(config=str(cfg)))
-        assert s.lif.v_threshold == 0.25
-        assert s.lif.timesteps == 3
+        assert s["lif"].v_threshold == 0.25
+        assert s["lif"].timesteps == 3
 
     def test_no_bias_flag(self):
         s = _settings_from_args(_args(no_bias=True))
-        assert not s.macro.stem_bias and not s.macro.fc_bias
+        assert not s["macro"].stem_bias and not s["macro"].fc_bias
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -121,6 +122,64 @@ class TestSettingsPrecedence:
         cfg.write_text("{broken")
         with pytest.raises(ConfigError):
             _settings_from_args(_args(config=str(cfg)))
+
+
+SCORE = ["score", "--opset", "2O", "--indices", "40", "--dataset", "synth"] + TINY
+
+
+class TestStrictSettings:
+    @pytest.mark.parametrize("file_cfg,argv,message", [
+        ({"code_mode": "sum"}, SCORE, "'code_mode': 'sum'"),
+        ({"input_coding": "ttfs"}, SCORE, "'input_coding': 'ttfs'"),
+        ({"carryover": "worst"}, SCORE, "'carryover'"),
+        ({"timestep": 1}, SCORE, "unknown key(s) in config file"),
+        ({"no_bias": "false"}, SCORE, "'no_bias': 'false'; expected true or false"),
+        ({"no_bias": 1}, SCORE, "'no_bias'"),
+        ({"seed": 1.9}, SCORE, "'seed': 1.9; expected an integer >= 0"),
+        ({"seed": True}, SCORE, "'seed': True"),
+        ({"alpha": "0.5"}, SCORE, "'alpha'"),
+        ({"data_dir": None}, SCORE, "'data_dir'"),
+        ({"iterations": 0}, ["random-search", "--scenario", "1C2O",
+                             "--dataset", "synth"] + TINY, "'iterations'"),
+        (None, SCORE + ["--seed", "-1"], "'seed': -1"),
+        (None, SCORE + ["--batch-size", "0"], "'batch_size': 0"),
+        (None, SCORE + ["--alpha", "nan"], "'alpha': nan; expected a finite number"),
+        (None, ["search", "--scenario", "1C2O", "--dataset", "synth",
+                "--alpha", "inf"] + TINY, "'alpha': inf"),
+        (None, ["random-search", "--scenario", "1C2O", "--dataset", "synth",
+                "--iterations", "0"] + TINY, "'iterations': 0"),
+        (None, ["ablate", "--opset", "3O", "--cells", "1", "--remove", "zeroize",
+                "--dataset", "synth", "--iterations", "0"] + TINY, "'iterations': 0"),
+        (None, SCORE + ["--bits", "65"], "'bits': 65; expected an integer in 1..64"),
+    ])
+    def test_bad_setting_is_a_clean_error(self, tmp_path, capsys, file_cfg, argv,
+                                          message):
+        if file_cfg is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_cfg))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
+    def test_every_table_key_is_accepted_from_a_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "data_dir": "/d", "seed": 3, "alpha": 2, "batch_size": 8, "jobs": 2,
+            "bits": 8, "budget": 900, "iterations": 7, "stem_channels": 4,
+            "width_mult": 3, "classes": 5, "no_bias": False, "tau_leak": 3,
+            "v_threshold": 0.5, "v_reset": -0.5, "timesteps": 2,
+            "code_mode": "concat", "input_coding": "rate", "carryover": "literal",
+        }))
+        s = _settings_from_args(_args(config=str(cfg)))
+        assert s["alpha"] == 2.0 and type(s["alpha"]) is float
+        assert s["budget"] == MemoryBudget(900, 8)
+        assert s["iterations"] == 7
+        assert s["macro"] == MacroConfig(stem_channels=4, width_mult=3, num_classes=5)
+        assert s["lif"] == LIFParams(3.0, 0.5, -0.5, 2)
+        assert (s["code_mode"], s["input_coding"], s["carryover"]) == (
+            "concat", "rate", "literal")
 
 
 class TestEnumerate:

@@ -3,8 +3,12 @@ from hypothesis import given, strategies as st
 
 from oracles import walk_count_elements
 from spikenas.arch import (
+    KIND_AVGPOOL,
+    KIND_CONV,
+    KIND_FC,
     CellArch,
     FIVE_OPS,
+    LayerSpec,
     MacroConfig,
     Operation,
     OPSETS,
@@ -14,11 +18,7 @@ from spikenas.arch import (
     search_space_size,
 )
 from spikenas.memmodel import (
-    FULLY_CONNECTED,
-    PARAMETER_FREE,
-    LayerParamSpec,
     MemoryBudget,
-    count_layer_params,
     count_network_params,
     footprint,
     memory_cost,
@@ -28,30 +28,33 @@ from spikenas.snn import init_weights
 import numpy as np
 
 
+def _layer(kind, in_ch, out_ch, kernel=(0, 0), has_bias=True):
+    return LayerSpec("layer", kind, in_ch, out_ch, kernel, has_bias, (8, 8))
+
+
 class TestCountLayerParams:
     def test_stem_like_conv(self):
-        spec = LayerParamSpec(3, 3, 3, 16, has_bias=True)
-        assert count_layer_params(spec) == 3 * 3 * 3 * 16 + 16 == 448
+        spec = _layer(KIND_CONV, 3, 16, (3, 3))
+        assert spec.weight_shape == (16, 3, 3, 3)
+        assert spec.num_params == 3 * 3 * 3 * 16 + 16 == 448
 
     def test_parameter_free_is_zero(self):
-        spec = LayerParamSpec(0, 0, 0, 0, False, PARAMETER_FREE)
-        assert count_layer_params(spec) == 0
+        spec = _layer(KIND_AVGPOOL, 4, 4, (3, 3), has_bias=False)
+        assert spec.weight_shape is None
+        assert spec.num_params == 0
 
     def test_pointwise_conv(self):
-        spec = LayerParamSpec(1, 1, 64, 128, has_bias=True)
-        assert count_layer_params(spec) == 64 * 128 + 128 == 8320
+        spec = _layer(KIND_CONV, 64, 128, (1, 1))
+        assert spec.num_params == 64 * 128 + 128 == 8320
 
     def test_fully_connected(self):
-        spec = LayerParamSpec(1, 1, 64, 10, True, FULLY_CONNECTED)
-        assert count_layer_params(spec) == 650
+        spec = _layer(KIND_FC, 64, 10)
+        assert spec.weight_shape == (10, 64)
+        assert spec.num_params == 650
 
     def test_no_bias(self):
-        spec = LayerParamSpec(3, 3, 3, 16, has_bias=False)
-        assert count_layer_params(spec) == 432
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            LayerParamSpec(1, 1, 1, 1, False, "norm")
+        spec = _layer(KIND_CONV, 3, 16, (3, 3), has_bias=False)
+        assert spec.num_params == 432
 
 
 class TestCountNetworkParams:

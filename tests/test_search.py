@@ -13,6 +13,7 @@ from spikenas.arch import FIVE_OPS, Operation, THREE_OPS, TWO_OPS, decode_cell, 
 from spikenas.errors import NoFeasibleArchitecture, OpSetTooSmall
 from spikenas.memmodel import MemoryBudget
 from spikenas.score import NEG_INF, ScoreResult
+from spikenas import search as search_mod
 from spikenas.search import (
     CARRY_LITERAL,
     RANDOM,
@@ -288,3 +289,51 @@ class TestAblate:
         idx = report.per_cell_best_indices[0]
         assert decode_cell(idx, sub) == report.best_arch.cells[0]
         assert encode_cell(report.best_arch.cells[0], sub) == idx
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerBound:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(search_mod, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+
+    @pytest.mark.parametrize("jobs,cpus,n,pool", [
+        (10**6, 2, 15625, 2),   # huge --jobs: one worker per core
+        (3, 8, 100, 3),         # fewer jobs than cores
+        (8, 8, 2, 2),           # never more workers than candidates
+        (4, None, 100, None),   # unknown core count runs serially
+        (1, 8, 100, None),
+    ])
+    def test_run_all_bounds_workers(self, monkeypatch, jobs, cpus, n, pool):
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
+        out = search_mod._run_all(lambda i: 2 * i, range(n), jobs)
+        assert out == [2 * i for i in range(n)]
+        assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+    def test_search_with_huge_jobs_uses_core_count(self, monkeypatch, base_cfg):
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 3)
+        wide = search_memory_aware(replace(base_cfg, num_cells=2, jobs=10**6),
+                                   score_fn=stub_score)
+        assert _RecordingPool.sizes == [3, 3]
+        narrow = search_memory_aware(replace(base_cfg, num_cells=2),
+                                     score_fn=stub_score)
+        assert wide.per_cell_best_indices == narrow.per_cell_best_indices
+        assert wide.best_score == narrow.best_score

@@ -19,7 +19,6 @@ from spikenas.errors import MissingWeights, ShapeMismatch
 from spikenas.snn import (
     BinaryCodes,
     LIFParams,
-    SpikeTensor,
     apply_edge_op,
     avgpool2x2_down,
     avgpool3x3_same,
@@ -166,35 +165,32 @@ class TestFeatureOps:
 class TestApplyEdgeOp:
     def setup_method(self):
         rng = np.random.default_rng(3)
-        self.t = SpikeTensor((rng.random((2, 3, 8, 8)) < 0.5).astype(np.float32),
-                             binary=True)
+        self.x = (rng.random((2, 3, 8, 8)) < 0.5).astype(np.float32)
 
     def test_zeroize(self):
-        out = apply_edge_op(Operation.ZEROIZE, self.t)
-        assert out.values.shape == self.t.values.shape
-        assert not out.values.any()
-        assert out.binary
+        out = apply_edge_op(Operation.ZEROIZE, self.x)
+        assert out.shape == self.x.shape
+        assert out.dtype == self.x.dtype
+        assert not out.any()
 
     def test_skip_is_identity(self):
-        out = apply_edge_op(Operation.SKIPCON, self.t)
-        np.testing.assert_array_equal(out.values, self.t.values)
-        assert out.binary
+        out = apply_edge_op(Operation.SKIPCON, self.x)
+        np.testing.assert_array_equal(out, self.x)
 
     def test_conv_requires_weights(self):
         with pytest.raises(MissingWeights):
-            apply_edge_op(Operation.CONV3X3, self.t, None)
+            apply_edge_op(Operation.CONV3X3, self.x, None)
 
     def test_conv_applies_weights(self):
         w = np.zeros((3, 3, 3, 3), dtype=np.float32)
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        out = apply_edge_op(Operation.CONV3X3, self.t, (w, None))
-        np.testing.assert_allclose(out.values, self.t.values, atol=1e-6)
-        assert not out.binary
+        out = apply_edge_op(Operation.CONV3X3, self.x, (w, None))
+        np.testing.assert_allclose(out, self.x, atol=1e-6)
 
     def test_avgpool_preserves_shape(self):
-        out = apply_edge_op(Operation.AVGPOOL3X3, self.t)
-        assert out.values.shape == self.t.values.shape
+        out = apply_edge_op(Operation.AVGPOOL3X3, self.x)
+        assert out.shape == self.x.shape
 
 
 class TestInitWeights:
