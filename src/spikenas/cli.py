@@ -221,6 +221,27 @@ def run_scenario(scenario: Scenario, dataset_name: str, s: dict, *,
     return doc, result
 
 
+# Output-file flags as (destination, flag), checked before any work runs.
+_OUTPUT_FLAGS = (("report_out", "--report-out"), ("candidate_log", "--candidate-log"),
+                 ("table_out", "--table-out"), ("dump_kernels", "--dump-kernels"))
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse an output path that could not be written once the work is done."""
+    for dest, flag in _OUTPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is a directory")
+        if not os.path.isdir(folder):
+            raise ConfigError(f"{flag} {path}: directory {folder} does not exist")
+        if not os.access(folder, os.W_OK | os.X_OK) or (
+                os.path.exists(path) and not os.access(path, os.W_OK)):
+            raise ConfigError(f"{flag} {path} is not writable")
+
+
 def _emit(args: argparse.Namespace, doc: report_mod.ReportDoc,
           result: SearchReport | None) -> None:
     out = getattr(args, "report_out", None)
@@ -412,6 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.handler(args)
     except SpikeNasError as exc:
         print(f"error: {exc}", file=sys.stderr)

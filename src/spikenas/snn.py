@@ -9,9 +9,26 @@ fires (then resets) when it crosses a threshold:
     v <- v + (-(v - v_reset) + x) / tau
 
 Inputs use direct coding by default: the analog image is presented as
-synaptic input at every timestep.  Convolutions are plain stride-1
-same-padding weighted sums implemented via im2col; all feature-map
-operators preserve the stage shape so node summations are well defined.
+synaptic input at every timestep, so the stem convolution of that image
+is computed once and fed to the stem at every step (rate coding draws a
+new spike map, and runs the stem, per step).  Convolutions are plain
+stride-1 same-padding weighted sums implemented via im2col; all
+feature-map operators preserve the stage shape so node summations are
+well defined.  The 3x3 average pool is a separable box sum over the
+zero-padded map: three column-shifted slices summed into row sums, then
+three row-shifted row sums, then a division by 9; the 2x2 downsampling
+pool adds strided slices the same way.  That is the order numpy's
+windowed mean adds in, so both are bit-identical to it.
+
+A cell runs only its live edges.  An edge is dead when its output is
+always zero (zeroize, or a parameter-free op or a conv with no or zero
+bias reading a node that is always zero) or when no live edge reads its
+target node.  Conv edges of one kind that read the same node (the
+fan-out of node 0 or node 1) run as one GEMM over their stacked filters,
+whose output is split per edge.  Each output column sums the same
+products in the same order as a separate convolution, and node values
+are summed in edge order, so spike codes equal those of running all six
+edges one by one.
 """
 
 from __future__ import annotations
@@ -83,6 +100,14 @@ def lif_step(v_prev: np.ndarray, x: np.ndarray, p: LIFParams):
     return v_next, spikes
 
 
+def _pad_hw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """`x` with `ph` zero rows and `pw` zero columns on each side."""
+    s, c, h, w = x.shape
+    out = np.zeros((s, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = x
+    return out
+
+
 def conv2d_same(x: np.ndarray, weights: np.ndarray,
                 bias: np.ndarray | None) -> np.ndarray:
     """Stride-1 zero-padded convolution keeping the spatial size."""
@@ -93,10 +118,11 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray,
     out_ch, in_ch, kh, kw = weights.shape
     ph, pw = kh // 2, kw // 2
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        x = _pad_hw(x, ph, pw)
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     s, _, h, w = win.shape[:4]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(s * h * w, in_ch * kh * kw)
+    del x, win  # free the padded copy before the GEMM output is allocated
     out = cols @ weights.reshape(out_ch, -1).T
     if bias is not None:
         out += bias
@@ -104,18 +130,35 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray,
 
 
 def avgpool3x3_same(x: np.ndarray) -> np.ndarray:
-    """3x3 window mean with zero padding (pad cells count toward the mean)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return win.mean(axis=(-2, -1))
+    """3x3 window mean with zero padding (pad cells count toward the mean).
+
+    Row sums of three column-shifted slices, then sums of three
+    row-shifted row sums, then one division: keep this order, it matches
+    numpy's windowed mean bit for bit on float maps at least 2 wide.
+    """
+    xp = _pad_hw(x, 1, 1)
+    rows = xp[..., :-2] + xp[..., 1:-1]
+    rows += xp[..., 2:]
+    del xp
+    out = rows[:, :, :-2] + rows[:, :, 1:-1]
+    out += rows[:, :, 2:]
+    out /= 9
+    return out
 
 
 def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 mean, halving the spatial size."""
+    """Non-overlapping 2x2 mean, halving the spatial size.
+
+    (top-left + top-right) + (bottom-left + bottom-right), then one
+    division: numpy's windowed-mean order on maps at least 4 wide.
+    """
     s, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatch(f"cannot halve odd spatial size {h}x{w}")
-    return x.reshape(s, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    out += x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
+    out /= 4
+    return out
 
 
 def apply_edge_op(op: Operation, x: np.ndarray,
@@ -190,16 +233,89 @@ def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
             raise MissingWeights(f"no weights for layer {layer.name!r}")
 
 
+# Cell edges as (name, source node, target node) in `CellArch.edges()`
+# order.  A target node sums its inputs in this order:
+# n2 = e02 + e12, out = e03 + e13 + e23.
+_CELL_EDGES = tuple((f"con{src}{dst}", src, dst)
+                    for src, dst in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+
+
+def _live_edges(cell, weights: WeightSet, prefix: str) -> list[tuple[str, int, int]]:
+    """The edges that can change the cell output, in `_CELL_EDGES` order.
+
+    An edge is dead if its output is always zero or nothing live reads
+    its target node.  A conv edge reading an always-zero node outputs its
+    bias, so it is dead only while that bias is absent or zero.
+    """
+    zero = [False, True, True, True]
+    nonzero = set()
+    for name, src, dst in _CELL_EDGES:
+        op = getattr(cell, name)
+        if op is Operation.ZEROIZE:
+            continue
+        if zero[src]:
+            bias = weights[f"{prefix}.{name}"][1] if op in arch.CONV_OPS else None
+            if bias is None or not bias.any():
+                continue
+        nonzero.add(name)
+        zero[dst] = False
+    used = {3}
+    live = []
+    for name, src, dst in reversed(_CELL_EDGES):
+        if name in nonzero and dst in used:
+            used.add(src)
+            live.append((name, src, dst))
+    return live[::-1]
+
+
+def _conv_fan_out(x: np.ndarray, convs: list) -> list[np.ndarray]:
+    """`conv2d_same(x, w, b)` for each (w, b), as one GEMM over stacked filters."""
+    if len(convs) == 1:
+        return [conv2d_same(x, *convs[0])]
+    w = np.concatenate([w for w, _ in convs])
+    b = None if convs[0][1] is None else np.concatenate([b for _, b in convs])
+    return np.split(conv2d_same(x, w, b), len(convs), axis=1)
+
+
 def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
                         prefix: str) -> np.ndarray:
-    """Sum-combined node values of one cell, before its spiking stage."""
-    w = lambda edge: weights.get(f"{prefix}.{edge}")
-    n1 = apply_edge_op(cell.con01, x_spikes, w("con01"))
-    n2 = (apply_edge_op(cell.con02, x_spikes, w("con02"))
-          + apply_edge_op(cell.con12, n1, w("con12")))
-    return (apply_edge_op(cell.con03, x_spikes, w("con03"))
-            + apply_edge_op(cell.con13, n1, w("con13"))
-            + apply_edge_op(cell.con23, n2, w("con23")))
+    """Sum-combined node values of one cell, before its spiking stage.
+
+    Runs the live edges only.  The first live conv edge of a fan-out runs
+    the whole fan-out; the other outputs wait in `pending`.  A sum is
+    written into a buffer that no other node or edge holds (a conv or
+    pool output, or an earlier sum), and a node value is dropped after
+    its last reader, so a fused output buffer is freed as soon as every
+    slice of it has been summed and few map-sized arrays are allocated.
+    """
+    live = _live_edges(cell, weights, prefix)
+    last_reader = {src: name for name, src, _ in live}
+    nodes: list[np.ndarray | None] = [x_spikes, None, None, None]
+    private = [False] * 4  # node buffer held by nobody else: sum into it
+    pending: dict[str, np.ndarray] = {}
+    for name, src, dst in live:
+        op = getattr(cell, name)
+        if name not in pending:
+            # only a conv with a bias reads a node that is always zero
+            source = np.zeros_like(x_spikes) if nodes[src] is None else nodes[src]
+            if op in arch.CONV_OPS:
+                group = [e for e, s, _ in live if s == src and getattr(cell, e) is op]
+                outs = _conv_fan_out(source, [weights[f"{prefix}.{e}"] for e in group])
+                pending.update(zip(group, outs))
+            else:
+                pending[name] = apply_edge_op(op, source)
+            del source
+        term = pending.pop(name)
+        term_private = op is not Operation.SKIPCON  # skipcon passes its source on
+        if nodes[dst] is None:
+            nodes[dst], private[dst] = term, term_private
+        else:
+            out = term if term_private else nodes[dst] if private[dst] else None
+            nodes[dst], private[dst] = np.add(nodes[dst], term, out=out), True
+        del term
+        if last_reader[src] == name:
+            nodes[src] = None
+    return np.zeros_like(x_spikes) if nodes[3] is None else nodes[3]
 
 
 def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarray,
@@ -235,13 +351,16 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     stages = {name: _LifStage(p, code_mode) for name in stage_names}
 
     fc_w, fc_b = weights["classifier.fc"]
+    stem_w, stem_b = weights["stem.conv"]
+    # direct coding feeds the same image at every step: one stem conv
+    stem_pre = conv2d_same(x0, stem_w, stem_b) if rate_rng is None else None
     for _ in range(p.timesteps):
         if rate_rng is None:
-            x = x0
+            cur = stages["stem"].step(stem_pre)
         else:
             x = (rate_rng.random(x0.shape, dtype=np.float32) < x0).astype(np.float32)
-        w, b = weights["stem.conv"]
-        cur = stages["stem"].step(conv2d_same(x, w, b))
+            cur = stages["stem"].step(conv2d_same(x, stem_w, stem_b))
+            del x
         for i, cell in enumerate(net.cells, start=1):
             pre = _cell_preactivation(cell, cur, weights, f"cell{i}")
             cur = stages[f"cell{i}"].step(pre)

@@ -8,11 +8,13 @@ must stay independent of the library code paths they check.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spikenas.arch import build_network, decode_cell, search_space_size
 from spikenas.data import sample_batch
 from spikenas.memmodel import count_network_params
 from spikenas.search import candidate_seed
+from spikenas.snn import conv2d_same
 
 
 def walk_count_elements(weights) -> int:
@@ -300,3 +302,37 @@ def naive_forward_codes(net, weights, batch, p, code_mode="any",
                 logits[n, k] = acc
         stages["classifier"].step(logits)
     return tuple(names), tuple(stages[name].codes(code_mode) for name in names)
+
+
+def windowed_mean_avgpool3x3(x):
+    """3x3 same-size mean as numpy's mean over a sliding-window view."""
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    return sliding_window_view(xp, (3, 3), axis=(2, 3)).mean(axis=(-2, -1))
+
+
+def reshape_mean_avgpool2x2(x):
+    """2x2 stride-2 mean as numpy's mean over a reshaped view."""
+    s, c, h, w = x.shape
+    return x.reshape(s, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+def _straight_edge(op, x, weights):
+    label = op.label
+    if label == "zeroize":
+        return np.zeros_like(x)
+    if label == "skipcon":
+        return x
+    if label == "avgpool3x3":
+        return windowed_mean_avgpool3x3(x)
+    return conv2d_same(x, *weights)
+
+
+def straight_cell_preactivation(cell, x_spikes, weights, prefix):
+    """All six edges run one by one, each conv on its own, summed per node."""
+    w = lambda edge: weights.get(f"{prefix}.{edge}")
+    n1 = _straight_edge(cell.con01, x_spikes, w("con01"))
+    n2 = (_straight_edge(cell.con02, x_spikes, w("con02"))
+          + _straight_edge(cell.con12, n1, w("con12")))
+    return (_straight_edge(cell.con03, x_spikes, w("con03"))
+            + _straight_edge(cell.con13, n1, w("con13"))
+            + _straight_edge(cell.con23, n2, w("con23")))

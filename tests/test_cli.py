@@ -17,6 +17,7 @@ from spikenas.data import DATA_DIR_ENV, synth_dataset, write_cifar10
 from spikenas.errors import ConfigError
 from spikenas.memmodel import MemoryBudget, count_network_params, footprint
 from spikenas.snn import LIFParams
+from spikenas import cli as cli_mod
 from spikenas import report as report_mod
 
 TINY = ["--stem-channels", "4", "--classes", "4", "--batch-size", "4",
@@ -374,3 +375,34 @@ class TestRealDataPath:
         doc = report_mod.read_report(report_path)
         assert doc.dataset == "cifar10"
         assert doc.evaluations_total == 64
+
+
+class TestOutputPathsCheckedFirst:
+    """A bad output path is refused before any search or scoring runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started despite a bad output path")
+        for name in ("search_memory_aware", "search_random", "ablate_operation",
+                     "score_candidate"):
+            monkeypatch.setattr(cli_mod, name, fail)
+
+    @pytest.mark.parametrize("command, flag", [
+        (["search", "--scenario", "1C2O"], "--report-out"),
+        (["search", "--scenario", "1C2O"], "--candidate-log"),
+        (["random-search", "--scenario", "1C2O"], "--table-out"),
+        (["ablate", "--opset", "3O", "--remove", "conv3x3"], "--report-out"),
+        (["score", "--opset", "2O", "--indices", "40"], "--dump-kernels"),
+    ])
+    def test_missing_directory(self, capsys, command, flag):
+        argv = command + ["--dataset", "synth", flag, "/nonexistent/out.txt"] + TINY
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "/nonexistent" in err
+
+    def test_directory_given_as_file(self, tmp_path, capsys):
+        argv = ["search", "--scenario", "1C2O", "--dataset", "synth",
+                "--report-out", str(tmp_path)] + TINY
+        assert main(argv) == 1
+        assert "is a directory" in capsys.readouterr().err

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_forward_codes
+from oracles import (
+    naive_forward_codes,
+    reshape_mean_avgpool2x2,
+    straight_cell_preactivation,
+    windowed_mean_avgpool3x3,
+)
 
 from spikenas.arch import (
+    CONV_OPS,
     CellArch,
     FIVE_OPS,
     MacroConfig,
@@ -14,7 +20,9 @@ from spikenas.arch import (
     build_network,
     decode_cell,
     network_layers,
+    search_space_size,
 )
+from spikenas import snn
 from spikenas.errors import MissingWeights, ShapeMismatch
 from spikenas.snn import (
     BinaryCodes,
@@ -151,6 +159,27 @@ class TestFeatureOps:
         x = rng.random((2, 2, 6, 6))
         np.testing.assert_allclose(avgpool3x3_same(x), _naive_avgpool3x3(x),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16, 64, 16, 16), (4, 4, 32, 32), (2, 3, 7, 9),
+                                       (3, 2, 1, 5), (1, 1, 1, 1)])
+    def test_avgpool3x3_box_sum_equals_windowed_mean(self, shape):
+        rng = np.random.default_rng(shape)
+        for x in (rng.random(shape, dtype=np.float32),
+                  rng.normal(0.0, 10.0, size=shape).astype(np.float32)):
+            got = avgpool3x3_same(x)
+            want = windowed_mean_avgpool3x3(x)
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(16, 64, 32, 32), (2, 3, 6, 10), (3, 1, 2, 4)])
+    def test_downsample_pool_equals_reshaped_mean(self, shape):
+        rng = np.random.default_rng(shape)
+        for x in (rng.random(shape, dtype=np.float32),
+                  rng.normal(0.0, 10.0, size=shape).astype(np.float32)):
+            got = avgpool2x2_down(x)
+            want = reshape_mean_avgpool2x2(x)
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
 
     def test_downsample_pool_means(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -395,3 +424,80 @@ class TestForwardOracle:
 
     def test_two_cell_codes_equal(self):
         self._compare(ORACLE_CELLS[:2], seed=3)
+
+
+EDGES = ("con01", "con02", "con03", "con12", "con13", "con23")
+
+
+class TestCellPath:
+    """_cell_preactivation against running all six edges one by one."""
+
+    C = 2
+
+    def _weights(self, rng, bias):
+        out = {}
+        for edge in EDGES:
+            for op, k in ((O.CONV1X1, 1), (O.CONV3X3, 3)):
+                w = rng.normal(0.0, 0.7, size=(self.C, self.C, k, k)).astype(np.float32)
+                b = (rng.normal(size=self.C).astype(np.float32) if bias
+                     else np.zeros(self.C, dtype=np.float32))
+                out[op, edge] = (w, b)
+        return out
+
+    def _count_convs(self, monkeypatch):
+        shapes = []
+        real_conv = snn.conv2d_same
+        monkeypatch.setattr(snn, "conv2d_same",
+                            lambda *a: shapes.append(a[1].shape) or real_conv(*a))
+        return shapes
+
+    def _check_all(self, opset, bias, monkeypatch):
+        rng = np.random.default_rng(len(opset) + bias)
+        bank = self._weights(rng, bias)
+        x = (rng.random((3, self.C, 5, 7)) < 0.5).astype(np.float32)
+        calls = self._count_convs(monkeypatch)
+        dead = 0
+        for index in range(search_space_size(opset)):
+            cell = decode_cell(index, opset)
+            weights = {f"cell1.{e}": bank[op, e]
+                       for e, op in zip(EDGES, cell.edges()) if op in CONV_OPS}
+            want = straight_cell_preactivation(cell, x, weights, "cell1")
+            calls.clear()
+            got = snn._cell_preactivation(cell, x, weights, "cell1")
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=f"cell {index}")
+            if not want.any():
+                dead += 1
+                assert not calls, f"dead cell {index} ran {len(calls)} convs"
+        return dead
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_three_op_cells_equal(self, bias, monkeypatch):
+        self._check_all(THREE_OPS, bias, monkeypatch)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_five_op_cells_equal(self, bias, monkeypatch):
+        dead = self._check_all(FIVE_OPS, bias, monkeypatch)
+        # every cell whose three output edges are zeroize is dead
+        assert dead >= 5 ** 3
+
+    def test_all_dead_cell_runs_no_conv(self, monkeypatch):
+        monkeypatch.setattr(snn, "conv2d_same",
+                            lambda *a: pytest.fail("a dead cell ran a conv"))
+        x = np.ones((2, self.C, 6, 6), dtype=np.float32)
+        # con01 and con02 feed nodes nothing reads; con12 reads them
+        dead = CellArch(O.CONV3X3, O.CONV3X3, O.ZEROIZE, O.CONV1X1, O.ZEROIZE, O.ZEROIZE)
+        weights = {f"cell1.{e}": (np.ones((self.C, self.C, k, k), np.float32),
+                                  np.zeros(self.C, np.float32))
+                   for e, k in (("con01", 3), ("con02", 3), ("con12", 1))}
+        for cell in (CellArch.uniform(O.ZEROIZE), dead):
+            out = snn._cell_preactivation(cell, x, weights, "cell1")
+            assert out.shape == x.shape and not out.any()
+
+    def test_fan_out_convs_run_as_one_gemm(self, monkeypatch):
+        bank = self._weights(np.random.default_rng(0), bias=True)
+        weights = {f"cell1.{e}": bank[O.CONV3X3, e] for e in EDGES}
+        shapes = self._count_convs(monkeypatch)
+        snn._cell_preactivation(CellArch.uniform(O.CONV3X3),
+                                np.ones((2, self.C, 4, 4), np.float32), weights, "cell1")
+        assert [s[0] for s in shapes] == [3 * self.C, 2 * self.C, self.C]
