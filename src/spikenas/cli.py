@@ -43,7 +43,7 @@ from .search import (
     search_memory_aware,
     search_random,
 )
-from .snn import LIFParams
+from .snn import CODE_MODES, INPUT_CODINGS, LIFParams
 
 PRESET_BUDGET_PARAMS = {"cifar10": 1_200_000, "cifar100": 2_000_000}
 
@@ -124,8 +124,8 @@ SETTINGS = (
     ("v_threshold", _FLOAT, 1.0),
     ("v_reset", _FLOAT, 0.0),
     ("timesteps", _int(1), 5),
-    ("code_mode", _choice("any", "concat"), "any"),
-    ("input_coding", _choice("direct", "rate"), "direct"),
+    ("code_mode", _choice(*CODE_MODES), "any"),
+    ("input_coding", _choice(*INPUT_CODINGS), "direct"),
     ("carryover", _choice(CARRY_BEST, CARRY_LITERAL), CARRY_BEST),
 )
 _SEARCH_FIELDS = {f.name for f in fields(SearchConfig)}
@@ -350,16 +350,17 @@ def _add_common(parser: argparse.ArgumentParser, *, with_outputs: bool = True) -
     parser.add_argument("--alpha", type=float, help="sparsity normalization factor")
     parser.add_argument("--timesteps", type=int, help="simulation horizon")
     parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--jobs", type=int, help="worker threads for scoring")
+    parser.add_argument("--jobs", type=int,
+                        help="worker threads for scoring, capped at the core "
+                             "count; each uses one BLAS thread")
     parser.add_argument("--bits", type=int, help="bit precision per parameter")
     parser.add_argument("--stem-channels", dest="stem_channels", type=int)
     parser.add_argument("--width-mult", dest="width_mult", type=int)
     parser.add_argument("--classes", type=int)
     parser.add_argument("--no-bias", dest="no_bias", action="store_true",
                         default=None, help="count and simulate without biases")
-    parser.add_argument("--code-mode", dest="code_mode", choices=("any", "concat"))
-    parser.add_argument("--input-coding", dest="input_coding",
-                        choices=("direct", "rate"))
+    parser.add_argument("--code-mode", dest="code_mode", choices=CODE_MODES)
+    parser.add_argument("--input-coding", dest="input_coding", choices=INPUT_CODINGS)
     parser.add_argument("--carryover", choices=("best", "literal"))
     if with_outputs:
         parser.add_argument("--report-out", dest="report_out")

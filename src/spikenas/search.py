@@ -16,6 +16,7 @@ so reports do not depend on the worker pool size.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,10 +38,11 @@ from .arch import (
     encode_cell,
     search_space_size,
 )
+from .blas import single_blas_thread
 from .data import Dataset, sample_batch
 from .errors import NoFeasibleArchitecture, OpSetTooSmall
 from .memmodel import MemoryBudget, count_network_params, within_budget
-from .snn import LIFParams
+from .snn import CODE_MODES, INPUT_CODINGS, LIFParams
 
 MEMORY_AWARE = "memory_aware"
 RANDOM = "random"
@@ -85,6 +87,12 @@ class SearchConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.carryover not in (CARRY_BEST, CARRY_LITERAL):
             raise ValueError(f"unknown carryover policy {self.carryover!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if self.code_mode not in CODE_MODES:
+            raise ValueError(f"unknown code_mode {self.code_mode!r}")
+        if self.input_coding not in INPUT_CODINGS:
+            raise ValueError(f"unknown input_coding {self.input_coding!r}")
 
 
 @dataclass(frozen=True)
@@ -163,10 +171,11 @@ def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
 
 def _run_all(visit: Callable[[int], CandidateRecord], indices: Sequence[int],
              jobs: int) -> list[CandidateRecord]:
+    """Visit every index; a pool of workers runs with one BLAS thread each."""
     workers = min(jobs, os.cpu_count() or 1, len(indices))
     if workers <= 1:
         return [visit(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(visit, indices))
 
 

@@ -45,6 +45,9 @@ from .errors import MissingWeights, ShapeMismatch
 
 WeightSet = dict[str, tuple[np.ndarray, np.ndarray | None]]
 
+CODE_MODES = ("any", "concat")
+INPUT_CODINGS = ("direct", "rate")
+
 
 @dataclass(frozen=True)
 class LIFParams:
@@ -330,9 +333,9 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     `input_coding="rate"` replaces direct coding with seeded Bernoulli
     spike trains whose rates are the pixel values.
     """
-    if code_mode not in ("any", "concat"):
+    if code_mode not in CODE_MODES:
         raise ValueError(f"unknown code_mode {code_mode!r}")
-    if input_coding not in ("direct", "rate"):
+    if input_coding not in INPUT_CODINGS:
         raise ValueError(f"unknown input_coding {input_coding!r}")
     x0 = np.asarray(batch, dtype=np.float32)
     expected = net.macro.input_shape

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,10 @@ from oracles import (
     reference_literal_carryover,
     reference_memory_aware,
 )
-from spikenas.arch import FIVE_OPS, Operation, THREE_OPS, TWO_OPS, decode_cell, encode_cell
+from spikenas import blas
+from spikenas.arch import (
+    FIVE_OPS, MacroConfig, Operation, THREE_OPS, TWO_OPS, decode_cell, encode_cell,
+)
 from spikenas.errors import NoFeasibleArchitecture, OpSetTooSmall
 from spikenas.memmodel import MemoryBudget
 from spikenas.score import NEG_INF, ScoreResult
@@ -50,7 +54,10 @@ class TestConfigValidation:
 
         for bad in (dict(num_cells=0), dict(num_cells=4), dict(jobs=0),
                     dict(batch_size=1), dict(seed=-1),
-                    dict(strategy="anneal"), dict(carryover="worst")):
+                    dict(strategy="anneal"), dict(carryover="worst"),
+                    dict(alpha=float("nan")), dict(alpha=float("inf")),
+                    dict(alpha=-float("inf")), dict(code_mode="all"),
+                    dict(input_coding="poisson")):
             with pytest.raises(ValueError):
                 cfg(**bad)
 
@@ -337,3 +344,125 @@ class TestWorkerBound:
                                      score_fn=stub_score)
         assert wide.per_cell_best_indices == narrow.per_cell_best_indices
         assert wide.best_score == narrow.best_score
+
+
+def _numpy_uses_openblas() -> bool:
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    return "openblas" in str(deps.get("blas", {}).get("name", "")).lower()
+
+
+class _FakeControls:
+    """Records every set call instead of touching the real library."""
+
+    def __init__(self, count=4):
+        self.count, self.sets = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def real(self, monkeypatch):
+        """The real controls with the count at 2, restored afterwards."""
+        controls = blas.openblas_controls()
+        if controls is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS this build can control")
+        get, set_ = controls
+        before = get()
+        set_(2)
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        yield get
+        set_(before)
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        controls = _FakeControls()
+        monkeypatch.setattr(blas, "openblas_controls",
+                            lambda: (controls.get, controls.set))
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        return controls
+
+    def test_lookup_finds_numpy_openblas(self):
+        if not _numpy_uses_openblas():
+            pytest.skip("numpy is not built against OpenBLAS")
+        assert blas.openblas_controls() is not None
+
+    def test_workers_see_one_thread_and_count_is_restored(self, real):
+        before = real()
+        seen = []
+
+        def visit(i):
+            seen.append((threading.get_ident(), real()))
+            return 3 * i
+
+        assert search_mod._run_all(visit, range(40), jobs=2) == [3 * i for i in range(40)]
+        assert {count for _, count in seen} == {1}
+        assert threading.get_ident() not in {tid for tid, _ in seen}
+        assert real() == before
+
+    def test_count_is_restored_when_a_worker_raises(self, real):
+        before = real()
+
+        def visit(i):
+            if i == 5:
+                raise RuntimeError("boom")
+            return i
+
+        with pytest.raises(RuntimeError, match="boom"):
+            search_mod._run_all(visit, range(20), jobs=2)
+        assert real() == before
+
+    def test_serial_path_never_sets_the_count(self, fake):
+        assert search_mod._run_all(lambda i: i, range(10), jobs=1) == list(range(10))
+        assert fake.sets == []
+        search_mod._run_all(lambda i: i, range(10), jobs=2)
+        assert fake.sets == [1, 4]
+
+    def test_nested_pins_restore_once_at_the_outermost_exit(self, fake):
+        with blas.single_blas_thread():
+            with blas.single_blas_thread():
+                assert fake.count == 1
+            assert fake.count == 1
+        assert fake.sets == [1, 4]
+
+    def test_not_found_runs_unpinned(self, monkeypatch, base_cfg):
+        monkeypatch.setattr(blas, "openblas_controls", lambda: None)
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        assert search_mod._run_all(lambda i: i * i, range(30), jobs=2) == [
+            i * i for i in range(30)]
+        cfg = replace(base_cfg, num_cells=2, keep_candidate_log=True)
+        pooled = search_memory_aware(replace(cfg, jobs=2), score_fn=stub_score)
+        serial = search_memory_aware(cfg, score_fn=stub_score)
+        assert pooled.candidate_log == serial.candidate_log
+        assert pooled.per_cell_best_indices == serial.per_cell_best_indices
+
+    @pytest.mark.parametrize("maps", [None, "", "7f00-7f01 r-xp 0 00:00 1 /no/libopenblas.so\n"])
+    def test_lookup_without_a_loadable_openblas_is_none(self, monkeypatch, tmp_path,
+                                                       maps):
+        path = tmp_path / "maps"
+        if maps is not None:
+            path.write_text(maps)
+        monkeypatch.setattr(blas, "MAPS", str(path))
+        assert blas.openblas_controls.__wrapped__() is None
+
+    def test_records_equal_at_a_gemm_threading_shape(self, monkeypatch, small_dataset,
+                                                     tiny_lif):
+        # stem 16 on 32x32 inputs: a stem conv3x3 GEMM of 4096x144x16, past
+        # OpenBLAS's threading threshold, so jobs=1 runs threaded GEMMs and
+        # jobs=2 single-threaded ones
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        cfg = SearchConfig(dataset=small_dataset, opset=TWO_OPS, num_cells=1,
+                           macro=MacroConfig(stem_channels=16, num_classes=4),
+                           seed=3, batch_size=4, lif=tiny_lif,
+                           keep_candidate_log=True)
+        serial = search_memory_aware(cfg)
+        pooled = search_memory_aware(replace(cfg, jobs=2))
+        assert len(serial.candidate_log) == 64
+        assert pooled.candidate_log == serial.candidate_log
+        assert pooled.per_cell_best_indices == serial.per_cell_best_indices
+        assert pooled.best_score == serial.best_score
