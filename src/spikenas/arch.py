@@ -7,9 +7,11 @@ reading the six edge assignments as little-endian digits in base
 ``len(opset)``, so one cell spans ``len(opset) ** 6`` indices.
 
 The macro skeleton is fixed: a 3x3 stem convolution, one to three cell
-stages separated by downsampling blocks, and a global-average-pool +
-fully-connected classifier.  Every convolution and every cell output is
-followed by a spiking activation stage.
+stages separated by downsampling blocks (2x2 pool, then a 1x1 conv that
+widens the map), and a global-average-pool + fully-connected classifier.
+`network_layers` lists only the layers that hold parameters; pools,
+skips, zeroized edges and the spiking stages hold none and live only in
+`snn`'s forward pass.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ from dataclasses import dataclass, replace
 
 from .errors import EdgeOpNotInSet, IndexOutOfRange, InvalidMacroConfig
 
-NUM_CELL_EDGES = 6
-EDGE_NAMES = ("con01", "con02", "con03", "con12", "con13", "con23")
+# Cell edges as (name, source node, target node) in digit order.  A target
+# node sums its inputs in this order: n2 = e02 + e12, out = e03 + e13 + e23.
+CELL_EDGES = tuple((f"con{src}{dst}", src, dst)
+                   for src, dst in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+EDGE_NAMES = tuple(name for name, _, _ in CELL_EDGES)
+NUM_CELL_EDGES = len(CELL_EDGES)
 
 
 class Operation(enum.IntEnum):
@@ -35,28 +41,22 @@ class Operation(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return _OP_LABELS[self]
+        return self.name.lower()
 
     @classmethod
     def from_label(cls, label: str) -> "Operation":
         try:
-            return _OPS_BY_LABEL[label.strip().lower()]
+            return cls[label.strip().upper()]
         except KeyError:
             raise ValueError(
-                f"unknown operation {label!r}; expected one of {sorted(_OPS_BY_LABEL)}"
+                f"unknown operation {label!r}; "
+                f"expected one of {sorted(op.label for op in cls)}"
             ) from None
 
 
-_OP_LABELS = {
-    Operation.ZEROIZE: "zeroize",
-    Operation.SKIPCON: "skipcon",
-    Operation.CONV1X1: "conv1x1",
-    Operation.CONV3X3: "conv3x3",
-    Operation.AVGPOOL3X3: "avgpool3x3",
-}
-_OPS_BY_LABEL = {label: op for op, label in _OP_LABELS.items()}
-
-CONV_OPS = frozenset({Operation.CONV1X1, Operation.CONV3X3})
+# Kernel size of each convolution edge operation.
+_EDGE_KERNELS = {Operation.CONV1X1: (1, 1), Operation.CONV3X3: (3, 3)}
+CONV_OPS = frozenset(_EDGE_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,6 @@ class NetworkArch:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def stage_channels(self) -> tuple[int, ...]:
-        """Channel width of each cell stage (stem width, then doubled)."""
-        m = self.macro
-        return tuple(m.stem_channels * m.width_mult**i for i in range(len(self.cells)))
-
 
 def build_network(cells: list[CellArch] | tuple[CellArch, ...],
                   macro: MacroConfig) -> NetworkArch:
@@ -240,114 +235,43 @@ def build_network(cells: list[CellArch] | tuple[CellArch, ...],
     return NetworkArch(cells=tuple(cells), macro=macro)
 
 
-# Layer kinds appearing in the flattened layer list.
-KIND_CONV = "conv"
-KIND_FC = "fc"
-KIND_AVGPOOL = "avgpool"
-KIND_DOWNPOOL = "downpool"
-KIND_SKIP = "skip"
-KIND_ZEROIZE = "zeroize"
-KIND_GAP = "gap"
-KIND_LIF = "lif"
-
-_EDGE_KINDS = {
-    Operation.ZEROIZE: KIND_ZEROIZE,
-    Operation.SKIPCON: KIND_SKIP,
-    Operation.CONV1X1: KIND_CONV,
-    Operation.CONV3X3: KIND_CONV,
-    Operation.AVGPOOL3X3: KIND_AVGPOOL,
-}
-_EDGE_KERNELS = {
-    Operation.CONV1X1: (1, 1),
-    Operation.CONV3X3: (3, 3),
-    Operation.AVGPOOL3X3: (3, 3),
-}
-
-
 @dataclass(frozen=True)
 class LayerSpec:
-    """One entry of the flattened layer list.
+    """One layer that holds parameters.
 
-    `kernel` is (0, 0) for kernel-free layers; `out_size` is the spatial
-    size of the layer's output feature map ((1, 1) after pooling to the
-    classifier).
+    Convolutions hold (out, in, kh, kw) weights and the classifier
+    (out, in); a bias adds one parameter per output channel.
     """
 
     name: str
-    kind: str
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int]
+    weight_shape: tuple[int, ...]
     has_bias: bool
-    out_size: tuple[int, int]
-
-    @property
-    def neurons(self) -> int:
-        """Feature count of the layer output (used for spike codes)."""
-        return self.out_channels * self.out_size[0] * self.out_size[1]
-
-    @property
-    def weight_shape(self) -> tuple[int, ...] | None:
-        """Shape of the layer's weight tensor; None for parameter-free layers.
-
-        Convolutions hold (out, in, kh, kw) and the classifier (out, in).
-        """
-        if self.kind == KIND_CONV:
-            return (self.out_channels, self.in_channels, *self.kernel)
-        if self.kind == KIND_FC:
-            return (self.out_channels, self.in_channels)
-        return None
 
     @property
     def num_params(self) -> int:
         """Weights plus biases held by the layer."""
         shape = self.weight_shape
-        if shape is None:
-            return 0
-        return math.prod(shape) + (self.out_channels if self.has_bias else 0)
+        return math.prod(shape) + (shape[0] if self.has_bias else 0)
 
 
 def network_layers(net: NetworkArch) -> tuple[LayerSpec, ...]:
-    """Deterministic flattened layer list for a network.
+    """The network's parameterized layers, in weight-draw order.
 
-    Order: stem conv -> [cell_i -> downsample]_{i<C} -> cell_C -> global
-    average pool -> classifier, with a spiking stage after the stem,
-    after each cell's output summation, after each downsample conv, and
-    after the classifier pre-activation.
+    Order: stem conv -> [cell_i conv edges in edge order -> downsample
+    1x1 conv]_{i<C} -> cell_C conv edges -> classifier.  Each downsample
+    conv widens the map by `width_mult`.
     """
     m = net.macro
-    in_ch, h, w = m.input_shape
-    layers: list[LayerSpec] = []
-
     ch = m.stem_channels
-    layers.append(LayerSpec("stem.conv", KIND_CONV, in_ch, ch, (3, 3),
-                            m.stem_bias, (h, w)))
-    layers.append(LayerSpec("stem.lif", KIND_LIF, ch, ch, (0, 0), False, (h, w)))
-
+    layers = [LayerSpec("stem.conv", (ch, m.input_shape[0], 3, 3), m.stem_bias)]
     for i, cell in enumerate(net.cells, start=1):
         for edge_name, op in zip(EDGE_NAMES, cell.edges()):
-            kind = _EDGE_KINDS[op]
-            kernel = _EDGE_KERNELS.get(op, (0, 0))
-            bias = m.cell_bias if kind == KIND_CONV else False
-            layers.append(LayerSpec(f"cell{i}.{edge_name}", kind, ch, ch,
-                                    kernel, bias, (h, w)))
-        layers.append(LayerSpec(f"cell{i}.lif", KIND_LIF, ch, ch, (0, 0),
-                                False, (h, w)))
+            if op in CONV_OPS:
+                layers.append(LayerSpec(f"cell{i}.{edge_name}",
+                                        (ch, ch, *_EDGE_KERNELS[op]), m.cell_bias))
         if i < len(net.cells):
-            h, w = h // 2, w // 2
-            layers.append(LayerSpec(f"down{i}.pool", KIND_DOWNPOOL, ch, ch,
-                                    (2, 2), False, (h, w)))
-            next_ch = ch * m.width_mult
-            layers.append(LayerSpec(f"down{i}.conv", KIND_CONV, ch, next_ch,
-                                    (1, 1), m.down_bias, (h, w)))
-            layers.append(LayerSpec(f"down{i}.lif", KIND_LIF, next_ch, next_ch,
-                                    (0, 0), False, (h, w)))
-            ch = next_ch
-
-    layers.append(LayerSpec("classifier.gap", KIND_GAP, ch, ch, (0, 0),
-                            False, (1, 1)))
-    layers.append(LayerSpec("classifier.fc", KIND_FC, ch, m.num_classes, (0, 0),
-                            m.fc_bias, (1, 1)))
-    layers.append(LayerSpec("classifier.lif", KIND_LIF, m.num_classes,
-                            m.num_classes, (0, 0), False, (1, 1)))
+            layers.append(LayerSpec(f"down{i}.conv", (ch * m.width_mult, ch, 1, 1),
+                                    m.down_bias))
+            ch *= m.width_mult
+    layers.append(LayerSpec("classifier.fc", (m.num_classes, ch), m.fc_bias))
     return tuple(layers)

@@ -4,8 +4,8 @@ Scenario names follow the ``pCqO`` / ``pCqO_M`` convention: p cells,
 q operation types, with ``_M`` marking a memory-constrained run.  The
 constrained presets are 1.2M parameters for cifar10 and 2M for
 cifar100.  Setting precedence is: command-line flags, then the JSON
-config file given by --config, then environment variables, then
-built-in defaults.
+config file given by --config, then built-in defaults.  An unset
+`data_dir` leaves `data.load_dataset` to read SPIKENAS_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ _FLOAT = _cast("a finite number",
 _BOOL = _cast("true or false", lambda v: type(v) is bool)
 _STR = _cast("a string", lambda v: type(v) is str)
 
-# Every run setting as (key, cast, default[, environment variable]).  The
-# key names both the flag's destination and the config-file key; a value
-# from a flag, the file or the environment must pass the cast.
+# Every run setting as (key, cast, default).  The key names both the
+# flag's destination and the config-file key; a value from a flag or the
+# file must pass the cast.
 SETTINGS = (
-    ("data_dir", _STR, None, DATA_DIR_ENV),
+    ("data_dir", _STR, None),
     ("seed", _int(0), 0),
     ("alpha", _FLOAT, 1.0),
     ("batch_size", _int(2), 16),
@@ -141,14 +141,14 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - {key for key, *_ in SETTINGS})
+    unknown = sorted(set(cfg) - {key for key, _, _ in SETTINGS})
     if unknown:
         raise ConfigError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
     return cfg
 
 
 def _settings_from_args(args: argparse.Namespace) -> dict:
-    """Resolve SETTINGS by flag > config file > environment > default.
+    """Resolve SETTINGS by flag > config file > default.
 
     The macro and LIF keys are folded into `macro` and `lif`, and
     `budget` becomes an explicit MemoryBudget or None, so that every key
@@ -156,12 +156,10 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     """
     cfg = _load_config_file(getattr(args, "config", None))
     s = {}
-    for key, cast, default, *env in SETTINGS:
+    for key, cast, default in SETTINGS:
         value = getattr(args, key, None)
         if value is None and key in cfg:
             value = cfg[key]
-        elif value is None and env and os.environ.get(env[0]):
-            value = os.environ[env[0]]
         elif value is None:
             s[key] = default
             continue
@@ -271,6 +269,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     s = _settings_from_args(args)
     try:
         removed = Operation.from_label(args.remove)
+        get_opset(args.opset).without(removed)  # refuse it before loading data
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg = _search_config(args.dataset, args.opset, args.cells, s,

@@ -1,11 +1,11 @@
 """Analytical memory-footprint model.
 
-Parameter counting is per layer, from `arch.LayerSpec.weight_shape`: a
-convolution holds kernel_h * kernel_w * in_channels * num_filters
-weights (plus one bias per filter when enabled), a fully-connected
-layer is the 1x1 special case, and pooling / skip / zeroize / spiking
-stages hold nothing.  Counts convert to bits and bytes given a bit
-precision.
+Parameter counting walks `arch.network_layers`, which lists only the
+layers that hold parameters: a convolution holds kernel_h * kernel_w *
+in_channels * num_filters weights (plus one bias per filter when
+enabled) and the fully-connected classifier is the 1x1 special case.
+Pooling, skip, zeroize and spiking stages hold nothing, so they are not
+listed.  Counts convert to bits and bytes given a bit precision.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class MemoryFootprint:
 
 
 def count_network_params(net: NetworkArch) -> int:
-    """Total parameter count over the network's flattened layer list."""
+    """Total parameter count over the network's parameterized layers."""
     return sum(layer.num_params for layer in arch.network_layers(net))
 
 

@@ -23,13 +23,6 @@ from .search import CandidateRecord, SearchReport
 
 ENGINE_VERSION = "0.1.0"
 
-REPORT_FIELDS = (
-    "scenario", "dataset", "opset", "cells", "budget", "best_arch",
-    "best_score", "singular", "n_param", "mem_bits", "evaluations_total",
-    "evaluations_skipped", "seed", "wall_time_ms", "engine_version",
-    "strategy", "iterations", "removed_op",
-)
-
 TABLE_COLUMNS = (
     "scenario", "dataset", "opset", "cells", "budget_params", "best_score",
     "n_param", "mem_bits", "evaluations_total", "evaluations_skipped",

@@ -164,23 +164,6 @@ def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_edge_op(op: Operation, x: np.ndarray,
-                  weights: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
-    """Apply one cell-edge operation to a stage-shaped feature map."""
-    if op is Operation.ZEROIZE:
-        return np.zeros_like(x)
-    if op is Operation.SKIPCON:
-        return x
-    if op is Operation.AVGPOOL3X3:
-        return avgpool3x3_same(x)
-    if op in arch.CONV_OPS:
-        if weights is None:
-            raise MissingWeights(f"{op.label} edge has no weights")
-        w, b = weights
-        return conv2d_same(x, w, b)
-    raise ValueError(f"unhandled operation {op!r}")
-
-
 def init_weights(net: NetworkArch, seed: int) -> WeightSet:
     """Seeded weight set for every parameterized layer.
 
@@ -192,11 +175,9 @@ def init_weights(net: NetworkArch, seed: int) -> WeightSet:
     out: WeightSet = {}
     for layer in arch.network_layers(net):
         shape = layer.weight_shape
-        if shape is None:
-            continue
         fan_in = math.prod(shape[1:])
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
-        b = np.zeros(layer.out_channels, dtype=np.float32) if layer.has_bias else None
+        b = np.zeros(shape[0], dtype=np.float32) if layer.has_bias else None
         out[layer.name] = (w, b)
     return out
 
@@ -232,19 +213,12 @@ class _LifStage:
 
 def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
     for layer in arch.network_layers(net):
-        if layer.weight_shape is not None and layer.name not in weights:
+        if layer.name not in weights:
             raise MissingWeights(f"no weights for layer {layer.name!r}")
 
 
-# Cell edges as (name, source node, target node) in `CellArch.edges()`
-# order.  A target node sums its inputs in this order:
-# n2 = e02 + e12, out = e03 + e13 + e23.
-_CELL_EDGES = tuple((f"con{src}{dst}", src, dst)
-                    for src, dst in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-
-
 def _live_edges(cell, weights: WeightSet, prefix: str) -> list[tuple[str, int, int]]:
-    """The edges that can change the cell output, in `_CELL_EDGES` order.
+    """The edges that can change the cell output, in `arch.CELL_EDGES` order.
 
     An edge is dead if its output is always zero or nothing live reads
     its target node.  A conv edge reading an always-zero node outputs its
@@ -252,7 +226,7 @@ def _live_edges(cell, weights: WeightSet, prefix: str) -> list[tuple[str, int, i
     """
     zero = [False, True, True, True]
     nonzero = set()
-    for name, src, dst in _CELL_EDGES:
+    for name, src, dst in arch.CELL_EDGES:
         op = getattr(cell, name)
         if op is Operation.ZEROIZE:
             continue
@@ -264,7 +238,7 @@ def _live_edges(cell, weights: WeightSet, prefix: str) -> list[tuple[str, int, i
         zero[dst] = False
     used = {3}
     live = []
-    for name, src, dst in reversed(_CELL_EDGES):
+    for name, src, dst in reversed(arch.CELL_EDGES):
         if name in nonzero and dst in used:
             used.add(src)
             live.append((name, src, dst))
@@ -305,8 +279,10 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
                 group = [e for e, s, _ in live if s == src and getattr(cell, e) is op]
                 outs = _conv_fan_out(source, [weights[f"{prefix}.{e}"] for e in group])
                 pending.update(zip(group, outs))
-            else:
-                pending[name] = apply_edge_op(op, source)
+            elif op is Operation.AVGPOOL3X3:
+                pending[name] = avgpool3x3_same(source)
+            else:  # skipcon; a live edge is never zeroize
+                pending[name] = source
             del source
         term = pending.pop(name)
         term_private = op is not Operation.SKIPCON  # skipcon passes its source on

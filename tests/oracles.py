@@ -17,6 +17,15 @@ from spikenas.search import candidate_seed
 from spikenas.snn import conv2d_same
 
 
+# Top-level keys of a JSON run report: the schema the tests pin.
+REPORT_FIELDS = (
+    "scenario", "dataset", "opset", "cells", "budget", "best_arch",
+    "best_score", "singular", "n_param", "mem_bits", "evaluations_total",
+    "evaluations_skipped", "seed", "wall_time_ms", "engine_version",
+    "strategy", "iterations", "removed_op",
+)
+
+
 def walk_count_elements(weights) -> int:
     """Count weight/bias scalars one element at a time."""
     n = 0

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    REPORT_FIELDS,
     cofactor_det,
     exhaustive_best_shared,
     min_shared_candidate_params,
@@ -75,7 +76,7 @@ TINY_FLAGS = ["--stem-channels", "4", "--classes", "4", "--batch-size", "4",
 
 REPORT_SCHEMA = {
     "type": "object",
-    "required": list(report_mod.REPORT_FIELDS),
+    "required": list(REPORT_FIELDS),
     "additionalProperties": False,
     "properties": {
         "scenario": {"type": ["string", "null"]},

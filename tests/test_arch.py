@@ -1,14 +1,14 @@
+import re
+from dataclasses import fields
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spikenas.arch import (
+    CELL_EDGES,
     EDGE_NAMES,
     FIVE_OPS,
-    KIND_CONV,
-    KIND_DOWNPOOL,
-    KIND_FC,
-    KIND_GAP,
-    KIND_LIF,
     OPSETS,
     CellArch,
     MacroConfig,
@@ -24,6 +24,14 @@ from spikenas.arch import (
     search_space_size,
 )
 from spikenas.errors import EdgeOpNotInSet, IndexOutOfRange, InvalidMacroConfig
+from spikenas.snn import LIFParams, forward_collect_codes, init_weights
+
+
+def _code_widths(net):
+    """Columns of each stage's code matrix for one forward pass."""
+    batch = np.random.default_rng(0).random((2, *net.macro.input_shape), dtype=np.float32)
+    codes = forward_collect_codes(net, init_weights(net, 0), batch, LIFParams(timesteps=1))
+    return {name: m.shape[1] for name, m in zip(codes.layer_names, codes.matrices)}
 
 
 class TestOperation:
@@ -41,8 +49,14 @@ class TestOperation:
         assert Operation.from_label("Conv3x3") is Operation.CONV3X3
 
     def test_unknown_label(self):
-        with pytest.raises(ValueError):
+        expected = "['avgpool3x3', 'conv1x1', 'conv3x3', 'skipcon', 'zeroize']"
+        with pytest.raises(ValueError, match=f"'maxpool'; expected one of {re.escape(expected)}"):
             Operation.from_label("maxpool")
+
+    def test_edge_table_follows_cell_fields(self):
+        assert EDGE_NAMES == tuple(f.name for f in fields(CellArch))
+        assert [(src, dst) for _, src, dst in CELL_EDGES] == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 class TestOpSet:
@@ -158,32 +172,34 @@ class TestBuildNetwork:
 
     def test_one_cell_has_no_downsample(self):
         macro = MacroConfig(stem_channels=16, num_classes=10)
-        net = build_network([decode_cell(5, TWO_OPS)], macro)
+        net = build_network([decode_cell(5, TWO_OPS)], macro)  # convs on con01, con03
         names = [l.name for l in network_layers(net)]
-        assert sum(n.startswith("cell") for n in names) == 7  # 6 edges + lif
-        assert not any(n.startswith("down") for n in names)
-        assert names[0] == "stem.conv"
-        assert names[-1] == "classifier.lif"
+        assert names == ["stem.conv", "cell1.con01", "cell1.con03", "classifier.fc"]
+        assert list(_code_widths(net)) == ["stem", "cell1", "classifier"]
 
     def test_two_identical_cells_differ_only_in_width(self):
         macro = MacroConfig(stem_channels=8)
-        cell = decode_cell(33, TWO_OPS)
+        cell = decode_cell(33, TWO_OPS)  # convs on con01, con23
         net = build_network([cell, cell], macro)
         layers = {l.name: l for l in network_layers(net)}
-        for edge in EDGE_NAMES:
-            first, second = layers[f"cell1.{edge}"], layers[f"cell2.{edge}"]
-            assert first.kind == second.kind
-            assert second.in_channels == 2 * first.in_channels
+        for edge, op in zip(EDGE_NAMES, cell.edges()):
+            if op is Operation.CONV3X3:
+                assert layers[f"cell1.{edge}"].weight_shape == (8, 8, 3, 3)
+                assert layers[f"cell2.{edge}"].weight_shape == (16, 16, 3, 3)
+            else:
+                assert f"cell1.{edge}" not in layers and f"cell2.{edge}" not in layers
 
     def test_three_cell_width_doubling(self):
         macro = MacroConfig(stem_channels=16)
-        net = build_network([decode_cell(0, TWO_OPS)] * 3, macro)
-        assert net.stage_channels() == (16, 32, 64)
-        layers = {l.name: l for l in network_layers(net)}
-        assert layers["cell1.con01"].in_channels == 16
-        assert layers["cell2.con01"].in_channels == 32
-        assert layers["cell3.con01"].in_channels == 64
-        assert layers["classifier.fc"].in_channels == 64
+        net = build_network([decode_cell(63, TWO_OPS)] * 3, macro)
+        shapes = {l.name: l.weight_shape for l in network_layers(net)}
+        assert shapes["stem.conv"] == (16, 3, 3, 3)
+        assert shapes["cell1.con01"] == (16, 16, 3, 3)
+        assert shapes["down1.conv"] == (32, 16, 1, 1)
+        assert shapes["cell2.con01"] == (32, 32, 3, 3)
+        assert shapes["down2.conv"] == (64, 32, 1, 1)
+        assert shapes["cell3.con01"] == (64, 64, 3, 3)
+        assert shapes["classifier.fc"] == (10, 64)
 
     def test_layer_list_is_pure(self):
         macro = MacroConfig(stem_channels=8)
@@ -192,26 +208,26 @@ class TestBuildNetwork:
         b = network_layers(build_network(cells, macro))
         assert a == b
 
+    def test_layers_follow_weight_draw_order(self):
+        macro = MacroConfig(stem_channels=8, down_bias=False)
+        net = build_network([decode_cell(63, TWO_OPS)] * 2, macro)
+        layers = network_layers(net)
+        assert [l.name for l in layers] == (
+            ["stem.conv"] + [f"cell1.{e}" for e in EDGE_NAMES] + ["down1.conv"]
+            + [f"cell2.{e}" for e in EDGE_NAMES] + ["classifier.fc"])
+        assert [l.has_bias for l in layers] == [True] * 7 + [False] + [True] * 7
+
     def test_spiking_stage_follows_every_conv_block(self):
         macro = MacroConfig(stem_channels=8)
         net = build_network([decode_cell(63, TWO_OPS)] * 2, macro)
-        layers = network_layers(net)
-        names = [l.name for l in layers]
-        for stage in ("stem", "cell1", "down1", "cell2", "classifier"):
-            assert f"{stage}.lif" in names
-        kinds = {l.name: l.kind for l in layers}
-        assert kinds["down1.pool"] == KIND_DOWNPOOL
-        assert kinds["down1.conv"] == KIND_CONV
-        assert kinds["classifier.gap"] == KIND_GAP
-        assert kinds["classifier.fc"] == KIND_FC
-        assert kinds["classifier.lif"] == KIND_LIF
+        assert list(_code_widths(net)) == ["stem", "cell1", "down1", "cell2", "classifier"]
 
     def test_spatial_sizes_halve_at_downsamples(self):
         macro = MacroConfig(stem_channels=8)
         net = build_network([decode_cell(0, TWO_OPS)] * 3, macro)
-        layers = {l.name: l for l in network_layers(net)}
-        assert layers["cell1.lif"].out_size == (32, 32)
-        assert layers["cell2.lif"].out_size == (16, 16)
-        assert layers["cell3.lif"].out_size == (8, 8)
-        assert layers["stem.lif"].neurons == 8 * 32 * 32
-        assert layers["classifier.lif"].neurons == macro.num_classes
+        assert _code_widths(net) == {
+            "stem": 8 * 32 * 32, "cell1": 8 * 32 * 32,
+            "down1": 16 * 16 * 16, "cell2": 16 * 16 * 16,
+            "down2": 32 * 8 * 8, "cell3": 32 * 8 * 8,
+            "classifier": macro.num_classes,
+        }

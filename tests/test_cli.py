@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oracles import REPORT_FIELDS
 from spikenas.arch import MacroConfig, build_network, decode_cell, get_opset
 from spikenas.cli import (
     PRESET_BUDGET_PARAMS,
@@ -13,7 +14,7 @@ from spikenas.cli import (
     parse_scenario,
     scenario_name,
 )
-from spikenas.data import DATA_DIR_ENV, synth_dataset, write_cifar10
+from spikenas.data import DATA_DIR_ENV, load_dataset, synth_dataset, write_cifar10
 from spikenas.errors import ConfigError
 from spikenas.memmodel import MemoryBudget, count_network_params, footprint
 from spikenas.snn import LIFParams
@@ -87,7 +88,10 @@ class TestSettingsPrecedence:
     def test_flag_beats_file_beats_env(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data_dir": "/from/file", "seed": 5}))
-        monkeypatch.setenv(DATA_DIR_ENV, "/from/env")
+        env_dir = tmp_path / "env"
+        env_dir.mkdir()
+        write_cifar10(env_dir / "data_batch_1.bin", synth_dataset(12, 10, 5))
+        monkeypatch.setenv(DATA_DIR_ENV, str(env_dir))
 
         flag = _settings_from_args(_args(config=str(cfg), data_dir="/from/flag"))
         assert flag["data_dir"] == "/from/flag"
@@ -96,13 +100,11 @@ class TestSettingsPrecedence:
         assert file_only["data_dir"] == "/from/file"
         assert file_only["seed"] == 5
 
+        # an unset data_dir leaves the environment to the loader
         env_only = _settings_from_args(_args())
-        assert env_only["data_dir"] == "/from/env"
-
-        monkeypatch.delenv(DATA_DIR_ENV)
-        default = _settings_from_args(_args())
-        assert default["data_dir"] is None
-        assert default["seed"] == 0
+        assert env_only["data_dir"] is None
+        assert env_only["seed"] == 0
+        assert len(load_dataset("cifar10", env_only["data_dir"]).labels) == 12
 
     def test_lif_settings_from_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -152,6 +154,9 @@ class TestStrictSettings:
         (None, ["ablate", "--opset", "3O", "--cells", "1", "--remove", "zeroize",
                 "--dataset", "synth", "--iterations", "0"] + TINY, "'iterations': 0"),
         (None, SCORE + ["--bits", "65"], "'bits': 65; expected an integer in 1..64"),
+        # refused before the (absent) cifar10 data is looked for
+        (None, ["ablate", "--opset", "2O", "--cells", "1", "--remove", "zeroize",
+                "--dataset", "cifar10"] + TINY, "zeroize is not in operation set '2O'"),
     ])
     def test_bad_setting_is_a_clean_error(self, tmp_path, capsys, file_cfg, argv,
                                           message):
@@ -276,7 +281,7 @@ class TestSearchCommand:
         assert doc.evaluations_total == 64
         assert doc.engine_version == report_mod.ENGINE_VERSION
         raw = json.loads(report_mod.to_json(doc))
-        assert set(raw) == set(report_mod.REPORT_FIELDS)
+        assert set(raw) == set(REPORT_FIELDS)
         assert set(raw["best_arch"]) == {"cell_indices", "opset", "macro"}
 
     def test_report_round_trips(self, tmp_path, capsys):

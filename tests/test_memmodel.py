@@ -3,9 +3,6 @@ from hypothesis import given, strategies as st
 
 from oracles import walk_count_elements
 from spikenas.arch import (
-    KIND_AVGPOOL,
-    KIND_CONV,
-    KIND_FC,
     CellArch,
     FIVE_OPS,
     LayerSpec,
@@ -15,6 +12,7 @@ from spikenas.arch import (
     TWO_OPS,
     build_network,
     decode_cell,
+    network_layers,
     search_space_size,
 )
 from spikenas.memmodel import (
@@ -28,32 +26,28 @@ from spikenas.snn import init_weights
 import numpy as np
 
 
-def _layer(kind, in_ch, out_ch, kernel=(0, 0), has_bias=True):
-    return LayerSpec("layer", kind, in_ch, out_ch, kernel, has_bias, (8, 8))
-
-
 class TestCountLayerParams:
     def test_stem_like_conv(self):
-        spec = _layer(KIND_CONV, 3, 16, (3, 3))
-        assert spec.weight_shape == (16, 3, 3, 3)
+        spec = LayerSpec("stem.conv", (16, 3, 3, 3), True)
         assert spec.num_params == 3 * 3 * 3 * 16 + 16 == 448
 
     def test_parameter_free_is_zero(self):
-        spec = _layer(KIND_AVGPOOL, 4, 4, (3, 3), has_bias=False)
-        assert spec.weight_shape is None
-        assert spec.num_params == 0
+        # pools, skips and zeroized edges hold nothing, so they get no entry
+        macro = MacroConfig(stem_channels=4)
+        for op in (Operation.SKIPCON, Operation.ZEROIZE, Operation.AVGPOOL3X3):
+            net = build_network([CellArch.uniform(op)], macro)
+            assert [l.name for l in network_layers(net)] == ["stem.conv", "classifier.fc"]
 
     def test_pointwise_conv(self):
-        spec = _layer(KIND_CONV, 64, 128, (1, 1))
+        spec = LayerSpec("down1.conv", (128, 64, 1, 1), True)
         assert spec.num_params == 64 * 128 + 128 == 8320
 
     def test_fully_connected(self):
-        spec = _layer(KIND_FC, 64, 10)
-        assert spec.weight_shape == (10, 64)
+        spec = LayerSpec("classifier.fc", (10, 64), True)
         assert spec.num_params == 650
 
     def test_no_bias(self):
-        spec = _layer(KIND_CONV, 3, 16, (3, 3), has_bias=False)
+        spec = LayerSpec("stem.conv", (16, 3, 3, 3), False)
         assert spec.num_params == 432
 
 
