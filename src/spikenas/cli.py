@@ -40,6 +40,7 @@ from .search import (
     SearchConfig,
     SearchReport,
     ablate_operation,
+    ablated_opset,
     search_memory_aware,
     search_random,
 )
@@ -80,53 +81,61 @@ def scenario_name(cells: int, opset_size: int, constrained: bool) -> str:
     return f"{cells}C{opset_size}O" + ("_M" if constrained else "")
 
 
-def _cast(expected: str, ok, convert=None):
-    """Setting cast: values failing `ok` are rejected as not `expected`."""
+def _cast(expected: str, ok, convert=None, **flag):
+    """Setting cast: values failing `ok` are rejected as not `expected`.
+
+    `flag` holds the argparse options of the setting's flag.
+    """
     def cast(value):
         if not ok(value):
             raise ValueError(expected)
         return convert(value) if convert else value
+    cast.flag = flag
     return cast
 
 
 def _int(lo: int, hi: float = math.inf):
     """Integers, not booleans, in [lo, hi]."""
     return _cast(f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
-                 lambda v: type(v) is int and lo <= v <= hi)
+                 lambda v: type(v) is int and lo <= v <= hi, type=int)
 
 
 def _choice(*options: str):
-    return _cast("one of " + ", ".join(options), lambda v: v in options)
+    return _cast("one of " + ", ".join(options), lambda v: v in options, choices=options)
 
 
 _FLOAT = _cast("a finite number",
-               lambda v: type(v) in (int, float) and math.isfinite(v), float)
-_BOOL = _cast("true or false", lambda v: type(v) is bool)
+               lambda v: type(v) in (int, float) and math.isfinite(v), float, type=float)
+_BOOL = _cast("true or false", lambda v: type(v) is bool, action="store_true",
+              default=None)
 _STR = _cast("a string", lambda v: type(v) is str)
 
-# Every run setting as (key, cast, default).  The key names both the
-# flag's destination and the config-file key; a value from a flag or the
-# file must pass the cast.
+# Every run setting as (key, cast, default, flag help).  The key names
+# both the config-file key and the destination of the flag `--<key>`
+# (underscores as dashes); a key with no help has no flag.  A value from
+# a flag or the file must pass the cast.
 SETTINGS = (
-    ("data_dir", _STR, None),
-    ("seed", _int(0), 0),
-    ("alpha", _FLOAT, 1.0),
-    ("batch_size", _int(2), 16),
-    ("jobs", _int(1), 1),
-    ("bits", _int(1, 64), 32),
-    ("budget", _int(1), None),
-    ("iterations", _int(1), 5000),
-    ("stem_channels", _int(1), 64),
-    ("width_mult", _int(1), 2),
-    ("classes", _int(1), 10),
-    ("no_bias", _BOOL, False),
-    ("tau_leak", _FLOAT, 2.0),
-    ("v_threshold", _FLOAT, 1.0),
-    ("v_reset", _FLOAT, 0.0),
-    ("timesteps", _int(1), 5),
-    ("code_mode", _choice(*CODE_MODES), "any"),
-    ("input_coding", _choice(*INPUT_CODINGS), "direct"),
-    ("carryover", _choice(CARRY_BEST, CARRY_LITERAL), CARRY_BEST),
+    ("data_dir", _STR, None, f"dataset root (default: ${DATA_DIR_ENV})"),
+    ("seed", _int(0), 0, "seed of the weights, the batch and synthetic data"),
+    ("alpha", _FLOAT, 1.0, "sparsity normalization factor"),
+    ("batch_size", _int(2), 16, "samples scored per candidate"),
+    ("jobs", _int(1), 1, "worker threads for scoring, capped at the core count; "
+                         "each uses one BLAS thread"),
+    ("bits", _int(1, 64), 32, "bit precision per parameter"),
+    ("budget", _int(1), None, "max parameter count"),
+    ("iterations", _int(1), 5000, "number of draws (default 5000)"),
+    ("stem_channels", _int(1), 64, "stem conv channels"),
+    ("width_mult", _int(1), 2, "width factor at each downsample"),
+    ("classes", _int(1), 10, "number of classes"),
+    ("no_bias", _BOOL, False, "count and simulate without biases"),
+    ("tau_leak", _FLOAT, 2.0, None),
+    ("v_threshold", _FLOAT, 1.0, None),
+    ("v_reset", _FLOAT, 0.0, None),
+    ("timesteps", _int(1), 5, "simulation horizon"),
+    ("code_mode", _choice(*CODE_MODES), "any", "stage code: any spike, or every step"),
+    ("input_coding", _choice(*INPUT_CODINGS), "direct", "image as input, or as spikes"),
+    ("carryover", _choice(CARRY_BEST, CARRY_LITERAL), CARRY_BEST,
+     "earlier cells in later phases: best so far, or last tried"),
 )
 _SEARCH_FIELDS = {f.name for f in fields(SearchConfig)}
 
@@ -141,7 +150,7 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - {key for key, _, _ in SETTINGS})
+    unknown = sorted(set(cfg) - {row[0] for row in SETTINGS})
     if unknown:
         raise ConfigError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
     return cfg
@@ -156,7 +165,7 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     """
     cfg = _load_config_file(getattr(args, "config", None))
     s = {}
-    for key, cast, default in SETTINGS:
+    for key, cast, default, _ in SETTINGS:
         value = getattr(args, key, None)
         if value is None and key in cfg:
             value = cfg[key]
@@ -269,7 +278,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     s = _settings_from_args(args)
     try:
         removed = Operation.from_label(args.remove)
-        get_opset(args.opset).without(removed)  # refuse it before loading data
+        ablated_opset(get_opset(args.opset), removed)  # refuse it before loading data
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg = _search_config(args.dataset, args.opset, args.cells, s,
@@ -341,26 +350,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, with_outputs: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, skip: tuple[str, ...] = (),
+                with_outputs: bool = True) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--data-dir", dest="data_dir",
-                        help=f"dataset root (default: ${DATA_DIR_ENV})")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--alpha", type=float, help="sparsity normalization factor")
-    parser.add_argument("--timesteps", type=int, help="simulation horizon")
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--jobs", type=int,
-                        help="worker threads for scoring, capped at the core "
-                             "count; each uses one BLAS thread")
-    parser.add_argument("--bits", type=int, help="bit precision per parameter")
-    parser.add_argument("--stem-channels", dest="stem_channels", type=int)
-    parser.add_argument("--width-mult", dest="width_mult", type=int)
-    parser.add_argument("--classes", type=int)
-    parser.add_argument("--no-bias", dest="no_bias", action="store_true",
-                        default=None, help="count and simulate without biases")
-    parser.add_argument("--code-mode", dest="code_mode", choices=CODE_MODES)
-    parser.add_argument("--input-coding", dest="input_coding", choices=INPUT_CODINGS)
-    parser.add_argument("--carryover", choices=("best", "literal"))
+    for key, cast, _, help_text in SETTINGS:
+        if help_text and key not in skip:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text,
+                                **cast.flag)
     if with_outputs:
         parser.add_argument("--report-out", dest="report_out")
         parser.add_argument("--candidate-log", dest="candidate_log")
@@ -379,16 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="pCqO or pCqO_M")
     p.add_argument("--dataset", required=True,
                    choices=("cifar10", "cifar100", "synth"))
-    p.add_argument("--budget", type=int, help="max parameter count")
-    _add_common(p)
+    _add_common(p, skip=("iterations",))
     p.set_defaults(handler=_cmd_search, strategy=MEMORY_AWARE)
 
     p = sub.add_parser("random-search", help="random baseline search")
     p.add_argument("--scenario", required=True)
     p.add_argument("--dataset", required=True,
                    choices=("cifar10", "cifar100", "synth"))
-    p.add_argument("--budget", type=int)
-    p.add_argument("--iterations", type=int, help="number of draws (default 5000)")
     _add_common(p)
     p.set_defaults(handler=_cmd_search, strategy=RANDOM)
 
@@ -398,10 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remove", required=True, help="operation label to drop")
     p.add_argument("--dataset", required=True,
                    choices=("cifar10", "cifar100", "synth"))
-    p.add_argument("--budget", type=int)
     p.add_argument("--strategy", default=MEMORY_AWARE,
                    choices=(MEMORY_AWARE, RANDOM))
-    p.add_argument("--iterations", type=int)
     _add_common(p)
     p.set_defaults(handler=_cmd_ablate)
 
@@ -413,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("cifar10", "cifar100", "synth"))
     p.add_argument("--dump-kernels", dest="dump_kernels",
                    help="write kernel matrices to this file")
-    _add_common(p, with_outputs=False)
+    _add_common(p, skip=("budget", "iterations"), with_outputs=False)
     p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("memcalc", help="parameter count and memory footprint")
     p.add_argument("--opset", required=True, choices=sorted(OPSETS))
     p.add_argument("--indices", required=True)
-    _add_common(p, with_outputs=False)
+    _add_common(p, skip=("budget", "iterations"), with_outputs=False)
     p.set_defaults(handler=_cmd_memcalc)
 
     p = sub.add_parser("enumerate", help="list every candidate of an operation set")

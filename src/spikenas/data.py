@@ -87,28 +87,6 @@ def _read_records(path: str | os.PathLike, record_bytes: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(-1, record_bytes)
 
 
-def write_cifar10(path: str | os.PathLike, dataset: Dataset) -> None:
-    """Serialize a dataset into the 10-class binary record layout."""
-    n = len(dataset)
-    out = np.empty((n, RECORD_BYTES_10), dtype=np.uint8)
-    out[:, 0] = dataset.labels.astype(np.uint8)
-    out[:, 1:] = dataset.pixels.reshape(n, _PIXELS)
-    Path(path).write_bytes(out.tobytes())
-
-
-def write_cifar100(path: str | os.PathLike, dataset: Dataset) -> None:
-    """Serialize a dataset into the 100-class binary record layout."""
-    n = len(dataset)
-    coarse = dataset.coarse_labels
-    if coarse is None:
-        coarse = np.zeros(n, dtype=np.int64)
-    out = np.empty((n, RECORD_BYTES_100), dtype=np.uint8)
-    out[:, 0] = coarse.astype(np.uint8)
-    out[:, 1] = dataset.labels.astype(np.uint8)
-    out[:, 2:] = dataset.pixels.reshape(n, _PIXELS)
-    Path(path).write_bytes(out.tobytes())
-
-
 def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
     """Seeded draw of `num_samples` distinct records, order included."""
     if num_samples < 1:

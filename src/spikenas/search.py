@@ -265,20 +265,22 @@ def search_random(cfg: SearchConfig, iterations: int, *,
     return _search(cfg, score_fn, draws)
 
 
+def ablated_opset(opset: OpSet, removed: Operation) -> OpSet:
+    """`opset` without `removed`, refused if fewer than 2 operations remain."""
+    sub = opset.without(removed)
+    if len(sub) < 2:
+        raise OpSetTooSmall(
+            f"removing {removed.label} leaves {len(sub)} operation(s); "
+            "need at least 2 to search"
+        )
+    return sub
+
+
 def ablate_operation(cfg: SearchConfig, removed: Operation, *,
                      iterations: int = 5000,
                      score_fn: ScoreFn | None = None) -> SearchReport:
     """Re-run the configured search with one operation removed."""
-    if removed not in cfg.opset:
-        raise ValueError(
-            f"{removed.label} is not in operation set {cfg.opset.name!r}"
-        )
-    if len(cfg.opset) - 1 < 2:
-        raise OpSetTooSmall(
-            f"removing {removed.label} leaves {len(cfg.opset) - 1} operation(s); "
-            "need at least 2 to search"
-        )
-    sub = replace(cfg, opset=cfg.opset.without(removed))
+    sub = replace(cfg, opset=ablated_opset(cfg.opset, removed))
     if cfg.strategy == RANDOM:
         report = search_random(sub, iterations, score_fn=score_fn)
     else:

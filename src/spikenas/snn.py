@@ -29,6 +29,13 @@ whose output is split per edge.  Each output column sums the same
 products in the same order as a separate convolution, and node values
 are summed in edge order, so spike codes equal those of running all six
 edges one by one.
+
+A stage that fires no spike at a step is silent, and the next stage
+then gets an all-zero input: a cell treats node 0 as always zero, and
+the downsample (2x2 pool, 1x1 conv) and the classifier pass zeros on
+unless they have a non-zero bias.  A zero input leaves a spiking stage
+at reset where it is and runs no kernel; a potential off reset decays
+through `lif_step` as usual, so spike codes stay exactly the same.
 """
 
 from __future__ import annotations
@@ -188,21 +195,30 @@ class _LifStage:
 
     params: LIFParams
     code_mode: str
-    potential: np.ndarray | None = None
+    potential: np.ndarray | None = None  # None while every neuron is at reset
     fired: np.ndarray | None = None
     per_step: list[np.ndarray] = field(default_factory=list)
 
-    def step(self, pre: np.ndarray) -> np.ndarray:
-        if self.potential is None:
-            self.potential = np.full_like(pre, self.params.v_reset)
-        self.potential, spikes = lif_step(self.potential, pre, self.params)
+    def step(self, pre: np.ndarray | None,
+             shape: tuple[int, ...] = ()) -> tuple[np.ndarray, bool]:
+        """One step on `pre` (None: all zero, of `shape`); returns (spikes, silent)."""
+        zero = pre is None
+        if zero:
+            pre = np.broadcast_to(np.float32(0), shape)  # read-only, holds no memory
+        if zero and self.potential is None:  # stays at reset, fires nothing
+            spikes, silent = pre, True
+        else:
+            if self.potential is None:
+                self.potential = np.full_like(pre, self.params.v_reset)
+            self.potential, spikes = lif_step(self.potential, pre, self.params)
+            silent = spikes.max() == 0  # 0/1 spikes: the fastest any-fired test
         if self.code_mode == "concat":
             self.per_step.append(spikes)
         elif self.fired is None:
             self.fired = spikes.copy()
-        else:
+        elif not silent:
             np.maximum(self.fired, spikes, out=self.fired)
-        return spikes
+        return spikes, silent
 
     def codes(self) -> np.ndarray:
         if self.code_mode == "concat":
@@ -211,29 +227,34 @@ class _LifStage:
         return self.fired.reshape(self.fired.shape[0], -1).astype(np.uint8)
 
 
+def _zero_bias(bias: np.ndarray | None) -> bool:
+    return bias is None or not bias.any()
+
+
 def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
     for layer in arch.network_layers(net):
         if layer.name not in weights:
             raise MissingWeights(f"no weights for layer {layer.name!r}")
 
 
-def _live_edges(cell, weights: WeightSet, prefix: str) -> list[tuple[str, int, int]]:
+def _live_edges(cell, weights: WeightSet, prefix: str,
+                silent: bool = False) -> list[tuple[str, int, int]]:
     """The edges that can change the cell output, in `arch.CELL_EDGES` order.
 
     An edge is dead if its output is always zero or nothing live reads
     its target node.  A conv edge reading an always-zero node outputs its
-    bias, so it is dead only while that bias is absent or zero.
+    bias, so it is dead only while that bias is absent or zero.  Node 0
+    is always zero when the cell input is `silent`.
     """
-    zero = [False, True, True, True]
+    zero = [silent, True, True, True]
     nonzero = set()
     for name, src, dst in arch.CELL_EDGES:
         op = getattr(cell, name)
         if op is Operation.ZEROIZE:
             continue
-        if zero[src]:
-            bias = weights[f"{prefix}.{name}"][1] if op in arch.CONV_OPS else None
-            if bias is None or not bias.any():
-                continue
+        if zero[src] and (op not in arch.CONV_OPS
+                          or _zero_bias(weights[f"{prefix}.{name}"][1])):
+            continue
         nonzero.add(name)
         zero[dst] = False
     used = {3}
@@ -255,7 +276,7 @@ def _conv_fan_out(x: np.ndarray, convs: list) -> list[np.ndarray]:
 
 
 def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
-                        prefix: str) -> np.ndarray:
+                        prefix: str, silent: bool = False) -> np.ndarray | None:
     """Sum-combined node values of one cell, before its spiking stage.
 
     Runs the live edges only.  The first live conv edge of a fan-out runs
@@ -264,8 +285,10 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
     pool output, or an earlier sum), and a node value is dropped after
     its last reader, so a fused output buffer is freed as soon as every
     slice of it has been summed and few map-sized arrays are allocated.
+    `silent` says `x_spikes` holds no spike; an output that is then
+    always zero comes back as None.
     """
-    live = _live_edges(cell, weights, prefix)
+    live = _live_edges(cell, weights, prefix, silent)
     last_reader = {src: name for name, src, _ in live}
     nodes: list[np.ndarray | None] = [x_spikes, None, None, None]
     private = [False] * 4  # node buffer held by nobody else: sum into it
@@ -294,7 +317,7 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
         del term
         if last_reader[src] == name:
             nodes[src] = None
-    return np.zeros_like(x_spikes) if nodes[3] is None else nodes[3]
+    return np.zeros_like(x_spikes) if nodes[3] is None and not silent else nodes[3]
 
 
 def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarray,
@@ -335,23 +358,27 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     stem_pre = conv2d_same(x0, stem_w, stem_b) if rate_rng is None else None
     for _ in range(p.timesteps):
         if rate_rng is None:
-            cur = stages["stem"].step(stem_pre)
+            cur, silent = stages["stem"].step(stem_pre)
         else:
             x = (rate_rng.random(x0.shape, dtype=np.float32) < x0).astype(np.float32)
-            cur = stages["stem"].step(conv2d_same(x, stem_w, stem_b))
+            cur, silent = stages["stem"].step(conv2d_same(x, stem_w, stem_b))
             del x
         for i, cell in enumerate(net.cells, start=1):
-            pre = _cell_preactivation(cell, cur, weights, f"cell{i}")
-            cur = stages[f"cell{i}"].step(pre)
+            pre = _cell_preactivation(cell, cur, weights, f"cell{i}", silent)
+            cur, silent = stages[f"cell{i}"].step(pre, cur.shape)
             if i < num_cells:
-                pooled = avgpool2x2_down(cur)
                 w, b = weights[f"down{i}.conv"]
-                cur = stages[f"down{i}"].step(conv2d_same(pooled, w, b))
-        pooled = cur.mean(axis=(2, 3))
-        logits = pooled @ fc_w.T
-        if fc_b is not None:
-            logits = logits + fc_b
-        stages["classifier"].step(logits)
+                s, _, h, wd = cur.shape
+                pre = (None if silent and _zero_bias(b)
+                       else conv2d_same(avgpool2x2_down(cur), w, b))
+                cur, silent = stages[f"down{i}"].step(pre, (s, len(w), h // 2, wd // 2))
+        logits = None  # a silent input and no bias give zero logits
+        if not (silent and _zero_bias(fc_b)):
+            pooled = cur.mean(axis=(2, 3))
+            logits = pooled @ fc_w.T
+            if fc_b is not None:
+                logits = logits + fc_b
+        stages["classifier"].step(logits, (len(cur), len(fc_w)))
 
     return BinaryCodes(
         layer_names=tuple(stage_names),

@@ -7,11 +7,13 @@ must stay independent of the library code paths they check.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spikenas.arch import build_network, decode_cell, search_space_size
-from spikenas.data import sample_batch
+from spikenas.data import RECORD_BYTES_10, RECORD_BYTES_100, sample_batch
 from spikenas.memmodel import count_network_params
 from spikenas.search import candidate_seed
 from spikenas.snn import conv2d_same
@@ -345,3 +347,25 @@ def straight_cell_preactivation(cell, x_spikes, weights, prefix):
     return (_straight_edge(cell.con03, x_spikes, w("con03"))
             + _straight_edge(cell.con13, n1, w("con13"))
             + _straight_edge(cell.con23, n2, w("con23")))
+
+
+def write_cifar10(path, dataset) -> None:
+    """Serialize a dataset into the 10-class binary record layout."""
+    n = len(dataset)
+    out = np.empty((n, RECORD_BYTES_10), dtype=np.uint8)
+    out[:, 0] = dataset.labels.astype(np.uint8)
+    out[:, 1:] = dataset.pixels.reshape(n, -1)
+    Path(path).write_bytes(out.tobytes())
+
+
+def write_cifar100(path, dataset) -> None:
+    """Serialize a dataset into the 100-class binary record layout."""
+    n = len(dataset)
+    coarse = dataset.coarse_labels
+    if coarse is None:
+        coarse = np.zeros(n, dtype=np.int64)
+    out = np.empty((n, RECORD_BYTES_100), dtype=np.uint8)
+    out[:, 0] = coarse.astype(np.uint8)
+    out[:, 1] = dataset.labels.astype(np.uint8)
+    out[:, 2:] = dataset.pixels.reshape(n, -1)
+    Path(path).write_bytes(out.tobytes())

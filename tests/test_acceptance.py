@@ -22,6 +22,7 @@ from oracles import (
     min_shared_candidate_params,
     naive_hamming_kernel,
     walk_count_elements,
+    write_cifar10,
 )
 from spikenas import report as report_mod
 from spikenas.arch import (
@@ -35,7 +36,7 @@ from spikenas.arch import (
     search_space_size,
 )
 from spikenas.cli import main
-from spikenas.data import DATA_DIR_ENV, synth_dataset, write_cifar10
+from spikenas.data import DATA_DIR_ENV, synth_dataset
 from spikenas.errors import NoFeasibleArchitecture
 from spikenas.memmodel import MemoryBudget, count_network_params
 from spikenas.score import ScoreResult, hamming_kernel, network_score, score_candidate

@@ -3,18 +3,19 @@ import json
 
 import pytest
 
-from oracles import REPORT_FIELDS
+from oracles import REPORT_FIELDS, write_cifar10
 from spikenas.arch import MacroConfig, build_network, decode_cell, get_opset
 from spikenas.cli import (
     PRESET_BUDGET_PARAMS,
     Scenario,
     _resolve_budget,
     _settings_from_args,
+    build_parser,
     main,
     parse_scenario,
     scenario_name,
 )
-from spikenas.data import DATA_DIR_ENV, load_dataset, synth_dataset, write_cifar10
+from spikenas.data import DATA_DIR_ENV, load_dataset, synth_dataset
 from spikenas.errors import ConfigError
 from spikenas.memmodel import MemoryBudget, count_network_params, footprint
 from spikenas.snn import LIFParams
@@ -157,6 +158,9 @@ class TestStrictSettings:
         # refused before the (absent) cifar10 data is looked for
         (None, ["ablate", "--opset", "2O", "--cells", "1", "--remove", "zeroize",
                 "--dataset", "cifar10"] + TINY, "zeroize is not in operation set '2O'"),
+        (None, ["ablate", "--opset", "2O", "--cells", "1", "--remove", "conv3x3",
+                "--dataset", "cifar10"] + TINY,
+         "removing conv3x3 leaves 1 operation(s); need at least 2 to search"),
     ])
     def test_bad_setting_is_a_clean_error(self, tmp_path, capsys, file_cfg, argv,
                                           message):
@@ -186,6 +190,40 @@ class TestStrictSettings:
         assert s["lif"] == LIFParams(3.0, 0.5, -0.5, 2)
         assert (s["code_mode"], s["input_coding"], s["carryover"]) == (
             "concat", "rate", "literal")
+
+
+COMMON_FLAGS = {"--alpha", "--batch-size", "--bits", "--carryover", "--classes",
+                "--code-mode", "--config", "--data-dir", "--input-coding", "--jobs",
+                "--no-bias", "--seed", "--stem-channels", "--timesteps", "--width-mult"}
+OUTPUT_FLAGS = {"--report-out", "--candidate-log", "--table-out"}
+
+
+class TestFlagsFromTable:
+    @pytest.mark.parametrize("command, extra", [
+        ("search", {"--scenario", "--dataset", "--budget"} | OUTPUT_FLAGS),
+        ("random-search", {"--scenario", "--dataset", "--budget", "--iterations"}
+         | OUTPUT_FLAGS),
+        ("ablate", {"--opset", "--cells", "--remove", "--dataset", "--budget",
+                    "--strategy", "--iterations"} | OUTPUT_FLAGS),
+        ("score", {"--opset", "--indices", "--dataset", "--dump-kernels"}),
+        ("memcalc", {"--opset", "--indices"}),
+    ])
+    def test_each_command_has_its_flags(self, command, extra):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {opt for action in sub.choices[command]._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        # the LIF constants are config-file keys only
+        assert flags - {"--help"} == COMMON_FLAGS | extra
+
+    def test_flag_values_pass_the_table_casts(self):
+        args = build_parser().parse_args(
+            ["memcalc", "--opset", "2O", "--indices", "1", "--no-bias", "--bits", "8",
+             "--alpha", "2", "--code-mode", "concat"])
+        assert (args.no_bias, args.bits, args.alpha, args.code_mode) == (
+            True, 8, 2.0, "concat")
+        s = _settings_from_args(args)
+        assert s["alpha"] == 2.0 and s["bits"] == 8 and s["code_mode"] == "concat"
+        assert s["macro"] == MacroConfig().without_bias()
 
 
 class TestEnumerate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import write_cifar10, write_cifar100
 from spikenas.data import (
     DATA_DIR_ENV,
     Dataset,
@@ -11,8 +12,6 @@ from spikenas.data import (
     load_dataset,
     sample_batch,
     synth_dataset,
-    write_cifar10,
-    write_cifar100,
 )
 from spikenas.errors import (
     DatasetUnavailable,

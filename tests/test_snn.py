@@ -393,6 +393,87 @@ class TestForwardOracle:
     def test_two_cell_codes_equal(self):
         self._compare(ORACLE_CELLS[:2], seed=3)
 
+    # Settings whose deeper stages go silent.  Each pattern gives, per
+    # stage, whether it fired at each of the four steps.
+    SILENT_CASES = {
+        # cell1 is silent at steps 1 and 3, so down1 first stays at reset
+        # and then decays between the steps it integrates; down1 never
+        # fires, so cell2 and the classifier never leave reset
+        "deep": ((1, 0), 1, 0.5, "direct", {
+            "stem": "0111", "cell1": "0101", "down1": "0000", "cell2": "0000",
+            "classifier": "0000"}),
+        # down1 fires at steps 2 and 4 only: cell2 decays at step 3
+        "down_pauses": ((1, 0), 3, 0.3, "direct", {
+            "stem": "1111", "cell1": "1111", "down1": "0101", "cell2": "0101",
+            "classifier": "0000"}),
+        # the stem is silent at step 2 after firing: cell1 decays there
+        "rate": ((2, 0), 8, 0.7, "rate", {
+            "stem": "1011", "cell1": "0000", "down1": "0000", "cell2": "0000",
+            "classifier": "0000"}),
+        # cell1 is silent at every step: nothing after it runs
+        "cell1_silent": ((0, 1), 1, 0.7, "direct", {
+            "stem": "0101", "cell1": "0000", "down1": "0000", "cell2": "0000",
+            "classifier": "0000"}),
+    }
+
+    def _compare_steps(self, case, code_mode, biases=()):
+        """Codes against the oracle; returns each stage's per-step firing."""
+        cells, seed, threshold, coding, _ = self.SILENT_CASES[case]
+        lif = LIFParams(v_threshold=threshold, timesteps=4)
+        net = build_network([ORACLE_CELLS[c] for c in cells], self.MACRO)
+        weights = init_weights(net, seed)
+        for layer, value in biases:
+            w, b = weights[layer]
+            weights[layer] = (w, np.linspace(-value, value, b.size, dtype=np.float32)[::-1])
+        batch = np.random.default_rng(seed).random((3, 3, 6, 6), dtype=np.float32)
+        got = forward_collect_codes(net, weights, batch, lif, code_mode=code_mode,
+                                    input_coding=coding)
+        names, steps = naive_forward_codes(net, weights, batch, lif, code_mode="concat",
+                                           input_coding=coding)
+        fired = {}
+        for name, g, cat in zip(names, got.matrices, steps):
+            per_step = cat.reshape(cat.shape[0], lif.timesteps, -1)
+            want = cat if code_mode == "concat" else per_step.max(axis=1)
+            np.testing.assert_array_equal(g, want, err_msg=name)
+            fired[name] = "".join("01"[int(per_step[:, t].any())]
+                                  for t in range(lif.timesteps))
+        return fired
+
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("case", sorted(SILENT_CASES))
+    def test_silent_stage_codes_equal(self, case, code_mode):
+        assert self._compare_steps(case, code_mode) == self.SILENT_CASES[case][-1]
+
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("layer, fires", [
+        # con01 reads cell2's silent input; its bias reaches cell2 through
+        # con12 and con23
+        ("cell2.con01", "cell2"),
+        ("down1.conv", "down1"),
+        ("classifier.fc", "classifier"),
+    ])
+    def test_biased_layer_on_silent_input_still_runs(self, layer, fires, code_mode):
+        fired = self._compare_steps("deep", code_mode, biases=[(layer, 1.5)])
+        assert fired[fires] != "0000"
+        if layer != "down1.conv":
+            assert fired["down1"] == "0000"
+
+    def test_silent_stages_at_reset_run_no_kernel(self, monkeypatch):
+        # the stem and cell1 work on 6x6 maps; down1, cell2 and the
+        # classifier (3x3 maps and logits) only ever see silent input
+        shapes = []
+        for kernel in ("conv2d_same", "avgpool3x3_same", "avgpool2x2_down"):
+            real = getattr(snn, kernel)
+            monkeypatch.setattr(snn, kernel, lambda x, *a, real=real, kernel=kernel: (
+                shapes.append((kernel, x.shape)) or real(x, *a)))
+        real_lif = snn.lif_step
+        monkeypatch.setattr(snn, "lif_step", lambda v, x, p: (
+            shapes.append(("lif_step", x.shape)) or real_lif(v, x, p)))
+        assert self._compare_steps("cell1_silent", "any") == self.SILENT_CASES[
+            "cell1_silent"][-1]
+        assert {k for k, _ in shapes} == {"conv2d_same", "avgpool3x3_same", "lif_step"}
+        assert all(shape[2:] == (6, 6) for _, shape in shapes), shapes
+
 
 EDGES = ("con01", "con02", "con03", "con12", "con13", "con23")
 
@@ -461,6 +542,29 @@ class TestCellPath:
         for cell in (CellArch.uniform(O.ZEROIZE), dead):
             out = snn._cell_preactivation(cell, x, weights, "cell1")
             assert out.shape == x.shape and not out.any()
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("opset", [THREE_OPS, FIVE_OPS], ids=["3O", "5O"])
+    def test_silent_input_equals_cells_on_zeros(self, opset, bias, monkeypatch):
+        bank = self._weights(np.random.default_rng(len(opset) + bias), bias)
+        x = np.zeros((3, self.C, 5, 7), dtype=np.float32)
+        calls = self._count_convs(monkeypatch)
+        ran = 0
+        for index in range(search_space_size(opset)):
+            cell = decode_cell(index, opset)
+            weights = {f"cell1.{e}": bank[op, e]
+                       for e, op in zip(EDGES, cell.edges()) if op in CONV_OPS}
+            want = straight_cell_preactivation(cell, x, weights, "cell1")
+            calls.clear()
+            got = snn._cell_preactivation(cell, x, weights, "cell1", silent=True)
+            if got is None:
+                assert not want.any() and not calls, f"cell {index}"
+            else:
+                ran += 1
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want, err_msg=f"cell {index}")
+        # only convs with a non-zero bias run on a silent input
+        assert (ran > 0) == bias
 
     def test_fan_out_convs_run_as_one_gemm(self, monkeypatch):
         bank = self._weights(np.random.default_rng(0), bias=True)
