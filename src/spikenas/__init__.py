@@ -14,7 +14,7 @@ from .arch import (
     encode_cell,
     search_space_size,
 )
-from .memmodel import MemoryBudget, count_network_params, memory_cost
+from .memmodel import MemoryBudget, count_network_params
 from .score import ScoreResult, hamming_kernel, network_score, score_candidate
 from .search import (
     SearchConfig,
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     "CellArch", "MacroConfig", "NetworkArch", "Operation", "OpSet", "OPSETS",
     "build_network", "decode_cell", "encode_cell", "search_space_size",
-    "MemoryBudget", "count_network_params", "memory_cost",
+    "MemoryBudget", "count_network_params",
     "ScoreResult", "hamming_kernel", "network_score", "score_candidate",
     "SearchConfig", "SearchReport", "ablate_operation",
     "search_memory_aware", "search_random",

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import EdgeOpNotInSet, IndexOutOfRange, InvalidMacroConfig
+from .errors import SpikeNasError
 
 # Cell edges as (name, source node, target node) in digit order.  A target
 # node sums its inputs in this order: n2 = e02 + e12, out = e03 + e13 + e23.
@@ -86,7 +86,7 @@ class OpSet:
         try:
             return self.ops.index(op)
         except ValueError:
-            raise EdgeOpNotInSet(
+            raise SpikeNasError(
                 f"operation {op.label} is not in operation set {self.name!r}"
             ) from None
 
@@ -167,7 +167,7 @@ def decode_cell(index: int, ops: OpSet) -> CellArch:
     """Inverse of :func:`encode_cell`."""
     size = search_space_size(ops)
     if not 0 <= index < size:
-        raise IndexOutOfRange(
+        raise SpikeNasError(
             f"candidate index {index} outside [0, {size}) for operation set {ops.name!r}"
         )
     base = len(ops)
@@ -218,18 +218,18 @@ def build_network(cells: list[CellArch] | tuple[CellArch, ...],
     """Validate macro parameters and assemble a network from cells."""
     n = len(cells)
     if not 1 <= n <= 3:
-        raise InvalidMacroConfig(f"cell count must be 1..3, got {n}")
+        raise SpikeNasError(f"cell count must be 1..3, got {n}")
     if macro.stem_channels < 1 or macro.width_mult < 1 or macro.num_classes < 1:
-        raise InvalidMacroConfig(
+        raise SpikeNasError(
             f"widths and class count must be positive: stem={macro.stem_channels}, "
             f"mult={macro.width_mult}, classes={macro.num_classes}"
         )
     c, h, w = macro.input_shape
     if c < 1 or h < 1 or w < 1:
-        raise InvalidMacroConfig(f"input shape must be positive, got {macro.input_shape}")
+        raise SpikeNasError(f"input shape must be positive, got {macro.input_shape}")
     down = 2 ** (n - 1)
     if h % down or w % down:
-        raise InvalidMacroConfig(
+        raise SpikeNasError(
             f"input {h}x{w} not divisible by the {down}x downsampling of {n} stages"
         )
     return NetworkArch(cells=tuple(cells), macro=macro)

@@ -28,8 +28,8 @@ from .arch import (
     get_opset,
     search_space_size,
 )
-from .data import DATA_DIR_ENV, load_dataset, sample_batch
-from .errors import ConfigError, SpikeNasError
+from .data import DATA_DIR_ENV, DATASETS, load_dataset, sample_batch
+from .errors import SpikeNasError
 from .memmodel import MemoryBudget, count_network_params, footprint
 from .score import score_candidate, write_kernel_dump
 from .search import (
@@ -63,22 +63,18 @@ class Scenario:
 def parse_scenario(name: str) -> Scenario:
     m = _SCENARIO_RE.match(name.strip())
     if not m:
-        raise ConfigError(
+        raise SpikeNasError(
             f"malformed scenario {name!r}; expected pCqO or pCqO_M, e.g. 2C3O_M"
         )
     cells, opset_size = int(m.group(1)), int(m.group(2))
     if cells not in (1, 2, 3):
-        raise ConfigError(f"scenario {name!r}: cell count must be 1..3, got {cells}")
+        raise SpikeNasError(f"scenario {name!r}: cell count must be 1..3, got {cells}")
     if opset_size not in _OPSET_BY_SIZE:
-        raise ConfigError(
+        raise SpikeNasError(
             f"scenario {name!r}: no {opset_size}-operation preset "
             f"(choose from {sorted(_OPSET_BY_SIZE)})"
         )
     return Scenario(name.strip(), cells, opset_size, m.group(3) is not None)
-
-
-def scenario_name(cells: int, opset_size: int, constrained: bool) -> str:
-    return f"{cells}C{opset_size}O" + ("_M" if constrained else "")
 
 
 def _cast(expected: str, ok, convert=None, **flag):
@@ -147,12 +143,12 @@ def _load_config_file(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise SpikeNasError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise SpikeNasError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(cfg) - {row[0] for row in SETTINGS})
     if unknown:
-        raise ConfigError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
+        raise SpikeNasError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
     return cfg
 
 
@@ -175,14 +171,15 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
         try:
             s[key] = cast(value)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}; expected {exc}") from None
+            raise SpikeNasError(
+                f"bad value for {key!r}: {value!r}; expected {exc}") from None
     macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), s.pop("classes"))
     s["macro"] = macro.without_bias() if s.pop("no_bias") else macro
     try:
         s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
                              s.pop("v_reset"), s.pop("timesteps"))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise SpikeNasError(str(exc)) from exc
     if s["budget"] is not None:
         s["budget"] = MemoryBudget(s["budget"], s["bits"])
     s["keep_candidate_log"] = bool(getattr(args, "candidate_log", None))
@@ -196,7 +193,7 @@ def _resolve_budget(scenario: Scenario | None, dataset: str,
         return s["budget"]
     preset = PRESET_BUDGET_PARAMS.get(dataset)
     if preset is None:
-        raise ConfigError(
+        raise SpikeNasError(
             f"scenario {scenario.name} is memory-constrained but dataset "
             f"{dataset!r} has no preset budget; pass --budget"
         )
@@ -204,28 +201,14 @@ def _resolve_budget(scenario: Scenario | None, dataset: str,
 
 
 def _search_config(dataset_name: str, opset_name: str, cells: int,
-                   s: dict, strategy: str = MEMORY_AWARE) -> SearchConfig:
+                   s: dict, strategy: str) -> SearchConfig:
     dataset = load_dataset(dataset_name, s["data_dir"], seed=s["seed"])
     try:
         return SearchConfig(dataset=dataset, opset=get_opset(opset_name),
                             num_cells=cells, strategy=strategy,
                             **{k: v for k, v in s.items() if k in _SEARCH_FIELDS})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def run_scenario(scenario: Scenario, dataset_name: str, s: dict, *,
-                 strategy: str = MEMORY_AWARE) -> tuple[report_mod.ReportDoc, SearchReport]:
-    """Execute one scenario and return its report document."""
-    s = dict(s, budget=_resolve_budget(scenario, dataset_name, s))
-    cfg = _search_config(dataset_name, _OPSET_BY_SIZE[scenario.opset_size],
-                         scenario.cells, s, strategy)
-    if strategy == RANDOM:
-        result = search_random(cfg, s["iterations"])
-    else:
-        result = search_memory_aware(cfg)
-    doc = report_mod.from_search_report(result, scenario.name, dataset_name, s["bits"])
-    return doc, result
+        raise SpikeNasError(str(exc)) from exc
 
 
 # Output-file flags as (destination, flag), checked before any work runs.
@@ -241,36 +224,41 @@ def _check_output_paths(args: argparse.Namespace) -> None:
             continue
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
-            raise ConfigError(f"{flag} {path} is a directory")
+            raise SpikeNasError(f"{flag} {path} is a directory")
         if not os.path.isdir(folder):
-            raise ConfigError(f"{flag} {path}: directory {folder} does not exist")
+            raise SpikeNasError(f"{flag} {path}: directory {folder} does not exist")
         if not os.access(folder, os.W_OK | os.X_OK) or (
                 os.path.exists(path) and not os.access(path, os.W_OK)):
-            raise ConfigError(f"{flag} {path} is not writable")
+            raise SpikeNasError(f"{flag} {path} is not writable")
 
 
-def _emit(args: argparse.Namespace, doc: report_mod.ReportDoc,
-          result: SearchReport | None) -> None:
-    out = getattr(args, "report_out", None)
-    if out:
-        report_mod.write_report(out, doc)
-        print(f"report written to {out}")
+def _emit(args: argparse.Namespace, result: SearchReport, scenario: str | None,
+          s: dict) -> None:
+    """Print or write the report, then write the candidate log and table row."""
+    doc = report_mod.from_search_report(result, scenario, args.dataset, s["bits"])
+    if args.report_out:
+        report_mod.write_report(args.report_out, doc)
+        print(f"report written to {args.report_out}")
     else:
         print(report_mod.to_json(doc))
-    log_path = getattr(args, "candidate_log", None)
-    if log_path and result is not None and result.candidate_log is not None:
-        report_mod.write_candidate_log(log_path, result.candidate_log)
-    table = getattr(args, "table_out", None)
-    if table:
-        report_mod.append_table_row(table, doc)
+    if args.candidate_log and result.candidate_log is not None:
+        report_mod.write_candidate_log(args.candidate_log, result.candidate_log)
+    if args.table_out:
+        report_mod.append_table_row(args.table_out, doc)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     """Both `search` and `random-search`; the subcommand sets the strategy."""
     s = _settings_from_args(args)
     scenario = parse_scenario(args.scenario)
-    doc, result = run_scenario(scenario, args.dataset, s, strategy=args.strategy)
-    _emit(args, doc, result)
+    s["budget"] = _resolve_budget(scenario, args.dataset, s)
+    cfg = _search_config(args.dataset, _OPSET_BY_SIZE[scenario.opset_size],
+                         scenario.cells, s, args.strategy)
+    if args.strategy == RANDOM:
+        result = search_random(cfg, s["iterations"])
+    else:
+        result = search_memory_aware(cfg)
+    _emit(args, result, scenario.name, s)
     return 0
 
 
@@ -280,12 +268,12 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         removed = Operation.from_label(args.remove)
         ablated_opset(get_opset(args.opset), removed)  # refuse it before loading data
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = _search_config(args.dataset, args.opset, args.cells, s,
-                         strategy=args.strategy)
+        raise SpikeNasError(str(exc)) from exc
+    if args.cells not in (1, 2, 3):  # refuse it before loading data, too
+        raise SpikeNasError(f"num_cells must be 1..3, got {args.cells}")
+    cfg = _search_config(args.dataset, args.opset, args.cells, s, args.strategy)
     result = ablate_operation(cfg, removed, iterations=s["iterations"])
-    doc = report_mod.from_search_report(result, None, args.dataset, s["bits"])
-    _emit(args, doc, result)
+    _emit(args, result, None, s)
     return 0
 
 
@@ -295,10 +283,10 @@ def _parse_indices(text: str, opset_name: str) -> tuple[int, ...]:
     try:
         indices = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad --indices {text!r}: {exc}") from exc
+        raise SpikeNasError(f"bad --indices {text!r}: {exc}") from exc
     for i in indices:
         if not 0 <= i < space:
-            raise ConfigError(
+            raise SpikeNasError(
                 f"candidate index {i} outside [0, {space}) for operation set {opset_name}"
             )
     return indices
@@ -307,11 +295,7 @@ def _parse_indices(text: str, opset_name: str) -> tuple[int, ...]:
 def _net_from_args(args: argparse.Namespace, s: dict):
     opset = get_opset(args.opset)
     indices = _parse_indices(args.indices, args.opset)
-    cells = [decode_cell(i, opset) for i in indices]
-    try:
-        return build_network(cells, s["macro"])
-    except SpikeNasError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_network([decode_cell(i, opset) for i in indices], s["macro"])
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
@@ -373,15 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="memory-aware per-cell search")
     p.add_argument("--scenario", required=True, help="pCqO or pCqO_M")
-    p.add_argument("--dataset", required=True,
-                   choices=("cifar10", "cifar100", "synth"))
+    p.add_argument("--dataset", required=True, choices=DATASETS)
     _add_common(p, skip=("iterations",))
     p.set_defaults(handler=_cmd_search, strategy=MEMORY_AWARE)
 
     p = sub.add_parser("random-search", help="random baseline search")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--dataset", required=True,
-                   choices=("cifar10", "cifar100", "synth"))
+    p.add_argument("--dataset", required=True, choices=DATASETS)
     _add_common(p)
     p.set_defaults(handler=_cmd_search, strategy=RANDOM)
 
@@ -389,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opset", default="5O", choices=sorted(OPSETS))
     p.add_argument("--cells", type=int, default=2)
     p.add_argument("--remove", required=True, help="operation label to drop")
-    p.add_argument("--dataset", required=True,
-                   choices=("cifar10", "cifar100", "synth"))
+    p.add_argument("--dataset", required=True, choices=DATASETS)
     p.add_argument("--strategy", default=MEMORY_AWARE,
                    choices=(MEMORY_AWARE, RANDOM))
     _add_common(p)
@@ -400,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opset", required=True, choices=sorted(OPSETS))
     p.add_argument("--indices", required=True,
                    help="comma-separated per-cell candidate indices")
-    p.add_argument("--dataset", required=True,
-                   choices=("cifar10", "cifar100", "synth"))
+    p.add_argument("--dataset", required=True, choices=DATASETS)
     p.add_argument("--dump-kernels", dest="dump_kernels",
                    help="write kernel matrices to this file")
     _add_common(p, skip=("budget", "iterations"), with_outputs=False)

@@ -15,14 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DatasetUnavailable,
-    InsufficientData,
-    LabelOutOfRange,
-    MalformedRecord,
-)
+from .errors import SpikeNasError
 
 DATA_DIR_ENV = "SPIKENAS_DATA_DIR"
+DATASETS = ("cifar10", "cifar100", "synth")
 
 IMAGE_SHAPE = (3, 32, 32)
 _PIXELS = 3 * 32 * 32
@@ -59,7 +55,7 @@ def load_cifar10(path: str | os.PathLike) -> Dataset:
     raw = _read_records(path, RECORD_BYTES_10)
     labels = raw[:, 0].astype(np.int64)
     if labels.size and labels.max() > 9:
-        raise LabelOutOfRange(f"label {labels.max()} exceeds 9 in {path}")
+        raise SpikeNasError(f"label {labels.max()} exceeds 9 in {path}")
     pixels = raw[:, 1:].reshape(-1, *IMAGE_SHAPE)
     return Dataset(pixels=pixels, labels=labels, num_classes=10)
 
@@ -70,7 +66,7 @@ def load_cifar100(path: str | os.PathLike) -> Dataset:
     coarse = raw[:, 0].astype(np.int64)
     fine = raw[:, 1].astype(np.int64)
     if fine.size and fine.max() > 99:
-        raise LabelOutOfRange(f"fine label {fine.max()} exceeds 99 in {path}")
+        raise SpikeNasError(f"fine label {fine.max()} exceeds 99 in {path}")
     pixels = raw[:, 2:].reshape(-1, *IMAGE_SHAPE)
     return Dataset(pixels=pixels, labels=fine, num_classes=100, coarse_labels=coarse)
 
@@ -78,10 +74,10 @@ def load_cifar100(path: str | os.PathLike) -> Dataset:
 def _read_records(path: str | os.PathLike, record_bytes: int) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
-        raise DatasetUnavailable(f"no such dataset file: {path}")
+        raise SpikeNasError(f"no such dataset file: {path}")
     data = path.read_bytes()
     if len(data) % record_bytes:
-        raise MalformedRecord(
+        raise SpikeNasError(
             f"{path} is {len(data)} bytes, not a multiple of {record_bytes}"
         )
     return np.frombuffer(data, dtype=np.uint8).reshape(-1, record_bytes)
@@ -92,7 +88,7 @@ def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
     if num_samples < 1:
         raise ValueError(f"batch size must be positive, got {num_samples}")
     if num_samples > len(dataset):
-        raise InsufficientData(
+        raise SpikeNasError(
             f"requested {num_samples} samples from {len(dataset)} records"
         )
     indices = np.random.default_rng(seed).permutation(len(dataset))[:num_samples]
@@ -131,13 +127,13 @@ def load_dataset(name: str, data_dir: str | os.PathLike | None = None,
     directly or the conventional extraction subdirectory.
     """
     name = name.lower()
+    if name not in DATASETS:
+        raise SpikeNasError(f"unknown dataset {name!r}")
     if name == "synth":
         return synth_dataset(512, 10, seed)
-    if name not in ("cifar10", "cifar100"):
-        raise DatasetUnavailable(f"unknown dataset {name!r}")
     root = Path(data_dir) if data_dir is not None else _env_data_dir()
     if root is None:
-        raise DatasetUnavailable(
+        raise SpikeNasError(
             f"no data directory given for {name}; pass --data-dir or set {DATA_DIR_ENV}"
         )
     if name == "cifar10":
@@ -175,4 +171,4 @@ def _find_files(root: Path, subdir: str, names: list[str],
             found = [base / n for n in candidates if (base / n).is_file()]
             if found:
                 return found
-    raise DatasetUnavailable(f"no dataset files among {list(names)} under {root}")
+    raise SpikeNasError(f"no dataset files among {list(names)} under {root}")

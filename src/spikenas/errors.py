@@ -1,57 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
 class SpikeNasError(Exception):
-    """Base class for all package errors."""
-
-
-class EdgeOpNotInSet(SpikeNasError):
-    """A cell edge uses an operation that is not in the active operation set."""
-
-
-class IndexOutOfRange(SpikeNasError):
-    """Candidate index is outside the operation set's search space."""
-
-
-class InvalidMacroConfig(SpikeNasError):
-    """Macro-architecture configuration is unusable (bad widths, cell count...)."""
-
-
-class ShapeMismatch(SpikeNasError):
-    """Tensor shapes are inconsistent with the layer being applied."""
-
-
-class MissingWeights(SpikeNasError):
-    """A parameterized layer has no weights in the supplied weight set."""
-
-
-class DegenerateBatch(SpikeNasError):
-    """Fewer than two samples: the pairwise kernel is undefined."""
-
-
-class NoFeasibleArchitecture(SpikeNasError):
-    """Every candidate in the first search phase violates the memory budget."""
-
-
-class OpSetTooSmall(SpikeNasError):
-    """Removing the operation would leave fewer than two operations."""
-
-
-class DatasetUnavailable(SpikeNasError):
-    """Dataset files could not be located or opened."""
-
-
-class MalformedRecord(SpikeNasError):
-    """Binary dataset file does not match the expected record layout."""
-
-
-class LabelOutOfRange(SpikeNasError):
-    """A parsed class label exceeds the dataset's label range."""
-
-
-class InsufficientData(SpikeNasError):
-    """Requested more samples than the dataset contains."""
-
-
-class ConfigError(SpikeNasError):
-    """Invalid command-line / config-file settings (bad scenario name, ...)."""
+    """Every engine error: bad settings, data files, architectures or budgets."""

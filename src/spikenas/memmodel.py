@@ -48,10 +48,5 @@ def footprint(n_param: int, bit_precision: int) -> MemoryFootprint:
     return MemoryFootprint(bits=bits, bytes=math.ceil(bits / 8))
 
 
-def memory_cost(n_param: int, budget: MemoryBudget) -> MemoryFootprint:
-    """Footprint of `n_param` parameters at the budget's bit precision."""
-    return footprint(n_param, budget.bit_precision)
-
-
 def within_budget(n_param: int, budget: MemoryBudget | None) -> bool:
     return budget is None or n_param <= budget.max_params

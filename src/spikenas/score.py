@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import NetworkArch
-from .errors import DegenerateBatch
+from .errors import SpikeNasError
 from .snn import BinaryCodes, LIFParams, forward_collect_codes, init_weights
 
 NEG_INF = float("-inf")
@@ -58,7 +58,7 @@ def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> KernelMatrix:
         raise ValueError(f"expected a 2-D bit matrix, got shape {codes.shape}")
     num_samples, num_neurons = codes.shape
     if num_samples < 2:
-        raise DegenerateBatch(f"need >= 2 samples for pairwise distances, got {num_samples}")
+        raise SpikeNasError(f"need >= 2 samples for pairwise distances, got {num_samples}")
     if num_neurons < 1:
         raise ValueError("bit matrix must have at least one neuron column")
     packed = np.packbits(codes.astype(np.uint8, copy=False), axis=1)

@@ -40,7 +40,7 @@ from .arch import (
 )
 from .blas import single_blas_thread
 from .data import Dataset, sample_batch
-from .errors import NoFeasibleArchitecture, OpSetTooSmall
+from .errors import SpikeNasError
 from .memmodel import MemoryBudget, count_network_params, within_budget
 from .snn import CODE_MODES, INPUT_CODINGS, LIFParams
 
@@ -220,7 +220,7 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         if best is None:
             what = (f"all {space} shared-cell candidates exceed" if draws is None
                     else f"none of the {len(draws)} drawn candidates fit")
-            raise NoFeasibleArchitecture(
+            raise SpikeNasError(
                 f"{what} the budget of {cfg.budget.max_params} parameters"
             )
 
@@ -269,7 +269,7 @@ def ablated_opset(opset: OpSet, removed: Operation) -> OpSet:
     """`opset` without `removed`, refused if fewer than 2 operations remain."""
     sub = opset.without(removed)
     if len(sub) < 2:
-        raise OpSetTooSmall(
+        raise SpikeNasError(
             f"removing {removed.label} leaves {len(sub)} operation(s); "
             "need at least 2 to search"
         )

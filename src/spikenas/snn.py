@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import arch
 from .arch import NetworkArch, Operation
-from .errors import MissingWeights, ShapeMismatch
+from .errors import SpikeNasError
 
 WeightSet = dict[str, tuple[np.ndarray, np.ndarray | None]]
 
@@ -102,7 +102,7 @@ def lif_step(v_prev: np.ndarray, x: np.ndarray, p: LIFParams):
     v_prev = np.asarray(v_prev, dtype=np.result_type(v_prev, np.float32))
     x = np.asarray(x, dtype=v_prev.dtype)
     if v_prev.shape != x.shape:
-        raise ShapeMismatch(f"potential {v_prev.shape} vs input {x.shape}")
+        raise SpikeNasError(f"potential {v_prev.shape} vs input {x.shape}")
     v_cand = v_prev + (-(v_prev - p.v_reset) + x) / p.tau_leak
     fired = v_cand >= p.v_threshold
     spikes = fired.astype(v_cand.dtype)
@@ -122,9 +122,9 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray,
                 bias: np.ndarray | None) -> np.ndarray:
     """Stride-1 zero-padded convolution keeping the spatial size."""
     if weights.ndim != 4:
-        raise ShapeMismatch(f"conv weights must be 4-D, got {weights.shape}")
+        raise SpikeNasError(f"conv weights must be 4-D, got {weights.shape}")
     if x.ndim != 4 or x.shape[1] != weights.shape[1]:
-        raise ShapeMismatch(f"input {x.shape} incompatible with weights {weights.shape}")
+        raise SpikeNasError(f"input {x.shape} incompatible with weights {weights.shape}")
     out_ch, in_ch, kh, kw = weights.shape
     ph, pw = kh // 2, kw // 2
     if ph or pw:
@@ -164,7 +164,7 @@ def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
     """
     s, c, h, w = x.shape
     if h % 2 or w % 2:
-        raise ShapeMismatch(f"cannot halve odd spatial size {h}x{w}")
+        raise SpikeNasError(f"cannot halve odd spatial size {h}x{w}")
     out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
     out += x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
     out /= 4
@@ -234,7 +234,7 @@ def _zero_bias(bias: np.ndarray | None) -> bool:
 def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
     for layer in arch.network_layers(net):
         if layer.name not in weights:
-            raise MissingWeights(f"no weights for layer {layer.name!r}")
+            raise SpikeNasError(f"no weights for layer {layer.name!r}")
 
 
 def _live_edges(cell, weights: WeightSet, prefix: str,
@@ -339,7 +339,7 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     x0 = np.asarray(batch, dtype=np.float32)
     expected = net.macro.input_shape
     if x0.ndim != 4 or x0.shape[1:] != expected:
-        raise ShapeMismatch(f"batch shape {x0.shape} does not match input {expected}")
+        raise SpikeNasError(f"batch shape {x0.shape} does not match input {expected}")
     _check_weights(net, weights)
 
     rate_rng = np.random.default_rng(coding_seed) if input_coding == "rate" else None

@@ -23,7 +23,7 @@ from spikenas.arch import (
     network_layers,
     search_space_size,
 )
-from spikenas.errors import EdgeOpNotInSet, IndexOutOfRange, InvalidMacroConfig
+from spikenas.errors import SpikeNasError
 from spikenas.snn import LIFParams, forward_collect_codes, init_weights
 
 
@@ -109,7 +109,7 @@ class TestEncodeDecode:
 
     def test_encode_rejects_foreign_op(self):
         cell = CellArch.uniform(Operation.CONV1X1)
-        with pytest.raises(EdgeOpNotInSet):
+        with pytest.raises(SpikeNasError, match="operation conv1x1 is not in operation set '2O'"):
             encode_cell(cell, TWO_OPS)
 
     def test_decode_zero_two_set_is_all_skip(self):
@@ -120,7 +120,7 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("index", [-1, 64, 1000])
     def test_decode_out_of_range(self, index):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SpikeNasError, match=rf"candidate index {index} outside \[0, 64\)"):
             decode_cell(index, TWO_OPS)
 
     @pytest.mark.parametrize("opset", [TWO_OPS, THREE_OPS])
@@ -150,9 +150,9 @@ class TestSearchSpaceSize:
 class TestBuildNetwork:
     def test_rejects_bad_cell_counts(self):
         cell = decode_cell(0, TWO_OPS)
-        with pytest.raises(InvalidMacroConfig):
+        with pytest.raises(SpikeNasError, match="cell count must be 1..3, got 0"):
             build_network([], MacroConfig())
-        with pytest.raises(InvalidMacroConfig):
+        with pytest.raises(SpikeNasError, match="cell count must be 1..3, got 4"):
             build_network([cell] * 4, MacroConfig())
 
     @pytest.mark.parametrize("macro", [
@@ -162,12 +162,13 @@ class TestBuildNetwork:
         MacroConfig(input_shape=(0, 32, 32)),
     ])
     def test_rejects_bad_widths(self, macro):
-        with pytest.raises(InvalidMacroConfig):
+        site = "input shape" if macro.input_shape[0] == 0 else "widths and class count"
+        with pytest.raises(SpikeNasError, match=site + " must be positive"):
             build_network([decode_cell(0, TWO_OPS)], macro)
 
     def test_rejects_undivisible_input(self):
         cell = decode_cell(0, TWO_OPS)
-        with pytest.raises(InvalidMacroConfig):
+        with pytest.raises(SpikeNasError, match="18x18 not divisible by the 4x downsampling"):
             build_network([cell] * 3, MacroConfig(input_shape=(3, 18, 18)))
 
     def test_one_cell_has_no_downsample(self):

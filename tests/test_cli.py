@@ -13,12 +13,12 @@ from spikenas.cli import (
     build_parser,
     main,
     parse_scenario,
-    scenario_name,
 )
 from spikenas.data import DATA_DIR_ENV, load_dataset, synth_dataset
-from spikenas.errors import ConfigError
+from spikenas.errors import SpikeNasError
 from spikenas.memmodel import MemoryBudget, count_network_params, footprint
 from spikenas.snn import LIFParams
+import spikenas
 from spikenas import cli as cli_mod
 from spikenas import report as report_mod
 
@@ -46,12 +46,20 @@ class TestScenarioParsing:
     def test_valid(self, name, cells, q, constrained):
         s = parse_scenario(name)
         assert s == Scenario(name, cells, q, constrained)
-        assert scenario_name(cells, q, constrained) == name
 
-    @pytest.mark.parametrize("name", ["4C9O", "0C2O", "2C4O", "2C3O_X", "cells2",
-                                      "2C3O_M_M", ""])
+    MALFORMED = {
+        "4C9O": "'4C9O': cell count must be 1..3, got 4",
+        "0C2O": "'0C2O': cell count must be 1..3, got 0",
+        "2C4O": r"'2C4O': no 4-operation preset \(choose from \[2, 3, 5\]\)",
+        "2C3O_X": "malformed scenario '2C3O_X'",
+        "cells2": "malformed scenario 'cells2'",
+        "2C3O_M_M": "malformed scenario '2C3O_M_M'",
+        "": "malformed scenario ''",
+    }
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
     def test_malformed(self, name):
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpikeNasError, match=self.MALFORMED[name]):
             parse_scenario(name)
 
     def test_cli_exit_code_on_parse_error(self, capsys):
@@ -81,7 +89,7 @@ class TestBudgetResolution:
 
     def test_constrained_synth_requires_explicit_budget(self):
         s = _settings_from_args(_args())
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpikeNasError, match="'synth' has no preset budget"):
             _resolve_budget(parse_scenario("1C2O_M"), "synth", s)
 
 
@@ -121,10 +129,10 @@ class TestSettingsPrecedence:
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpikeNasError, match="must hold a JSON object"):
             _settings_from_args(_args(config=str(cfg)))
         cfg.write_text("{broken")
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpikeNasError, match="cannot read config file"):
             _settings_from_args(_args(config=str(cfg)))
 
 
@@ -161,6 +169,8 @@ class TestStrictSettings:
         (None, ["ablate", "--opset", "2O", "--cells", "1", "--remove", "conv3x3",
                 "--dataset", "cifar10"] + TINY,
          "removing conv3x3 leaves 1 operation(s); need at least 2 to search"),
+        (None, ["ablate", "--opset", "3O", "--remove", "skipcon", "--cells", "4",
+                "--dataset", "cifar10"] + TINY, "num_cells must be 1..3, got 4"),
     ])
     def test_bad_setting_is_a_clean_error(self, tmp_path, capsys, file_cfg, argv,
                                           message):
@@ -305,26 +315,26 @@ def _run_search(tmp_path, capsys, *extra, scenario="1C2O", seed="42"):
     rc = main(argv)
     capsys.readouterr()
     assert rc == 0
-    return report_mod.read_report(report_path)
+    return json.loads(report_path.read_text())
 
 
 class TestSearchCommand:
     def test_writes_schema_stable_report(self, tmp_path, capsys):
         doc = _run_search(tmp_path, capsys)
-        assert doc.scenario == "1C2O"
-        assert doc.dataset == "synth"
-        assert doc.opset == "2O"
-        assert doc.cells == 1
-        assert doc.budget is None
-        assert doc.evaluations_total == 64
-        assert doc.engine_version == report_mod.ENGINE_VERSION
-        raw = json.loads(report_mod.to_json(doc))
-        assert set(raw) == set(REPORT_FIELDS)
-        assert set(raw["best_arch"]) == {"cell_indices", "opset", "macro"}
+        assert doc["scenario"] == "1C2O"
+        assert doc["dataset"] == "synth"
+        assert doc["opset"] == "2O"
+        assert doc["cells"] == 1
+        assert doc["budget"] is None
+        assert doc["evaluations_total"] == 64
+        assert doc["engine_version"] == spikenas.__version__
+        assert set(doc) == set(REPORT_FIELDS)
+        assert set(doc["best_arch"]) == {"cell_indices", "opset", "macro"}
 
     def test_report_round_trips(self, tmp_path, capsys):
         doc = _run_search(tmp_path, capsys)
-        assert report_mod.from_json(report_mod.to_json(doc)) == doc
+        text = (tmp_path / "report.json").read_text()
+        assert report_mod.to_json(doc) + "\n" == text
 
     def test_stdout_when_no_report_file(self, capsys):
         argv = ["search", "--scenario", "1C2O", "--dataset", "synth"] + TINY
@@ -355,9 +365,9 @@ class TestSearchCommand:
     def test_explicit_budget_respected(self, tmp_path, capsys):
         doc = _run_search(tmp_path, capsys, "--budget", "2000",
                           scenario="1C2O_M")
-        assert doc.budget.max_params == 2000
-        assert doc.n_param <= 2000
-        assert doc.evaluations_total + doc.evaluations_skipped == 64
+        assert doc["budget"]["max_params"] == 2000
+        assert doc["n_param"] <= 2000
+        assert doc["evaluations_total"] + doc["evaluations_skipped"] == 64
 
     def test_infeasible_budget_fails_cleanly(self, capsys):
         argv = ["search", "--scenario", "1C2O_M", "--dataset", "synth",
@@ -415,9 +425,9 @@ class TestRealDataPath:
                 "--report-out", str(report_path)] + TINY
         assert main(argv) == 0
         capsys.readouterr()
-        doc = report_mod.read_report(report_path)
-        assert doc.dataset == "cifar10"
-        assert doc.evaluations_total == 64
+        doc = json.loads(report_path.read_text())
+        assert doc["dataset"] == "cifar10"
+        assert doc["evaluations_total"] == 64
 
 
 class TestOutputPathsCheckedFirst:

@@ -13,12 +13,7 @@ from spikenas.data import (
     sample_batch,
     synth_dataset,
 )
-from spikenas.errors import (
-    DatasetUnavailable,
-    InsufficientData,
-    LabelOutOfRange,
-    MalformedRecord,
-)
+from spikenas.errors import SpikeNasError
 
 
 def _make_file_10(path, records):
@@ -60,17 +55,17 @@ class TestLoadCifar10:
     def test_bad_length(self, tmp_path):
         f = tmp_path / "batch.bin"
         f.write_bytes(b"\x00" * (RECORD_BYTES_10 + 5))
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(SpikeNasError, match="bytes, not a multiple of 3073"):
             load_cifar10(f)
 
     def test_label_out_of_range(self, tmp_path):
         f = tmp_path / "batch.bin"
         _make_file_10(f, [(10, 0)])
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(SpikeNasError, match="label 10 exceeds 9"):
             load_cifar10(f)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DatasetUnavailable):
+        with pytest.raises(SpikeNasError, match="no such dataset file"):
             load_cifar10(tmp_path / "nope.bin")
 
 
@@ -87,7 +82,7 @@ class TestLoadCifar100:
     def test_fine_label_out_of_range(self, tmp_path):
         f = tmp_path / "train.bin"
         f.write_bytes(bytes([0, 100]) + bytes(3072))
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(SpikeNasError, match="fine label 100 exceeds 99"):
             load_cifar100(f)
 
 
@@ -159,7 +154,7 @@ class TestSampleBatch:
         assert a.labels.tolist() != c.labels.tolist()
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(SpikeNasError, match="requested 5 samples from 4 records"):
             sample_batch(_indexed_dataset(4), 5, seed=0)
 
     def test_positive_size_required(self):
@@ -202,14 +197,14 @@ class TestLoadDataset:
         assert ds.num_classes == 10
 
     def test_unknown_name(self):
-        with pytest.raises(DatasetUnavailable):
+        with pytest.raises(SpikeNasError, match="unknown dataset 'mnist'"):
             load_dataset("mnist", data_dir="/tmp")
 
     def test_missing_dir(self, tmp_path, monkeypatch):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
-        with pytest.raises(DatasetUnavailable):
+        with pytest.raises(SpikeNasError, match="no dataset files among"):
             load_dataset("cifar10", data_dir=tmp_path)
-        with pytest.raises(DatasetUnavailable):
+        with pytest.raises(SpikeNasError, match="no data directory given for cifar10"):
             load_dataset("cifar10", data_dir=None)
 
     def test_finds_batches_in_dir(self, tmp_path):

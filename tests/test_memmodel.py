@@ -19,7 +19,6 @@ from spikenas.memmodel import (
     MemoryBudget,
     count_network_params,
     footprint,
-    memory_cost,
 )
 from spikenas.snn import init_weights
 
@@ -121,15 +120,15 @@ class TestMemoryBudget:
 
 class TestMemoryCost:
     def test_stem_example(self):
-        fp = memory_cost(448, MemoryBudget(1, 8))
+        fp = footprint(448, 8)
         assert fp.bits == 3584
         assert fp.bytes == 448
 
     def test_zero_params(self):
-        assert memory_cost(0, MemoryBudget(1, 32)).bits == 0
+        assert footprint(0, 32).bits == 0
 
     def test_constrained_preset_at_float_precision(self):
-        assert memory_cost(1_200_000, MemoryBudget(1_200_000, 32)).bits == 38_400_000
+        assert footprint(1_200_000, 32).bits == 38_400_000
 
     def test_byte_rounding(self):
         assert footprint(3, 3).bytes == 2  # 9 bits round up

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import cofactor_det, naive_hamming_kernel
 from spikenas.arch import build_network, decode_cell, TWO_OPS
-from spikenas.errors import DegenerateBatch
+from spikenas.errors import SpikeNasError
 from spikenas.score import (
     NEG_INF,
     KernelMatrix,
@@ -40,7 +40,7 @@ class TestHammingKernel:
         assert k.entries[0, 0] == 4.0
 
     def test_degenerate_batch(self):
-        with pytest.raises(DegenerateBatch):
+        with pytest.raises(SpikeNasError, match="need >= 2 samples for pairwise distances"):
             hamming_kernel(_codes([0, 1]))
 
     def test_empty_feature_axis_rejected(self):

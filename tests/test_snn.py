@@ -22,7 +22,7 @@ from spikenas.arch import (
     search_space_size,
 )
 from spikenas import snn
-from spikenas.errors import MissingWeights, ShapeMismatch
+from spikenas.errors import SpikeNasError
 from spikenas.snn import (
     BinaryCodes,
     LIFParams,
@@ -80,7 +80,7 @@ class TestLifStep:
             assert float(v) < 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpikeNasError, match=r"potential \(3,\) vs input \(4,\)"):
             lif_step(np.zeros(3), np.zeros(4), LIFParams())
 
     def test_leak_decays_toward_reset(self):
@@ -147,9 +147,9 @@ class TestFeatureOps:
                         assert abs(out[n, o, i, j] - want) < 1e-9
 
     def test_conv_shape_checks(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpikeNasError, match="incompatible with weights"):
             conv2d_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 5, 3, 3)), None)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpikeNasError, match="conv weights must be 4-D"):
             conv2d_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 3)), None)
 
     def test_avgpool3x3_matches_naive(self):
@@ -185,7 +185,7 @@ class TestFeatureOps:
         np.testing.assert_array_equal(
             out[0, 0], np.array([[2.5, 4.5], [10.5, 12.5]])
         )
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpikeNasError, match="cannot halve odd spatial size 5x4"):
             avgpool2x2_down(np.zeros((1, 1, 5, 4)))
 
 
@@ -319,7 +319,7 @@ class TestForwardCollectCodes:
 
     def test_batch_shape_validated(self, tiny_macro, tiny_lif):
         net = self._net(tiny_macro)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpikeNasError, match=r"batch shape \(2, 3, 16, 16\) does not match"):
             forward_collect_codes(net, init_weights(net, 0),
                                   np.zeros((2, 3, 16, 16), dtype=np.float32),
                                   tiny_lif)
@@ -328,7 +328,7 @@ class TestForwardCollectCodes:
         net = self._net(tiny_macro)
         weights = init_weights(net, 0)
         weights.pop("classifier.fc")
-        with pytest.raises(MissingWeights):
+        with pytest.raises(SpikeNasError, match="no weights for layer 'classifier.fc'"):
             forward_collect_codes(net, weights, self._batch(2), tiny_lif)
 
     def test_bad_modes_rejected(self, tiny_macro, tiny_lif):
