@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spikenas import score, snn  # noqa: E402
+from spikenas import score  # noqa: E402
 from spikenas.arch import FIVE_OPS  # noqa: E402
 from spikenas.data import synth_dataset  # noqa: E402
 from spikenas.search import SearchConfig, search_random  # noqa: E402
@@ -36,13 +36,11 @@ def main() -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     rates: dict[str, list[float]] = {}
 
-    def record_rates(net, batch, lif, seed, alpha, **modes):
-        weights = snn.init_weights(net, seed)
-        codes = snn.forward_collect_codes(net, weights, batch, lif,
-                                          coding_seed=seed, **modes)
-        for name, bits in zip(codes.layer_names, codes.matrices):
+    def record_rates(*args, **kwargs):
+        result = score.score_candidate(*args, **kwargs)
+        for name, bits in zip(result.codes.layer_names, result.codes.matrices):
             rates.setdefault(name, []).append(float(bits.mean()))
-        return score.network_score(codes, alpha)
+        return result
 
     cfg = SearchConfig(dataset=synth_dataset(2000, 10, 0), opset=FIVE_OPS, num_cells=2)
     search_random(cfg, DRAWS, score_fn=record_rates)

@@ -79,9 +79,6 @@ class OpSet:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def __contains__(self, op: Operation) -> bool:
-        return op in self.ops
-
     def index_of(self, op: Operation) -> int:
         try:
             return self.ops.index(op)
@@ -168,7 +165,7 @@ def decode_cell(index: int, ops: OpSet) -> CellArch:
     size = search_space_size(ops)
     if not 0 <= index < size:
         raise SpikeNasError(
-            f"candidate index {index} outside [0, {size}) for operation set {ops.name!r}"
+            f"candidate index {index} outside [0, {size}) for operation set {ops.name}"
         )
     base = len(ops)
     edges = []

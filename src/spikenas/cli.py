@@ -122,7 +122,7 @@ SETTINGS = (
     ("iterations", _int(1), 5000, "number of draws (default 5000)"),
     ("stem_channels", _int(1), 64, "stem conv channels"),
     ("width_mult", _int(1), 2, "width factor at each downsample"),
-    ("classes", _int(1), 10, "number of classes"),
+    ("classes", _int(1), None, "number of classes (default: the dataset's, else 10)"),
     ("no_bias", _BOOL, False, "count and simulate without biases"),
     ("tau_leak", _FLOAT, 2.0, None),
     ("v_threshold", _FLOAT, 1.0, None),
@@ -173,7 +173,8 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
         except ValueError as exc:
             raise SpikeNasError(
                 f"bad value for {key!r}: {value!r}; expected {exc}") from None
-    macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), s.pop("classes"))
+    classes = s.pop("classes") or DATASETS.get(getattr(args, "dataset", None), 10)
+    macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), classes)
     s["macro"] = macro.without_bias() if s.pop("no_bias") else macro
     try:
         s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
@@ -217,11 +218,15 @@ _OUTPUT_FLAGS = (("report_out", "--report-out"), ("candidate_log", "--candidate-
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Refuse an output path that could not be written once the work is done."""
+    """Refuse an output path that could not be written after the work, or named twice."""
+    flags_by_file = {}
     for dest, flag in _OUTPUT_FLAGS:
         path = getattr(args, dest, None)
         if not path:
             continue
+        other = flags_by_file.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise SpikeNasError(f"{other} and {flag} name the same file {path}")
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
             raise SpikeNasError(f"{flag} {path} is a directory")
@@ -277,24 +282,16 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_indices(text: str, opset_name: str) -> tuple[int, ...]:
-    opset = get_opset(opset_name)
-    space = search_space_size(opset)
+def _parse_indices(text: str) -> tuple[int, ...]:
     try:
-        indices = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise SpikeNasError(f"bad --indices {text!r}: {exc}") from exc
-    for i in indices:
-        if not 0 <= i < space:
-            raise SpikeNasError(
-                f"candidate index {i} outside [0, {space}) for operation set {opset_name}"
-            )
-    return indices
 
 
 def _net_from_args(args: argparse.Namespace, s: dict):
     opset = get_opset(args.opset)
-    indices = _parse_indices(args.indices, args.opset)
+    indices = _parse_indices(args.indices)
     return build_network([decode_cell(i, opset) for i in indices], s["macro"])
 
 
@@ -304,13 +301,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, s["data_dir"], seed=s["seed"])
     batch = sample_batch(dataset, s["batch_size"], s["seed"])
     result = score_candidate(net, batch.pixels, s["lif"], s["seed"], s["alpha"],
-                             code_mode=s["code_mode"], input_coding=s["input_coding"],
-                             keep_kernels=bool(args.dump_kernels))
+                             code_mode=s["code_mode"], input_coding=s["input_coding"])
     if args.dump_kernels:
-        write_kernel_dump(args.dump_kernels, result)
+        write_kernel_dump(args.dump_kernels, result.codes, s["alpha"])
     print(json.dumps({
-        "score": None if result.singular else result.value,
-        "singular": result.singular,
+        **report_mod.score_fields(result.value),
         "n_param": count_network_params(net),
         "seed": s["seed"],
     }, allow_nan=False))

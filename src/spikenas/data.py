@@ -18,7 +18,8 @@ import numpy as np
 from .errors import SpikeNasError
 
 DATA_DIR_ENV = "SPIKENAS_DATA_DIR"
-DATASETS = ("cifar10", "cifar100", "synth")
+# Dataset name -> class count.
+DATASETS = {"cifar10": 10, "cifar100": 100, "synth": 10}
 
 IMAGE_SHAPE = (3, 32, 32)
 _PIXELS = 3 * 32 * 32
@@ -130,7 +131,7 @@ def load_dataset(name: str, data_dir: str | os.PathLike | None = None,
     if name not in DATASETS:
         raise SpikeNasError(f"unknown dataset {name!r}")
     if name == "synth":
-        return synth_dataset(512, 10, seed)
+        return synth_dataset(512, DATASETS["synth"], seed)
     root = Path(data_dir) if data_dir is not None else _env_data_dir()
     if root is None:
         raise SpikeNasError(
@@ -147,14 +148,10 @@ def load_dataset(name: str, data_dir: str | os.PathLike | None = None,
         parts = [load_cifar100(f) for f in files]
     if len(parts) == 1:
         return parts[0]
-    coarse = None
-    if all(p.coarse_labels is not None for p in parts):
-        coarse = np.concatenate([p.coarse_labels for p in parts])
     return Dataset(
         pixels=np.concatenate([p.pixels for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
         num_classes=parts[0].num_classes,
-        coarse_labels=coarse,
     )
 
 

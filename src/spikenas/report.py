@@ -3,8 +3,9 @@
 `from_search_report` owns the report schema: it turns a search result
 into the report's JSON object, a flat field set with the best
 architecture nested under `best_arch` as (operation-set name, per-cell
-candidate indices, macro configuration).  A singular best score is
-stored as JSON null with `singular` set, since strict JSON has no -inf.
+candidate indices, macro configuration).  `score_fields` writes every
+score, in reports, candidate logs and `score` output: a singular score
+is JSON null with `singular` set, since strict JSON has no -inf.
 Reports also export as one-row-per-run CSV for plotting, and candidate
 logs stream as line-delimited JSON records.
 """
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
+from .score import NEG_INF
 from .search import CandidateRecord, SearchReport
 
 TABLE_COLUMNS = (
@@ -26,6 +27,13 @@ TABLE_COLUMNS = (
     "n_param", "mem_bits", "evaluations_total", "evaluations_skipped",
     "seed", "wall_time_ms",
 )
+
+
+def score_fields(score: float | None, key: str = "score") -> dict:
+    """`key` and `singular` for a score; strict JSON has no -inf, so a
+    singular score is written as null."""
+    singular = score == NEG_INF
+    return {key: None if singular else score, "singular": singular}
 
 
 def from_search_report(result: SearchReport, scenario: str | None,
@@ -40,8 +48,7 @@ def from_search_report(result: SearchReport, scenario: str | None,
         "best_arch": {"cell_indices": list(result.per_cell_best_indices),
                       "opset": result.opset_name,
                       "macro": asdict(result.best_arch.macro)},
-        "best_score": None if result.singular else result.best_score,
-        "singular": result.singular,
+        **score_fields(result.best_score, "best_score"),
         "n_param": result.n_param,
         "mem_bits": result.n_param * bit_precision,
         "evaluations_total": result.evaluations_total,
@@ -87,7 +94,6 @@ def write_candidate_log(path, records: Iterable[CandidateRecord]) -> None:
                 "index": rec.index,
                 "n_param": rec.n_param,
                 "feasible": rec.feasible,
-                "score": None if rec.score in (None, -math.inf) else rec.score,
-                "singular": rec.score == -math.inf,
+                **score_fields(rec.score),
             }, allow_nan=False))
             fh.write("\n")

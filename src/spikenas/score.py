@@ -25,29 +25,19 @@ NEG_INF = float("-inf")
 PIVOT_RTOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Pairwise code-similarity kernel of one spiking stage."""
-
-    entries: np.ndarray
-    num_neurons: int
-    alpha: float
-
-
 @dataclass(frozen=True)
 class ScoreResult:
-    """Score value with its singularity flag and optional diagnostics."""
+    """Score value and the per-stage codes it came from."""
 
     value: float
-    singular: bool
-    kernels: tuple[tuple[str, KernelMatrix], ...] | None = None
+    codes: BinaryCodes | None = None
 
-    def __post_init__(self) -> None:
-        if self.singular != (self.value == NEG_INF):
-            raise ValueError("singular flag must accompany the -inf sentinel")
+    @property
+    def singular(self) -> bool:
+        return self.value == NEG_INF
 
 
-def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> KernelMatrix:
+def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Kernel matrix of one bit matrix (samples x neurons).
 
     Distances are computed on bit-packed rows with a popcount; the
@@ -64,15 +54,14 @@ def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> KernelMatrix:
     packed = np.packbits(codes.astype(np.uint8, copy=False), axis=1)
     xored = packed[:, None, :] ^ packed[None, :, :]
     distances = np.bitwise_count(xored).sum(axis=2, dtype=np.int64)
-    entries = num_neurons - alpha * distances.astype(np.float64)
-    return KernelMatrix(entries=entries, num_neurons=num_neurons, alpha=alpha)
+    return num_neurons - alpha * distances.astype(np.float64)
 
 
-def log_abs_det(matrix: np.ndarray) -> tuple[float, bool]:
+def log_abs_det(matrix: np.ndarray) -> float:
     """log|det| by partially pivoted triangular elimination.
 
-    Returns (value, singular); singular is True when any pivot magnitude
-    drops to PIVOT_RTOL times the max row norm of the input.
+    Returns NEG_INF, the singular sentinel, when any pivot magnitude drops
+    to PIVOT_RTOL times the max row norm of the input.
     """
     a = np.array(matrix, dtype=np.float64)
     n = a.shape[0]
@@ -83,51 +72,44 @@ def log_abs_det(matrix: np.ndarray) -> tuple[float, bool]:
         pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
         pivot = abs(a[pivot_row, k])
         if pivot <= tol:
-            return NEG_INF, True
+            return NEG_INF
         if pivot_row != k:
             a[[k, pivot_row]] = a[[pivot_row, k]]
         total += math.log(pivot)
         a[k + 1:, k] /= a[k, k]
         a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return total, False
+    return total
 
 
-def network_score(all_codes: BinaryCodes, alpha: float = 1.0,
-                  keep_kernels: bool = False) -> ScoreResult:
+def _kernels(all_codes: BinaryCodes,
+             alpha: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each stage's kernel, and their sum in stage order."""
+    kernels = [hamming_kernel(codes, alpha) for codes in all_codes.matrices]
+    return kernels, sum(kernels[1:], kernels[0])
+
+
+def network_score(all_codes: BinaryCodes, alpha: float = 1.0) -> ScoreResult:
     """Score from per-stage codes: log|det| of the summed kernels."""
-    total = None
-    kept: list[tuple[str, KernelMatrix]] = []
-    for name, codes in zip(all_codes.layer_names, all_codes.matrices):
-        kernel = hamming_kernel(codes, alpha)
-        total = kernel.entries if total is None else total + kernel.entries
-        if keep_kernels:
-            kept.append((name, kernel))
-    value, singular = log_abs_det(total)
-    return ScoreResult(value=value, singular=singular,
-                       kernels=tuple(kept) if keep_kernels else None)
+    return ScoreResult(log_abs_det(_kernels(all_codes, alpha)[1]), all_codes)
 
 
 def score_candidate(net: NetworkArch, batch: np.ndarray, lif: LIFParams,
                     seed: int, alpha: float = 1.0, *, code_mode: str = "any",
-                    input_coding: str = "direct",
-                    keep_kernels: bool = False) -> ScoreResult:
+                    input_coding: str = "direct") -> ScoreResult:
     """Initialize, simulate, and score one candidate network."""
     weights = init_weights(net, seed)
     codes = forward_collect_codes(net, weights, batch, lif, code_mode=code_mode,
                                   input_coding=input_coding, coding_seed=seed)
-    return network_score(codes, alpha, keep_kernels=keep_kernels)
+    return network_score(codes, alpha)
 
 
-def write_kernel_dump(path, result: ScoreResult) -> None:
-    """Write retained kernels and their sum as space-separated matrices."""
-    if result.kernels is None:
-        raise ValueError("score was computed without keep_kernels")
-    total = None
+def write_kernel_dump(path, codes: BinaryCodes, alpha: float) -> None:
+    """Write each stage's kernel and their sum as space-separated matrices."""
+    kernels, total = _kernels(codes, alpha)
     with open(path, "w", encoding="utf-8") as fh:
-        for name, kernel in result.kernels:
-            fh.write(f"# layer {name} neurons={kernel.num_neurons} alpha={kernel.alpha}\n")
-            _write_matrix(fh, kernel.entries)
-            total = kernel.entries if total is None else total + kernel.entries
+        for name, bits, kernel in zip(codes.layer_names, codes.matrices, kernels):
+            fh.write(f"# layer {name} neurons={bits.shape[1]} alpha={alpha}\n")
+            _write_matrix(fh, kernel)
         fh.write("# sum\n")
         _write_matrix(fh, total)
 

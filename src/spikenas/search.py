@@ -102,8 +102,11 @@ class CandidateRecord:
     phase: int
     index: int
     n_param: int
-    feasible: bool
     score: float | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.score is not None
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,6 @@ class SearchReport:
     best_arch: NetworkArch
     per_cell_best_indices: tuple[int, ...]
     best_score: float
-    singular: bool
     n_param: int
     evaluations_total: int
     evaluations_skipped_by_budget: int
@@ -124,6 +126,10 @@ class SearchReport:
     iterations: int | None = None
     removed_op: Operation | None = None
     candidate_log: tuple[CandidateRecord, ...] | None = None
+
+    @property
+    def singular(self) -> bool:
+        return self.best_score == score_mod.NEG_INF
 
     @property
     def candidates_visited(self) -> int:
@@ -162,11 +168,11 @@ def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
     net = build_network(_cells(cfg, base, phase, index), cfg.macro)
     n_param = count_network_params(net)
     if not within_budget(n_param, cfg.budget):
-        return CandidateRecord(phase, index, n_param, False, None)
+        return CandidateRecord(phase, index, n_param, None)
     result = score_fn(net, pixels, cfg.lif,
                       candidate_seed(cfg.seed, phase, index), cfg.alpha,
                       code_mode=cfg.code_mode, input_coding=cfg.input_coding)
-    return CandidateRecord(phase, index, n_param, True, result.value)
+    return CandidateRecord(phase, index, n_param, result.value)
 
 
 def _run_all(visit: Callable[[int], CandidateRecord], indices: Sequence[int],
@@ -231,7 +237,6 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         best_arch=build_network(best_cells, cfg.macro),
         per_cell_best_indices=tuple(encode_cell(c, cfg.opset) for c in best_cells),
         best_score=best.score,
-        singular=best.score == score_mod.NEG_INF,
         n_param=best.n_param,
         evaluations_total=total,
         evaluations_skipped_by_budget=skipped,

@@ -92,10 +92,6 @@ class BinaryCodes:
         if len(counts) != 1:
             raise ValueError(f"inconsistent sample counts across layers: {counts}")
 
-    @property
-    def num_samples(self) -> int:
-        return self.matrices[0].shape[0]
-
 
 def lif_step(v_prev: np.ndarray, x: np.ndarray, p: LIFParams):
     """One membrane update; returns (next potential, 0/1 spike map)."""

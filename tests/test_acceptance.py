@@ -66,7 +66,7 @@ class _Timer:
 
 
 def _stub_score(net, batch, lif, seed, alpha, **kwargs):
-    return ScoreResult(value=(seed % 100003) / 100003.0, singular=False)
+    return ScoreResult(value=(seed % 100003) / 100003.0)
 
 
 TINY_MACRO = MacroConfig(stem_channels=4, num_classes=4)
@@ -219,7 +219,7 @@ def test_criterion_04_score_oracles():
             codes = (np.random.default_rng(trial).random((s, f)) < 0.5).astype(np.uint8)
             alpha = (0.5, 1.0, 2.0)[trial % 3]
             np.testing.assert_array_equal(
-                hamming_kernel(codes, alpha).entries,
+                hamming_kernel(codes, alpha),
                 naive_hamming_kernel(codes, alpha),
             )
 
@@ -233,7 +233,7 @@ def test_criterion_05_kernel_invariants():
                     [(bits >> (i * f + j)) & 1 for i in range(s) for j in range(f)],
                     dtype=np.uint8,
                 ).reshape(s, f)
-                k = hamming_kernel(codes).entries
+                k = hamming_kernel(codes)
                 assert (k == k.T).all()
                 assert (np.diag(k) == f).all()
         rng = np.random.default_rng(23)

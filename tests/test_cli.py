@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from oracles import REPORT_FIELDS, write_cifar10
+from oracles import REPORT_FIELDS, write_cifar10, write_cifar100
 from spikenas.arch import MacroConfig, build_network, decode_cell, get_opset
 from spikenas.cli import (
     PRESET_BUDGET_PARAMS,
@@ -459,3 +459,55 @@ class TestOutputPathsCheckedFirst:
                 "--report-out", str(tmp_path)] + TINY
         assert main(argv) == 1
         assert "is a directory" in capsys.readouterr().err
+
+    def test_two_flags_naming_one_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["search", "--scenario", "1C2O", "--dataset", "synth",
+                "--report-out", "same.json", "--candidate-log", "same.json"] + TINY
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --report-out and --candidate-log name the same file same.json\n")
+        assert not (tmp_path / "same.json").exists()
+
+    def test_one_file_spelled_relative_and_absolute(self, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        absolute = str(tmp_path / "runs.csv")
+        argv = ["random-search", "--scenario", "1C2O", "--dataset", "synth",
+                "--table-out", "runs.csv", "--report-out", absolute] + TINY
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --report-out and --table-out name the same file")
+
+
+class TestClassesFromDataset:
+    """An unset `classes` follows the dataset; memcalc, with none, keeps 10."""
+
+    ALL_SKIP = ["--opset", "2O", "--indices", "0", "--stem-channels", "4"]
+
+    def _n_param(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if out.startswith("{"):
+            return json.loads(out)["n_param"]
+        return int(dict(kv.split("=") for kv in out.split())["n_param"])
+
+    @pytest.fixture
+    def cifar100_dir(self, tmp_path):
+        write_cifar100(tmp_path / "train.bin", synth_dataset(32, 100, 3))
+        return str(tmp_path)
+
+    def test_cifar100_default_is_100_classes(self, capsys, cifar100_dir):
+        argv = ["score", *self.ALL_SKIP, "--dataset", "cifar100",
+                "--data-dir", cifar100_dir]
+        # stem 3*3*3*4 + 4, classifier 4*100 + 100
+        assert self._n_param(capsys, argv) == 612
+
+    def test_explicit_classes_win(self, capsys, cifar100_dir):
+        argv = ["score", *self.ALL_SKIP, "--dataset", "cifar100",
+                "--data-dir", cifar100_dir, "--classes", "10"]
+        assert self._n_param(capsys, argv) == 162
+
+    def test_synth_and_memcalc_keep_10(self, capsys):
+        assert self._n_param(capsys, ["score", *self.ALL_SKIP, "--dataset", "synth"]) == 162
+        assert self._n_param(capsys, ["memcalc", *self.ALL_SKIP]) == 162

@@ -30,11 +30,11 @@ EXPECTED = Path(__file__).with_name("report_bytes.txt")
 
 
 def stub_score(net, batch, lif, seed, alpha, **kwargs):
-    return ScoreResult(value=(seed % 100003) / 100003.0, singular=False)
+    return ScoreResult(value=(seed % 100003) / 100003.0)
 
 
 def singular_score(net, batch, lif, seed, alpha, **kwargs):
-    return ScoreResult(value=NEG_INF, singular=True)
+    return ScoreResult(value=NEG_INF)
 
 
 def _runs():

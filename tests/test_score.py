@@ -9,7 +9,6 @@ from spikenas.arch import build_network, decode_cell, TWO_OPS
 from spikenas.errors import SpikeNasError
 from spikenas.score import (
     NEG_INF,
-    KernelMatrix,
     ScoreResult,
     hamming_kernel,
     log_abs_det,
@@ -27,17 +26,16 @@ def _codes(*rows):
 class TestHammingKernel:
     def test_two_sample_example(self):
         k = hamming_kernel(_codes([0, 1, 0, 1], [0, 1, 1, 0]), alpha=1.0)
-        np.testing.assert_array_equal(k.entries, [[4.0, 2.0], [2.0, 4.0]])
-        assert k.num_neurons == 4
+        np.testing.assert_array_equal(k, [[4.0, 2.0], [2.0, 4.0]])
 
     def test_identical_rows_give_constant_matrix(self):
         k = hamming_kernel(_codes([1, 0, 1], [1, 0, 1], [1, 0, 1]))
-        np.testing.assert_array_equal(k.entries, np.full((3, 3), 3.0))
+        np.testing.assert_array_equal(k, np.full((3, 3), 3.0))
 
     def test_complementary_rows_hit_zero(self):
         k = hamming_kernel(_codes([0, 1, 0, 1], [1, 0, 1, 0]))
-        assert k.entries[0, 1] == 0.0
-        assert k.entries[0, 0] == 4.0
+        assert k[0, 1] == 0.0
+        assert k[0, 0] == 4.0
 
     def test_degenerate_batch(self):
         with pytest.raises(SpikeNasError, match="need >= 2 samples for pairwise distances"):
@@ -54,7 +52,7 @@ class TestHammingKernel:
         f = int(rng.integers(1, 70))  # exercises partial trailing bytes
         codes = (rng.random((s, f)) < 0.4).astype(np.uint8)
         alpha = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
-        np.testing.assert_array_equal(hamming_kernel(codes, alpha).entries,
+        np.testing.assert_array_equal(hamming_kernel(codes, alpha),
                                       naive_hamming_kernel(codes, alpha))
 
     @settings(max_examples=80, deadline=None)
@@ -62,15 +60,15 @@ class TestHammingKernel:
     def test_symmetry_and_diagonal(self, s, f, seed):
         codes = (np.random.default_rng(seed).random((s, f)) < 0.5).astype(np.uint8)
         k = hamming_kernel(codes)
-        np.testing.assert_array_equal(k.entries, k.entries.T)
-        np.testing.assert_array_equal(np.diag(k.entries), np.full(s, float(f)))
+        np.testing.assert_array_equal(k, k.T)
+        np.testing.assert_array_equal(np.diag(k), np.full(s, float(f)))
 
     def test_alpha_doubling_relation_exact(self):
         codes = (np.random.default_rng(9).random((5, 33)) < 0.5).astype(np.uint8)
         base = hamming_kernel(codes, alpha=0.75)
         doubled = hamming_kernel(codes, alpha=1.5)
-        f = float(base.num_neurons)
-        np.testing.assert_array_equal(doubled.entries, f - 2.0 * (f - base.entries))
+        f = float(codes.shape[1])
+        np.testing.assert_array_equal(doubled, f - 2.0 * (f - base))
 
 
 class TestLogAbsDet:
@@ -80,25 +78,20 @@ class TestLogAbsDet:
         n = int(rng.integers(2, 7))
         m = rng.normal(size=(n, n))
         m = m @ m.T + n * np.eye(n)
-        value, singular = log_abs_det(m)
+        value = log_abs_det(m)
         sign, want = np.linalg.slogdet(m)
-        assert not singular
         assert abs(value - want) < 1e-9 * max(1.0, abs(want))
 
     def test_rank_one_is_singular(self):
         ones = np.full((4, 4), 7.0)
-        value, singular = log_abs_det(ones)
-        assert singular
-        assert value == NEG_INF
+        assert log_abs_det(ones) == NEG_INF
 
     def test_zero_matrix_is_singular(self):
-        assert log_abs_det(np.zeros((3, 3)))[1]
+        assert log_abs_det(np.zeros((3, 3))) == NEG_INF
 
     def test_negative_determinant_uses_absolute_value(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])  # det = -1
-        value, singular = log_abs_det(m)
-        assert not singular
-        assert abs(value - 0.0) < 1e-12
+        assert abs(log_abs_det(m) - 0.0) < 1e-12
 
 
 class TestNetworkScore:
@@ -143,17 +136,14 @@ class TestNetworkScore:
         if not base.singular:
             assert abs(base.value - shuffled.value) <= 1e-9 * max(1.0, abs(base.value))
 
-    def test_keep_kernels_retains_per_layer_matrices(self):
+    def test_result_keeps_stage_codes(self):
         mats = ((np.eye(3, 4, dtype=np.uint8)), (np.eye(3, 2, dtype=np.uint8)))
-        result = network_score(BinaryCodes(("a", "b"), mats), keep_kernels=True)
-        assert [name for name, _ in result.kernels] == ["a", "b"]
-        assert all(isinstance(k, KernelMatrix) for _, k in result.kernels)
+        codes = BinaryCodes(("a", "b"), mats)
+        assert network_score(codes).codes is codes
 
     def test_sentinel_flag_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ScoreResult(value=1.0, singular=True)
-        with pytest.raises(ValueError):
-            ScoreResult(value=NEG_INF, singular=False)
+        assert not ScoreResult(value=1.0).singular
+        assert ScoreResult(value=NEG_INF).singular
 
 
 class TestScoreCandidate:
@@ -184,9 +174,8 @@ class TestKernelDump:
     def test_round_trips_matrices(self, tmp_path):
         rng = np.random.default_rng(0)
         mats = tuple((rng.random((3, 7)) < 0.5).astype(np.uint8) for _ in range(2))
-        result = network_score(BinaryCodes(("a", "b"), mats), keep_kernels=True)
         path = tmp_path / "kernels.txt"
-        write_kernel_dump(path, result)
+        write_kernel_dump(path, BinaryCodes(("a", "b"), mats), 1.0)
         blocks = []
         current = []
         for line in path.read_text().splitlines():
@@ -198,13 +187,7 @@ class TestKernelDump:
                 current.append([float(tok) for tok in line.split()])
         blocks.append(np.array(current))
         assert len(blocks) == 3  # two layers + sum
-        np.testing.assert_array_equal(blocks[0], result.kernels[0][1].entries)
+        np.testing.assert_array_equal(blocks[0], hamming_kernel(mats[0]))
         np.testing.assert_array_equal(
-            blocks[2], result.kernels[0][1].entries + result.kernels[1][1].entries
+            blocks[2], hamming_kernel(mats[0]) + hamming_kernel(mats[1])
         )
-
-    def test_requires_kept_kernels(self, tmp_path):
-        mats = ((np.eye(3, 4, dtype=np.uint8)),)
-        result = network_score(BinaryCodes(("a",), mats))
-        with pytest.raises(ValueError):
-            write_kernel_dump(tmp_path / "k.txt", result)

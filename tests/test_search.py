@@ -31,11 +31,11 @@ from spikenas.search import (
 
 def stub_score(net, batch, lif, seed, alpha, **kwargs):
     """Cheap deterministic stand-in: value derived from the weight seed."""
-    return ScoreResult(value=(seed % 100003) / 100003.0, singular=False)
+    return ScoreResult(value=(seed % 100003) / 100003.0)
 
 
 def constant_score(net, batch, lif, seed, alpha, **kwargs):
-    return ScoreResult(value=5.0, singular=False)
+    return ScoreResult(value=5.0)
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ class TestMemoryAware:
 
     def test_all_singular_still_returns_first_candidate(self, base_cfg):
         def sentinel_score(net, batch, lif, seed, alpha, **kwargs):
-            return ScoreResult(value=NEG_INF, singular=True)
+            return ScoreResult(value=NEG_INF)
 
         report = search_memory_aware(base_cfg, score_fn=sentinel_score)
         assert report.singular
