@@ -15,9 +15,10 @@ snapshots of code that behaves the same are identical:
     python3 scripts/cli_snapshot.py /tmp/after
     diff -r /tmp/before /tmp/after
 
-The matrix holds six working commands (search with a report, candidate log
+The matrix holds seven working commands (search with a report, candidate log
 and table; random-search with `--jobs 2`; a memory-aware and a random
-ablate; score with a kernel dump; memcalc) and twelve bad inputs.
+ablate; score with a kernel dump; score with `--no-bias`; memcalc) and
+thirteen bad inputs.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ COMMANDS = [
                        *TINY], LOW_THRESHOLD),
     ("score", ["score", "--opset", "2O", "--indices", "40", "--dataset", "synth",
                "--seed", "3", "--dump-kernels", "kernels.txt", *TINY], None),
+    ("score_no_bias", ["score", "--opset", "3O", "--indices", "100", "--dataset", "synth",
+                       "--no-bias", *TINY], LOW_THRESHOLD),
     ("memcalc", ["memcalc", "--opset", "3O", "--indices", "100,200", "--bits", "8",
                  "--stem-channels", "16"], None),
     ("err_scenario_cells", ["search", "--scenario", "4C9O", "--dataset", "synth"], None),
@@ -72,6 +75,8 @@ COMMANDS = [
     ("err_index_range", ["score", "--opset", "2O", "--indices", "64", "--dataset", "synth",
                          *TINY], None),
     ("err_macro_cells", ["memcalc", "--opset", "2O", "--indices", "1,2,3,4"], None),
+    ("err_memcalc_unread_flag", ["memcalc", "--opset", "2O", "--indices", "1",
+                                 "--jobs", "2"], None),
     ("err_config_value", ["score", "--opset", "2O", "--indices", "40", "--dataset", "synth",
                           *TINY], {"no_bias": "false"}),
     ("err_output_dir", ["search", "--scenario", "1C2O", "--dataset", "synth",

@@ -123,7 +123,7 @@ SETTINGS = (
     ("stem_channels", _int(1), 64, "stem conv channels"),
     ("width_mult", _int(1), 2, "width factor at each downsample"),
     ("classes", _int(1), None, "number of classes (default: the dataset's, else 10)"),
-    ("no_bias", _BOOL, False, "count and simulate without biases"),
+    ("no_bias", _BOOL, False, "count no bias parameters"),
     ("tau_leak", _FLOAT, 2.0, None),
     ("v_threshold", _FLOAT, 1.0, None),
     ("v_reset", _FLOAT, 0.0, None),
@@ -134,6 +134,12 @@ SETTINGS = (
      "earlier cells in later phases: best so far, or last tried"),
 )
 _SEARCH_FIELDS = {f.name for f in fields(SearchConfig)}
+
+# The settings each subcommand reads, and so takes as flags.
+_MACRO_KEYS = ("stem_channels", "width_mult", "classes", "no_bias")
+_SCORE_KEYS = ("data_dir", "seed", "alpha", "batch_size", *_MACRO_KEYS, "timesteps",
+               "code_mode", "input_coding")
+_SEARCH_KEYS = (*_SCORE_KEYS, "jobs", "bits", "budget", "carryover")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -329,11 +335,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, skip: tuple[str, ...] = (),
+def _add_common(parser: argparse.ArgumentParser, keys: tuple[str, ...], *,
                 with_outputs: bool = True) -> None:
+    """`--config` and a flag for each of `keys`; the file may set any key."""
     parser.add_argument("--config", help="JSON config file")
     for key, cast, _, help_text in SETTINGS:
-        if help_text and key not in skip:
+        if help_text and key in keys:
             parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text,
                                 **cast.flag)
     if with_outputs:
@@ -353,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="memory-aware per-cell search")
     p.add_argument("--scenario", required=True, help="pCqO or pCqO_M")
     p.add_argument("--dataset", required=True, choices=DATASETS)
-    _add_common(p, skip=("iterations",))
+    _add_common(p, _SEARCH_KEYS)
     p.set_defaults(handler=_cmd_search, strategy=MEMORY_AWARE)
 
     p = sub.add_parser("random-search", help="random baseline search")
     p.add_argument("--scenario", required=True)
     p.add_argument("--dataset", required=True, choices=DATASETS)
-    _add_common(p)
+    _add_common(p, (*_SEARCH_KEYS, "iterations"))
     p.set_defaults(handler=_cmd_search, strategy=RANDOM)
 
     p = sub.add_parser("ablate", help="search with one operation removed")
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, choices=DATASETS)
     p.add_argument("--strategy", default=MEMORY_AWARE,
                    choices=(MEMORY_AWARE, RANDOM))
-    _add_common(p)
+    _add_common(p, (*_SEARCH_KEYS, "iterations"))
     p.set_defaults(handler=_cmd_ablate)
 
     p = sub.add_parser("score", help="score one architecture")
@@ -379,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, choices=DATASETS)
     p.add_argument("--dump-kernels", dest="dump_kernels",
                    help="write kernel matrices to this file")
-    _add_common(p, skip=("budget", "iterations"), with_outputs=False)
+    _add_common(p, _SCORE_KEYS, with_outputs=False)
     p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("memcalc", help="parameter count and memory footprint")
     p.add_argument("--opset", required=True, choices=sorted(OPSETS))
     p.add_argument("--indices", required=True)
-    _add_common(p, skip=("budget", "iterations"), with_outputs=False)
+    _add_common(p, ("bits", *_MACRO_KEYS), with_outputs=False)
     p.set_defaults(handler=_cmd_memcalc)
 
     p = sub.add_parser("enumerate", help="list every candidate of an operation set")

@@ -12,30 +12,31 @@ Inputs use direct coding by default: the analog image is presented as
 synaptic input at every timestep, so the stem convolution of that image
 is computed once and fed to the stem at every step (rate coding draws a
 new spike map, and runs the stem, per step).  Convolutions are plain
-stride-1 same-padding weighted sums implemented via im2col; all
-feature-map operators preserve the stage shape so node summations are
-well defined.  The 3x3 average pool is a separable box sum over the
-zero-padded map: three column-shifted slices summed into row sums, then
-three row-shifted row sums, then a division by 9; the 2x2 downsampling
-pool adds strided slices the same way.  That is the order numpy's
-windowed mean adds in, so both are bit-identical to it.
+stride-1 same-padding weighted sums implemented via im2col, with no bias
+term: an untrained network's biases are zero, and a weight set holding a
+non-zero bias is refused.  All feature-map operators preserve the stage
+shape so node summations are well defined.  The 3x3 average pool is a
+separable box sum over the zero-padded map: three column-shifted slices
+summed into row sums, then three row-shifted row sums, then a division
+by 9; the 2x2 downsampling pool adds strided slices the same way.  That
+is the order numpy's windowed mean adds in, so both are bit-identical
+to it.
 
 A cell runs only its live edges.  An edge is dead when its output is
-always zero (zeroize, or a parameter-free op or a conv with no or zero
-bias reading a node that is always zero) or when no live edge reads its
-target node.  Conv edges of one kind that read the same node (the
-fan-out of node 0 or node 1) run as one GEMM over their stacked filters,
-whose output is split per edge.  Each output column sums the same
-products in the same order as a separate convolution, and node values
-are summed in edge order, so spike codes equal those of running all six
-edges one by one.
+always zero (zeroize, or any op reading a node that is always zero) or
+when no live edge reads its target node.  Conv edges of one kind that
+read the same node (the fan-out of node 0 or node 1) run as one GEMM
+over their stacked filters, whose output is split per edge.  Each output
+column sums the same products in the same order as a separate
+convolution, and node values are summed in edge order, so spike codes
+equal those of running all six edges one by one.
 
 A stage that fires no spike at a step is silent, and the next stage
 then gets an all-zero input: a cell treats node 0 as always zero, and
-the downsample (2x2 pool, 1x1 conv) and the classifier pass zeros on
-unless they have a non-zero bias.  A zero input leaves a spiking stage
-at reset where it is and runs no kernel; a potential off reset decays
-through `lif_step` as usual, so spike codes stay exactly the same.
+the downsample (2x2 pool, 1x1 conv) and the classifier pass zeros on.  A
+zero input leaves a spiking stage at reset where it is and runs no
+kernel; a potential off reset decays through `lif_step` as usual, so
+spike codes stay exactly the same.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ class LIFParams:
     timesteps: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("tau_leak", "v_threshold", "v_reset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau_leak < 1.0:
             raise ValueError(f"tau_leak must be >= 1, got {self.tau_leak}")
         if self.v_threshold <= self.v_reset:
@@ -114,8 +118,7 @@ def _pad_hw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def conv2d_same(x: np.ndarray, weights: np.ndarray,
-                bias: np.ndarray | None) -> np.ndarray:
+def conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Stride-1 zero-padded convolution keeping the spatial size."""
     if weights.ndim != 4:
         raise SpikeNasError(f"conv weights must be 4-D, got {weights.shape}")
@@ -130,8 +133,6 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray,
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(s * h * w, in_ch * kh * kw)
     del x, win  # free the padded copy before the GEMM output is allocated
     out = cols @ weights.reshape(out_ch, -1).T
-    if bias is not None:
-        out += bias
     return out.reshape(s, h, w, out_ch).transpose(0, 3, 1, 2)
 
 
@@ -223,33 +224,27 @@ class _LifStage:
         return self.fired.reshape(self.fired.shape[0], -1).astype(np.uint8)
 
 
-def _zero_bias(bias: np.ndarray | None) -> bool:
-    return bias is None or not bias.any()
-
-
 def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
     for layer in arch.network_layers(net):
         if layer.name not in weights:
             raise SpikeNasError(f"no weights for layer {layer.name!r}")
+        bias = weights[layer.name][1]
+        if bias is not None and bias.any():
+            raise SpikeNasError(f"layer {layer.name!r} has a non-zero bias; "
+                                "an untrained network's biases are zero")
 
 
-def _live_edges(cell, weights: WeightSet, prefix: str,
-                silent: bool = False) -> list[tuple[str, int, int]]:
+def _live_edges(cell, silent: bool = False) -> list[tuple[str, int, int]]:
     """The edges that can change the cell output, in `arch.CELL_EDGES` order.
 
-    An edge is dead if its output is always zero or nothing live reads
-    its target node.  A conv edge reading an always-zero node outputs its
-    bias, so it is dead only while that bias is absent or zero.  Node 0
-    is always zero when the cell input is `silent`.
+    An edge is dead if its output is always zero (zeroize, or any op
+    reading an always-zero node) or nothing live reads its target node.
+    Node 0 is always zero when the cell input is `silent`.
     """
     zero = [silent, True, True, True]
     nonzero = set()
     for name, src, dst in arch.CELL_EDGES:
-        op = getattr(cell, name)
-        if op is Operation.ZEROIZE:
-            continue
-        if zero[src] and (op not in arch.CONV_OPS
-                          or _zero_bias(weights[f"{prefix}.{name}"][1])):
+        if zero[src] or getattr(cell, name) is Operation.ZEROIZE:
             continue
         nonzero.add(name)
         zero[dst] = False
@@ -262,13 +257,11 @@ def _live_edges(cell, weights: WeightSet, prefix: str,
     return live[::-1]
 
 
-def _conv_fan_out(x: np.ndarray, convs: list) -> list[np.ndarray]:
-    """`conv2d_same(x, w, b)` for each (w, b), as one GEMM over stacked filters."""
-    if len(convs) == 1:
-        return [conv2d_same(x, *convs[0])]
-    w = np.concatenate([w for w, _ in convs])
-    b = None if convs[0][1] is None else np.concatenate([b for _, b in convs])
-    return np.split(conv2d_same(x, w, b), len(convs), axis=1)
+def _conv_fan_out(x: np.ndarray, filters: list[np.ndarray]) -> list[np.ndarray]:
+    """`conv2d_same(x, w)` for each w, as one GEMM over stacked filters."""
+    if len(filters) == 1:
+        return [conv2d_same(x, filters[0])]
+    return np.split(conv2d_same(x, np.concatenate(filters)), len(filters), axis=1)
 
 
 def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
@@ -281,10 +274,10 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
     pool output, or an earlier sum), and a node value is dropped after
     its last reader, so a fused output buffer is freed as soon as every
     slice of it has been summed and few map-sized arrays are allocated.
-    `silent` says `x_spikes` holds no spike; an output that is then
-    always zero comes back as None.
+    `silent` says `x_spikes` holds no spike.  An output that is always
+    zero comes back as None.
     """
-    live = _live_edges(cell, weights, prefix, silent)
+    live = _live_edges(cell, silent)
     last_reader = {src: name for name, src, _ in live}
     nodes: list[np.ndarray | None] = [x_spikes, None, None, None]
     private = [False] * 4  # node buffer held by nobody else: sum into it
@@ -292,17 +285,15 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
     for name, src, dst in live:
         op = getattr(cell, name)
         if name not in pending:
-            # only a conv with a bias reads a node that is always zero
-            source = np.zeros_like(x_spikes) if nodes[src] is None else nodes[src]
             if op in arch.CONV_OPS:
                 group = [e for e, s, _ in live if s == src and getattr(cell, e) is op]
-                outs = _conv_fan_out(source, [weights[f"{prefix}.{e}"] for e in group])
+                outs = _conv_fan_out(nodes[src],
+                                     [weights[f"{prefix}.{e}"][0] for e in group])
                 pending.update(zip(group, outs))
             elif op is Operation.AVGPOOL3X3:
-                pending[name] = avgpool3x3_same(source)
+                pending[name] = avgpool3x3_same(nodes[src])
             else:  # skipcon; a live edge is never zeroize
-                pending[name] = source
-            del source
+                pending[name] = nodes[src]
         term = pending.pop(name)
         term_private = op is not Operation.SKIPCON  # skipcon passes its source on
         if nodes[dst] is None:
@@ -313,7 +304,7 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
         del term
         if last_reader[src] == name:
             nodes[src] = None
-    return np.zeros_like(x_spikes) if nodes[3] is None and not silent else nodes[3]
+    return nodes[3]
 
 
 def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarray,
@@ -348,32 +339,26 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     stage_names.append("classifier")
     stages = {name: _LifStage(p, code_mode) for name in stage_names}
 
-    fc_w, fc_b = weights["classifier.fc"]
-    stem_w, stem_b = weights["stem.conv"]
+    fc_w = weights["classifier.fc"][0]
+    stem_w = weights["stem.conv"][0]
     # direct coding feeds the same image at every step: one stem conv
-    stem_pre = conv2d_same(x0, stem_w, stem_b) if rate_rng is None else None
+    stem_pre = conv2d_same(x0, stem_w) if rate_rng is None else None
     for _ in range(p.timesteps):
         if rate_rng is None:
             cur, silent = stages["stem"].step(stem_pre)
         else:
             x = (rate_rng.random(x0.shape, dtype=np.float32) < x0).astype(np.float32)
-            cur, silent = stages["stem"].step(conv2d_same(x, stem_w, stem_b))
+            cur, silent = stages["stem"].step(conv2d_same(x, stem_w))
             del x
         for i, cell in enumerate(net.cells, start=1):
             pre = _cell_preactivation(cell, cur, weights, f"cell{i}", silent)
             cur, silent = stages[f"cell{i}"].step(pre, cur.shape)
             if i < num_cells:
-                w, b = weights[f"down{i}.conv"]
+                w = weights[f"down{i}.conv"][0]
                 s, _, h, wd = cur.shape
-                pre = (None if silent and _zero_bias(b)
-                       else conv2d_same(avgpool2x2_down(cur), w, b))
+                pre = None if silent else conv2d_same(avgpool2x2_down(cur), w)
                 cur, silent = stages[f"down{i}"].step(pre, (s, len(w), h // 2, wd // 2))
-        logits = None  # a silent input and no bias give zero logits
-        if not (silent and _zero_bias(fc_b)):
-            pooled = cur.mean(axis=(2, 3))
-            logits = pooled @ fc_w.T
-            if fc_b is not None:
-                logits = logits + fc_b
+        logits = None if silent else cur.mean(axis=(2, 3)) @ fc_w.T
         stages["classifier"].step(logits, (len(cur), len(fc_w)))
 
     return BinaryCodes(

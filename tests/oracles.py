@@ -335,7 +335,7 @@ def _straight_edge(op, x, weights):
         return x
     if label == "avgpool3x3":
         return windowed_mean_avgpool3x3(x)
-    return conv2d_same(x, *weights)
+    return conv2d_same(x, weights[0])
 
 
 def straight_cell_preactivation(cell, x_spikes, weights, prefix):

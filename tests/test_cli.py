@@ -162,7 +162,8 @@ class TestStrictSettings:
                 "--iterations", "0"] + TINY, "'iterations': 0"),
         (None, ["ablate", "--opset", "3O", "--cells", "1", "--remove", "zeroize",
                 "--dataset", "synth", "--iterations", "0"] + TINY, "'iterations': 0"),
-        (None, SCORE + ["--bits", "65"], "'bits': 65; expected an integer in 1..64"),
+        (None, ["memcalc", "--opset", "2O", "--indices", "1", "--bits", "65"],
+         "'bits': 65; expected an integer in 1..64"),
         # refused before the (absent) cifar10 data is looked for
         (None, ["ablate", "--opset", "2O", "--cells", "1", "--remove", "zeroize",
                 "--dataset", "cifar10"] + TINY, "zeroize is not in operation set '2O'"),
@@ -202,38 +203,63 @@ class TestStrictSettings:
             "concat", "rate", "literal")
 
 
-COMMON_FLAGS = {"--alpha", "--batch-size", "--bits", "--carryover", "--classes",
-                "--code-mode", "--config", "--data-dir", "--input-coding", "--jobs",
-                "--no-bias", "--seed", "--stem-channels", "--timesteps", "--width-mult"}
-OUTPUT_FLAGS = {"--report-out", "--candidate-log", "--table-out"}
+MACRO_FLAGS = {"--config", "--stem-channels", "--width-mult", "--classes", "--no-bias"}
+SCORE_FLAGS = MACRO_FLAGS | {"--data-dir", "--seed", "--alpha", "--batch-size",
+                             "--timesteps", "--code-mode", "--input-coding"}
+SEARCH_FLAGS = SCORE_FLAGS | {"--jobs", "--bits", "--budget", "--carryover",
+                              "--report-out", "--candidate-log", "--table-out"}
 
 
 class TestFlagsFromTable:
     @pytest.mark.parametrize("command, extra", [
-        ("search", {"--scenario", "--dataset", "--budget"} | OUTPUT_FLAGS),
-        ("random-search", {"--scenario", "--dataset", "--budget", "--iterations"}
-         | OUTPUT_FLAGS),
-        ("ablate", {"--opset", "--cells", "--remove", "--dataset", "--budget",
-                    "--strategy", "--iterations"} | OUTPUT_FLAGS),
-        ("score", {"--opset", "--indices", "--dataset", "--dump-kernels"}),
-        ("memcalc", {"--opset", "--indices"}),
+        ("search", SEARCH_FLAGS | {"--scenario", "--dataset"}),
+        ("random-search", SEARCH_FLAGS | {"--scenario", "--dataset", "--iterations"}),
+        ("ablate", SEARCH_FLAGS | {"--opset", "--cells", "--remove", "--dataset",
+                                   "--strategy", "--iterations"}),
+        ("score", SCORE_FLAGS | {"--opset", "--indices", "--dataset", "--dump-kernels"}),
+        ("memcalc", MACRO_FLAGS | {"--opset", "--indices", "--bits"}),
     ])
     def test_each_command_has_its_flags(self, command, extra):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         flags = {opt for action in sub.choices[command]._actions
                  for opt in action.option_strings if opt.startswith("--")}
-        # the LIF constants are config-file keys only
-        assert flags - {"--help"} == COMMON_FLAGS | extra
+        # the LIF constants are config-file keys only; each command takes
+        # only the flags it reads
+        assert flags - {"--help"} == extra
 
     def test_flag_values_pass_the_table_casts(self):
         args = build_parser().parse_args(
-            ["memcalc", "--opset", "2O", "--indices", "1", "--no-bias", "--bits", "8",
-             "--alpha", "2", "--code-mode", "concat"])
-        assert (args.no_bias, args.bits, args.alpha, args.code_mode) == (
-            True, 8, 2.0, "concat")
+            ["memcalc", "--opset", "2O", "--indices", "1", "--no-bias", "--bits", "8"])
+        assert (args.no_bias, args.bits) == (True, 8)
         s = _settings_from_args(args)
-        assert s["alpha"] == 2.0 and s["bits"] == 8 and s["code_mode"] == "concat"
-        assert s["macro"] == MacroConfig().without_bias()
+        assert s["bits"] == 8 and s["macro"] == MacroConfig().without_bias()
+        args = build_parser().parse_args(
+            SCORE + ["--alpha", "2", "--code-mode", "concat"])
+        assert (args.alpha, args.code_mode) == (2.0, "concat")
+        s = _settings_from_args(args)
+        assert s["alpha"] == 2.0 and s["code_mode"] == "concat"
+
+    @pytest.mark.parametrize("argv", [
+        ["memcalc", "--opset", "2O", "--indices", "1", "--jobs", "2"],
+        ["memcalc", "--opset", "2O", "--indices", "1", "--seed", "3"],
+        SCORE + ["--jobs", "2"],
+        SCORE + ["--bits", "8"],
+        SCORE + ["--carryover", "literal"],
+    ], ids=["memcalc-jobs", "memcalc-seed", "score-jobs", "score-bits", "score-carryover"])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_any_config_key_is_accepted_by_memcalc(self, tmp_path, capsys):
+        # one file can serve both a search and a memcalc run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2, "carryover": "literal", "seed": 3,
+                                   "timesteps": 9, "bits": 8}))
+        assert main(["memcalc", "--opset", "2O", "--indices", "1",
+                     "--config", str(cfg)]) == 0
+        assert "mem_bits=" in capsys.readouterr().out
 
 
 class TestEnumerate:

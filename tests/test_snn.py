@@ -48,6 +48,15 @@ class TestLIFParams:
         with pytest.raises(ValueError):
             LIFParams(timesteps=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau_leak", float("nan")), ("tau_leak", float("inf")),
+        ("v_threshold", float("nan")), ("v_threshold", float("inf")),
+        ("v_reset", float("nan")), ("v_reset", float("-inf")),
+    ])
+    def test_non_finite_constants_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LIFParams(**{field: value})
+
 
 class TestLifStep:
     def test_rest_is_a_fixed_point(self):
@@ -129,28 +138,27 @@ class TestFeatureOps:
         x = rng.random((2, 1, 6, 6), dtype=np.float32)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 1.0
-        out = conv2d_same(x, w, None)
+        out = conv2d_same(x, w)
         np.testing.assert_array_equal(out, x)
 
     def test_conv_matches_direct_summation(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 5, 5)).astype(np.float64)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float64)
-        b = rng.normal(size=4)
-        out = conv2d_same(x, w, b)
+        out = conv2d_same(x, w)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         for n in (0, 1):
             for o in range(4):
                 for i in range(5):
                     for j in range(5):
-                        want = (xp[n, :, i:i + 3, j:j + 3] * w[o]).sum() + b[o]
+                        want = (xp[n, :, i:i + 3, j:j + 3] * w[o]).sum()
                         assert abs(out[n, o, i, j] - want) < 1e-9
 
     def test_conv_shape_checks(self):
         with pytest.raises(SpikeNasError, match="incompatible with weights"):
-            conv2d_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 5, 3, 3)), None)
+            conv2d_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 5, 3, 3)))
         with pytest.raises(SpikeNasError, match="conv weights must be 4-D"):
-            conv2d_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 3)), None)
+            conv2d_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 3)))
 
     def test_avgpool3x3_matches_naive(self):
         rng = np.random.default_rng(2)
@@ -416,15 +424,12 @@ class TestForwardOracle:
             "classifier": "0000"}),
     }
 
-    def _compare_steps(self, case, code_mode, biases=()):
+    def _compare_steps(self, case, code_mode):
         """Codes against the oracle; returns each stage's per-step firing."""
         cells, seed, threshold, coding, _ = self.SILENT_CASES[case]
         lif = LIFParams(v_threshold=threshold, timesteps=4)
         net = build_network([ORACLE_CELLS[c] for c in cells], self.MACRO)
         weights = init_weights(net, seed)
-        for layer, value in biases:
-            w, b = weights[layer]
-            weights[layer] = (w, np.linspace(-value, value, b.size, dtype=np.float32)[::-1])
         batch = np.random.default_rng(seed).random((3, 3, 6, 6), dtype=np.float32)
         got = forward_collect_codes(net, weights, batch, lif, code_mode=code_mode,
                                     input_coding=coding)
@@ -444,19 +449,25 @@ class TestForwardOracle:
     def test_silent_stage_codes_equal(self, case, code_mode):
         assert self._compare_steps(case, code_mode) == self.SILENT_CASES[case][-1]
 
-    @pytest.mark.parametrize("code_mode", ["any", "concat"])
-    @pytest.mark.parametrize("layer, fires", [
-        # con01 reads cell2's silent input; its bias reaches cell2 through
-        # con12 and con23
-        ("cell2.con01", "cell2"),
-        ("down1.conv", "down1"),
-        ("classifier.fc", "classifier"),
-    ])
-    def test_biased_layer_on_silent_input_still_runs(self, layer, fires, code_mode):
-        fired = self._compare_steps("deep", code_mode, biases=[(layer, 1.5)])
-        assert fired[fires] != "0000"
-        if layer != "down1.conv":
-            assert fired["down1"] == "0000"
+    @pytest.mark.parametrize("layer", ["stem.conv", "cell1.con01", "down1.conv",
+                                       "classifier.fc"])
+    def test_nonzero_bias_refused(self, layer):
+        net = build_network(ORACLE_CELLS[:2], self.MACRO)
+        weights = init_weights(net, 0)
+        weights[layer][1][-1] = 0.5
+        with pytest.raises(SpikeNasError, match=f"layer {layer!r} has a non-zero bias"):
+            forward_collect_codes(net, weights, np.ones((2, 3, 6, 6), np.float32), self.LIF)
+
+    def test_zero_and_absent_biases_accepted(self):
+        batch = np.random.default_rng(0).random((3, 3, 6, 6), dtype=np.float32)
+        codes = []
+        for macro in (self.MACRO, self.MACRO.without_bias()):
+            net = build_network(ORACLE_CELLS[:2], macro)
+            weights = init_weights(net, 0)
+            assert all((b is None) != macro.stem_bias for _, b in weights.values())
+            codes.append(forward_collect_codes(net, weights, batch, self.LIF).matrices)
+        for zero, absent in zip(*codes):
+            np.testing.assert_array_equal(zero, absent)
 
     def test_silent_stages_at_reset_run_no_kernel(self, monkeypatch):
         # the stem and cell1 work on 6x6 maps; down1, cell2 and the
@@ -483,14 +494,12 @@ class TestCellPath:
 
     C = 2
 
-    def _weights(self, rng, bias):
+    def _weights(self, rng):
         out = {}
         for edge in EDGES:
             for op, k in ((O.CONV1X1, 1), (O.CONV3X3, 3)):
                 w = rng.normal(0.0, 0.7, size=(self.C, self.C, k, k)).astype(np.float32)
-                b = (rng.normal(size=self.C).astype(np.float32) if bias
-                     else np.zeros(self.C, dtype=np.float32))
-                out[op, edge] = (w, b)
+                out[op, edge] = (w, np.zeros(self.C, dtype=np.float32))
         return out
 
     def _count_convs(self, monkeypatch):
@@ -500,9 +509,9 @@ class TestCellPath:
                             lambda *a: shapes.append(a[1].shape) or real_conv(*a))
         return shapes
 
-    def _check_all(self, opset, bias, monkeypatch):
-        rng = np.random.default_rng(len(opset) + bias)
-        bank = self._weights(rng, bias)
+    def _check_all(self, opset, monkeypatch):
+        rng = np.random.default_rng(len(opset))
+        bank = self._weights(rng)
         x = (rng.random((3, self.C, 5, 7)) < 0.5).astype(np.float32)
         calls = self._count_convs(monkeypatch)
         dead = 0
@@ -513,20 +522,20 @@ class TestCellPath:
             want = straight_cell_preactivation(cell, x, weights, "cell1")
             calls.clear()
             got = snn._cell_preactivation(cell, x, weights, "cell1")
-            assert got.shape == want.shape and got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want, err_msg=f"cell {index}")
             if not want.any():
                 dead += 1
+                assert got is None, f"dead cell {index} gave a map"
                 assert not calls, f"dead cell {index} ran {len(calls)} convs"
+                continue
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=f"cell {index}")
         return dead
 
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_three_op_cells_equal(self, bias, monkeypatch):
-        self._check_all(THREE_OPS, bias, monkeypatch)
+    def test_three_op_cells_equal(self, monkeypatch):
+        self._check_all(THREE_OPS, monkeypatch)
 
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_five_op_cells_equal(self, bias, monkeypatch):
-        dead = self._check_all(FIVE_OPS, bias, monkeypatch)
+    def test_five_op_cells_equal(self, monkeypatch):
+        dead = self._check_all(FIVE_OPS, monkeypatch)
         # every cell whose three output edges are zeroize is dead
         assert dead >= 5 ** 3
 
@@ -540,34 +549,24 @@ class TestCellPath:
                                   np.zeros(self.C, np.float32))
                    for e, k in (("con01", 3), ("con02", 3), ("con12", 1))}
         for cell in (CellArch.uniform(O.ZEROIZE), dead):
-            out = snn._cell_preactivation(cell, x, weights, "cell1")
-            assert out.shape == x.shape and not out.any()
+            assert snn._cell_preactivation(cell, x, weights, "cell1") is None
 
-    @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("opset", [THREE_OPS, FIVE_OPS], ids=["3O", "5O"])
-    def test_silent_input_equals_cells_on_zeros(self, opset, bias, monkeypatch):
-        bank = self._weights(np.random.default_rng(len(opset) + bias), bias)
+    def test_silent_input_equals_cells_on_zeros(self, opset, monkeypatch):
+        # every cell is always zero on a silent input, and runs no kernel
+        bank = self._weights(np.random.default_rng(len(opset)))
         x = np.zeros((3, self.C, 5, 7), dtype=np.float32)
         calls = self._count_convs(monkeypatch)
-        ran = 0
         for index in range(search_space_size(opset)):
             cell = decode_cell(index, opset)
             weights = {f"cell1.{e}": bank[op, e]
                        for e, op in zip(EDGES, cell.edges()) if op in CONV_OPS}
-            want = straight_cell_preactivation(cell, x, weights, "cell1")
-            calls.clear()
+            assert not straight_cell_preactivation(cell, x, weights, "cell1").any()
             got = snn._cell_preactivation(cell, x, weights, "cell1", silent=True)
-            if got is None:
-                assert not want.any() and not calls, f"cell {index}"
-            else:
-                ran += 1
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want, err_msg=f"cell {index}")
-        # only convs with a non-zero bias run on a silent input
-        assert (ran > 0) == bias
+            assert got is None and not calls, f"cell {index}"
 
     def test_fan_out_convs_run_as_one_gemm(self, monkeypatch):
-        bank = self._weights(np.random.default_rng(0), bias=True)
+        bank = self._weights(np.random.default_rng(0))
         weights = {f"cell1.{e}": bank[O.CONV3X3, e] for e in EDGES}
         shapes = self._count_convs(monkeypatch)
         snn._cell_preactivation(CellArch.uniform(O.CONV3X3),
