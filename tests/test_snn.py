@@ -449,6 +449,35 @@ class TestForwardOracle:
     def test_silent_stage_codes_equal(self, case, code_mode):
         assert self._compare_steps(case, code_mode) == self.SILENT_CASES[case][-1]
 
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("layer, fires", [
+        # con01 reads cell2's silent input; its bias reaches cell2 through
+        # con12 and con23
+        ("cell2.con01", "cell2"),
+        ("down1.conv", "down1"),
+        ("classifier.fc", "classifier"),
+    ])
+    def test_biased_layer_on_silent_input_still_runs(self, layer, fires, code_mode):
+        # a bias makes a layer fire on silent input, so skipping silent
+        # stages would give wrong codes: such weights are refused instead
+        cells, seed, threshold, coding, _ = self.SILENT_CASES["deep"]
+        lif = LIFParams(v_threshold=threshold, timesteps=4)
+        net = build_network([ORACLE_CELLS[c] for c in cells], self.MACRO)
+        weights = init_weights(net, seed)
+        w, b = weights[layer]
+        weights[layer] = (w, np.linspace(-1.5, 1.5, b.size, dtype=np.float32)[::-1])
+        batch = np.random.default_rng(seed).random((3, 3, 6, 6), dtype=np.float32)
+        names, steps = naive_forward_codes(net, weights, batch, lif, code_mode="concat",
+                                           input_coding=coding)
+        fired = {name: cat.reshape(cat.shape[0], lif.timesteps, -1).any(axis=(0, 2))
+                 for name, cat in zip(names, steps)}
+        assert fired[fires].any()
+        if layer != "down1.conv":
+            assert not fired["down1"].any()
+        with pytest.raises(SpikeNasError, match=f"layer {layer!r} has a non-zero bias"):
+            forward_collect_codes(net, weights, batch, lif, code_mode=code_mode,
+                                  input_coding=coding)
+
     @pytest.mark.parametrize("layer", ["stem.conv", "cell1.con01", "down1.conv",
                                        "classifier.fc"])
     def test_nonzero_bias_refused(self, layer):
