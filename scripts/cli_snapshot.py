@@ -8,17 +8,20 @@ Each command runs in a fresh interpreter (`python -m spikenas.cli`) against
 `SRC_DIR` (default: this checkout's `src/`), in its own working directory,
 with SPIKENAS_DATA_DIR unset.  For each command, OUT_DIR/<name>/ receives
 `stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
-wrote.  Wall times and the working directory's path are masked, so two
-snapshots of code that behaves the same are identical:
+wrote.  Commands that read CIFAR files get seeded binary files written
+into `data/` in their working directory first.  Wall times and the
+working directory's path are masked, so two snapshots of code that
+behaves the same are identical:
 
     python3 scripts/cli_snapshot.py /tmp/before --src /path/to/old/src
     python3 scripts/cli_snapshot.py /tmp/after
     diff -r /tmp/before /tmp/after
 
-The matrix holds seven working commands (search with a report, candidate log
+The matrix holds nine working commands (search with a report, candidate log
 and table; random-search with `--jobs 2`; a memory-aware and a random
-ablate; score with a kernel dump; score with `--no-bias`; memcalc) and
-thirteen bad inputs.
+ablate; score with a kernel dump; score with `--no-bias`; memcalc; score
+over two 10-class files; search over one 100-class file) and fifteen bad
+inputs, two of them a bad label byte and a truncated 10-class file.
 """
 
 from __future__ import annotations
@@ -32,11 +35,43 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 TINY = ["--stem-channels", "4", "--classes", "4", "--batch-size", "4", "--timesteps", "2"]
 OUTPUTS = ["--report-out", "report.json", "--candidate-log", "cands.ndjson",
            "--table-out", "runs.csv"]
 LOW_THRESHOLD = {"v_threshold": 0.2}
+CIFAR_SCORE = ["score", "--opset", "2O", "--indices", "40,63", "--dataset", "cifar10",
+               "--data-dir", "data", *TINY]
+
+
+def _records(classes: int, n: int, seed: int) -> bytes:
+    """`n` seeded records of the 10- or 100-class binary layout.
+
+    A 100-class record starts with a coarse label byte, then the fine one.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, size=(n, 1), dtype=np.uint8)
+    head = labels if classes == 10 else np.hstack([labels // 5, labels])
+    pixels = rng.integers(0, 256, size=(n, 3072), dtype=np.uint8)
+    return np.hstack([head, pixels]).tobytes()
+
+
+def _cifar10(edit=lambda raw: raw) -> dict[str, bytes]:
+    """Two 8-record data_batch files; `edit` rewrites the second one's bytes."""
+    return {"data/data_batch_1.bin": _records(10, 8, 1),
+            "data/data_batch_2.bin": edit(_records(10, 8, 2))}
+
+
+# Command name -> {path in the working directory: file bytes}.
+DATA_FILES = {
+    "score_cifar10": _cifar10(),
+    "search_cifar100": {"data/train.bin": _records(100, 16, 3)},
+    # the label byte of the second record is 10
+    "err_cifar10_label": _cifar10(lambda raw: raw[:3073] + bytes([10]) + raw[3074:]),
+    "err_cifar10_length": _cifar10(lambda raw: raw[:-1]),
+}
 
 # (name, argv, config file contents or None); a config file is passed as
 # `--config config.json`.
@@ -58,6 +93,9 @@ COMMANDS = [
                        "--no-bias", *TINY], LOW_THRESHOLD),
     ("memcalc", ["memcalc", "--opset", "3O", "--indices", "100,200", "--bits", "8",
                  "--stem-channels", "16"], None),
+    ("score_cifar10", CIFAR_SCORE, LOW_THRESHOLD),
+    ("search_cifar100", ["search", "--scenario", "1C2O", "--dataset", "cifar100",
+                         "--data-dir", "data", "--seed", "7", *TINY], LOW_THRESHOLD),
     ("err_scenario_cells", ["search", "--scenario", "4C9O", "--dataset", "synth"], None),
     ("err_scenario_malformed", ["search", "--scenario", "bogus", "--dataset", "synth"], None),
     ("err_preset_budget", ["search", "--scenario", "1C2O_M", "--dataset", "synth", *TINY],
@@ -72,6 +110,8 @@ COMMANDS = [
                           "--dataset", "cifar10"], None),
     ("err_no_data_dir", ["search", "--scenario", "1C2O", "--dataset", "cifar10", *TINY],
      None),
+    ("err_cifar10_label", CIFAR_SCORE, None),
+    ("err_cifar10_length", CIFAR_SCORE, None),
     ("err_index_range", ["score", "--opset", "2O", "--indices", "64", "--dataset", "synth",
                          *TINY], None),
     ("err_macro_cells", ["memcalc", "--opset", "2O", "--indices", "1,2,3,4"], None),
@@ -104,6 +144,9 @@ def snapshot(out: Path, src: Path) -> None:
     for name, argv, config in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp).resolve()
+            for rel, raw in DATA_FILES.get(name, {}).items():
+                (work / rel).parent.mkdir(exist_ok=True)
+                (work / rel).write_bytes(raw)
             if config is not None:
                 (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
                 argv = argv + ["--config", "config.json"]

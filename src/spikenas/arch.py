@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import SpikeNasError
@@ -28,6 +29,11 @@ CELL_EDGES = tuple((f"con{src}{dst}", src, dst)
                    for src, dst in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 EDGE_NAMES = tuple(name for name, _, _ in CELL_EDGES)
 NUM_CELL_EDGES = len(CELL_EDGES)
+
+
+def is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Operation(enum.IntEnum):
@@ -163,7 +169,7 @@ def encode_cell(cell: CellArch, ops: OpSet) -> int:
 def decode_cell(index: int, ops: OpSet) -> CellArch:
     """Inverse of :func:`encode_cell`."""
     size = search_space_size(ops)
-    if not 0 <= index < size:
+    if not (is_int(index) and 0 <= index < size):
         raise SpikeNasError(
             f"candidate index {index} outside [0, {size}) for operation set {ops.name}"
         )
@@ -216,13 +222,14 @@ def build_network(cells: list[CellArch] | tuple[CellArch, ...],
     n = len(cells)
     if not 1 <= n <= 3:
         raise SpikeNasError(f"cell count must be 1..3, got {n}")
-    if macro.stem_channels < 1 or macro.width_mult < 1 or macro.num_classes < 1:
+    if not all(is_int(v) and v >= 1
+               for v in (macro.stem_channels, macro.width_mult, macro.num_classes)):
         raise SpikeNasError(
             f"widths and class count must be positive: stem={macro.stem_channels}, "
             f"mult={macro.width_mult}, classes={macro.num_classes}"
         )
     c, h, w = macro.input_shape
-    if c < 1 or h < 1 or w < 1:
+    if not all(is_int(v) and v >= 1 for v in (c, h, w)):
         raise SpikeNasError(f"input shape must be positive, got {macro.input_shape}")
     down = 2 ** (n - 1)
     if h % down or w % down:

@@ -2,9 +2,11 @@
 
 Binary files follow the classic layouts: 3073-byte records (label byte
 + 3072 channel-major pixel bytes) for the 10-class set and 3074-byte
-records (coarse + fine label bytes + pixels) for the 100-class set.
-Handles keep raw uint8 pixels and scale to [0, 1] on access.  A seeded
-synthetic generator with class-dependent mean shifts backs fast tests.
+records (coarse + fine label bytes + pixels) for the 100-class set; the
+coarse label is skipped.  The files are read once into one buffer that
+the pixels view, so peak memory is about the dataset's size.  Handles
+keep raw uint8 pixels and scale to [0, 1] on access.  A seeded synthetic
+generator with class-dependent mean shifts backs fast tests.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class Dataset:
     pixels: np.ndarray  # (n, 3, 32, 32) uint8
     labels: np.ndarray  # (n,) int64
     num_classes: int
-    coarse_labels: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.pixels.shape[0]
@@ -53,35 +54,38 @@ class ImageBatch:
 
 def load_cifar10(path: str | os.PathLike) -> Dataset:
     """Parse one 10-class binary file into a dataset handle."""
-    raw = _read_records(path, RECORD_BYTES_10)
-    labels = raw[:, 0].astype(np.int64)
-    if labels.size and labels.max() > 9:
-        raise SpikeNasError(f"label {labels.max()} exceeds 9 in {path}")
-    pixels = raw[:, 1:].reshape(-1, *IMAGE_SHAPE)
-    return Dataset(pixels=pixels, labels=labels, num_classes=10)
+    return _load_records([Path(path)], 10)
 
 
 def load_cifar100(path: str | os.PathLike) -> Dataset:
     """Parse one 100-class binary file; the fine label is the class."""
-    raw = _read_records(path, RECORD_BYTES_100)
-    coarse = raw[:, 0].astype(np.int64)
-    fine = raw[:, 1].astype(np.int64)
-    if fine.size and fine.max() > 99:
-        raise SpikeNasError(f"fine label {fine.max()} exceeds 99 in {path}")
-    pixels = raw[:, 2:].reshape(-1, *IMAGE_SHAPE)
-    return Dataset(pixels=pixels, labels=fine, num_classes=100, coarse_labels=coarse)
+    return _load_records([Path(path)], 100)
 
 
-def _read_records(path: str | os.PathLike, record_bytes: int) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise SpikeNasError(f"no such dataset file: {path}")
-    data = path.read_bytes()
-    if len(data) % record_bytes:
-        raise SpikeNasError(
-            f"{path} is {len(data)} bytes, not a multiple of {record_bytes}"
-        )
-    return np.frombuffer(data, dtype=np.uint8).reshape(-1, record_bytes)
+def _load_records(paths: list[Path], classes: int) -> Dataset:
+    """Read and check `paths` in order into one buffer; 100-class labels skip a byte."""
+    offset = int(classes == 100)
+    record = RECORD_BYTES_10 + offset
+    sizes = [os.path.getsize(path) if path.is_file() else 0 for path in paths]
+    buf = np.empty(sum(sizes), dtype=np.uint8)
+    start = 0
+    for path, size in zip(paths, sizes):
+        if not path.is_file():
+            raise SpikeNasError(f"no such dataset file: {path}")
+        if size % record:
+            raise SpikeNasError(f"{path} is {size} bytes, not a multiple of {record}")
+        with open(path, "rb") as fh:
+            got = fh.readinto(buf[start:start + size].data)
+        if got != size:
+            raise SpikeNasError(f"{path} is {size} bytes but {got} could be read")
+        top = buf[start + offset:start + size:record].max(initial=0)
+        if top >= classes:
+            raise SpikeNasError(
+                f"{'fine ' if offset else ''}label {top} exceeds {classes - 1} in {path}")
+        start += size
+    raw = buf.reshape(-1, record)
+    return Dataset(pixels=raw[:, offset + 1:].reshape(-1, *IMAGE_SHAPE),
+                   labels=raw[:, offset].astype(np.int64), num_classes=classes)
 
 
 def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
@@ -132,7 +136,8 @@ def load_dataset(name: str, data_dir: str | os.PathLike | None = None,
         raise SpikeNasError(f"unknown dataset {name!r}")
     if name == "synth":
         return synth_dataset(512, DATASETS["synth"], seed)
-    root = Path(data_dir) if data_dir is not None else _env_data_dir()
+    env = os.environ.get(DATA_DIR_ENV)
+    root = Path(data_dir) if data_dir is not None else Path(env) if env else None
     if root is None:
         raise SpikeNasError(
             f"no data directory given for {name}; pass --data-dir or set {DATA_DIR_ENV}"
@@ -141,23 +146,10 @@ def load_dataset(name: str, data_dir: str | os.PathLike | None = None,
         files = _find_files(root, _CIFAR10_SUBDIR,
                             [f"data_batch_{i}.bin" for i in range(1, 6)],
                             fallback=["test_batch.bin"])
-        parts = [load_cifar10(f) for f in files]
     else:
         files = _find_files(root, _CIFAR100_SUBDIR, ["train.bin"],
                             fallback=["test.bin"])
-        parts = [load_cifar100(f) for f in files]
-    if len(parts) == 1:
-        return parts[0]
-    return Dataset(
-        pixels=np.concatenate([p.pixels for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-        num_classes=parts[0].num_classes,
-    )
-
-
-def _env_data_dir() -> Path | None:
-    value = os.environ.get(DATA_DIR_ENV)
-    return Path(value) if value else None
+    return _load_records(files, DATASETS[name])
 
 
 def _find_files(root: Path, subdir: str, names: list[str],

@@ -25,9 +25,9 @@ class MemoryBudget:
     bit_precision: int = 32
 
     def __post_init__(self) -> None:
-        if self.max_params < 1:
+        if not arch.is_int(self.max_params) or self.max_params < 1:
             raise ValueError(f"max_params must be >= 1, got {self.max_params}")
-        if not 1 <= self.bit_precision <= 64:
+        if not (arch.is_int(self.bit_precision) and 1 <= self.bit_precision <= 64):
             raise ValueError(f"bit_precision must be in 1..64, got {self.bit_precision}")
 
 

@@ -36,6 +36,7 @@ from .arch import (
     build_network,
     decode_cell,
     encode_cell,
+    is_int,
     search_space_size,
 )
 from .blas import single_blas_thread
@@ -75,13 +76,13 @@ class SearchConfig:
     keep_candidate_log: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_cells not in (1, 2, 3):
+        if not is_int(self.num_cells) or self.num_cells not in (1, 2, 3):
             raise ValueError(f"num_cells must be 1..3, got {self.num_cells}")
-        if self.jobs < 1:
+        if not is_int(self.jobs) or self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.batch_size < 2:
+        if not is_int(self.batch_size) or self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.strategy not in (MEMORY_AWARE, RANDOM):
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -262,7 +263,7 @@ def search_random(cfg: SearchConfig, iterations: int, *,
     weight seed and therefore the same score.  The budget filter applies
     exactly as in the memory-aware search.
     """
-    if iterations < 1:
+    if not is_int(iterations) or iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     draws = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 1])

@@ -32,11 +32,11 @@ convolution, and node values are summed in edge order, so spike codes
 equal those of running all six edges one by one.
 
 A stage that fires no spike at a step is silent, and the next stage
-then gets an all-zero input: a cell treats node 0 as always zero, and
-the downsample (2x2 pool, 1x1 conv) and the classifier pass zeros on.  A
-zero input leaves a spiking stage at reset where it is and runs no
-kernel; a potential off reset decays through `lif_step` as usual, so
-spike codes stay exactly the same.
+then gets an all-zero input: the cell does not run, and the downsample
+(2x2 pool, 1x1 conv) and the classifier pass zeros on.  A zero input
+leaves a spiking stage at reset where it is and runs no kernel; a
+potential off reset decays through `lif_step` as usual, so spike codes
+stay exactly the same.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class LIFParams:
             raise ValueError(
                 f"v_threshold ({self.v_threshold}) must exceed v_reset ({self.v_reset})"
             )
-        if self.timesteps < 1:
+        if not arch.is_int(self.timesteps) or self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
 
 
@@ -234,14 +234,13 @@ def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
                                 "an untrained network's biases are zero")
 
 
-def _live_edges(cell, silent: bool = False) -> list[tuple[str, int, int]]:
+def _live_edges(cell) -> list[tuple[str, int, int]]:
     """The edges that can change the cell output, in `arch.CELL_EDGES` order.
 
     An edge is dead if its output is always zero (zeroize, or any op
     reading an always-zero node) or nothing live reads its target node.
-    Node 0 is always zero when the cell input is `silent`.
     """
-    zero = [silent, True, True, True]
+    zero = [False, True, True, True]
     nonzero = set()
     for name, src, dst in arch.CELL_EDGES:
         if zero[src] or getattr(cell, name) is Operation.ZEROIZE:
@@ -265,7 +264,7 @@ def _conv_fan_out(x: np.ndarray, filters: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
-                        prefix: str, silent: bool = False) -> np.ndarray | None:
+                        prefix: str) -> np.ndarray | None:
     """Sum-combined node values of one cell, before its spiking stage.
 
     Runs the live edges only.  The first live conv edge of a fan-out runs
@@ -274,10 +273,9 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
     pool output, or an earlier sum), and a node value is dropped after
     its last reader, so a fused output buffer is freed as soon as every
     slice of it has been summed and few map-sized arrays are allocated.
-    `silent` says `x_spikes` holds no spike.  An output that is always
-    zero comes back as None.
+    An output that is always zero comes back as None.
     """
-    live = _live_edges(cell, silent)
+    live = _live_edges(cell)
     last_reader = {src: name for name, src, _ in live}
     nodes: list[np.ndarray | None] = [x_spikes, None, None, None]
     private = [False] * 4  # node buffer held by nobody else: sum into it
@@ -351,7 +349,7 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
             cur, silent = stages["stem"].step(conv2d_same(x, stem_w))
             del x
         for i, cell in enumerate(net.cells, start=1):
-            pre = _cell_preactivation(cell, cur, weights, f"cell{i}", silent)
+            pre = None if silent else _cell_preactivation(cell, cur, weights, f"cell{i}")
             cur, silent = stages[f"cell{i}"].step(pre, cur.shape)
             if i < num_cells:
                 w = weights[f"down{i}.conv"][0]

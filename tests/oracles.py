@@ -359,13 +359,9 @@ def write_cifar10(path, dataset) -> None:
 
 
 def write_cifar100(path, dataset) -> None:
-    """Serialize a dataset into the 100-class binary record layout."""
+    """Serialize a dataset into the 100-class binary record layout, coarse labels 0."""
     n = len(dataset)
-    coarse = dataset.coarse_labels
-    if coarse is None:
-        coarse = np.zeros(n, dtype=np.int64)
-    out = np.empty((n, RECORD_BYTES_100), dtype=np.uint8)
-    out[:, 0] = coarse.astype(np.uint8)
+    out = np.zeros((n, RECORD_BYTES_100), dtype=np.uint8)
     out[:, 1] = dataset.labels.astype(np.uint8)
     out[:, 2:] = dataset.pixels.reshape(n, -1)
     Path(path).write_bytes(out.tobytes())

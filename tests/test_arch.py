@@ -118,10 +118,13 @@ class TestEncodeDecode:
     def test_decode_max_two_set_is_all_conv(self):
         assert decode_cell(63, TWO_OPS) == CellArch.uniform(Operation.CONV3X3)
 
-    @pytest.mark.parametrize("index", [-1, 64, 1000])
+    @pytest.mark.parametrize("index", [-1, 64, 1000, 1.5, 3.0, True])
     def test_decode_out_of_range(self, index):
         with pytest.raises(SpikeNasError, match=rf"candidate index {index} outside \[0, 64\)"):
             decode_cell(index, TWO_OPS)
+
+    def test_decode_numpy_integer(self):
+        assert decode_cell(np.int64(63), TWO_OPS) == decode_cell(63, TWO_OPS)
 
     @pytest.mark.parametrize("opset", [TWO_OPS, THREE_OPS])
     def test_round_trip_exhaustive(self, opset):
@@ -165,6 +168,20 @@ class TestBuildNetwork:
         site = "input shape" if macro.input_shape[0] == 0 else "widths and class count"
         with pytest.raises(SpikeNasError, match=site + " must be positive"):
             build_network([decode_cell(0, TWO_OPS)], macro)
+
+    @pytest.mark.parametrize("macro, site", [
+        (MacroConfig(stem_channels=2.5), "widths and class count"),
+        (MacroConfig(width_mult=True), "widths and class count"),
+        (MacroConfig(num_classes=10.0), "widths and class count"),
+        (MacroConfig(input_shape=(3, 32.0, 32)), "input shape"),
+    ])
+    def test_rejects_non_integer_sizes(self, macro, site):
+        with pytest.raises(SpikeNasError, match=site + " must be positive"):
+            build_network([decode_cell(5, TWO_OPS)], macro)
+
+    def test_numpy_sizes_accepted(self):
+        macro = MacroConfig(stem_channels=np.int64(4), input_shape=(3, np.int32(8), 8))
+        assert build_network([decode_cell(5, TWO_OPS)], macro).macro is macro
 
     def test_rejects_undivisible_input(self):
         cell = decode_cell(0, TWO_OPS)

@@ -1,3 +1,7 @@
+import os
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,8 +80,7 @@ class TestLoadCifar100:
         assert f.stat().st_size == RECORD_BYTES_100
         ds = load_cifar100(f)
         assert len(ds) == 1
-        assert ds.labels[0] == 99      # fine label is the class
-        assert ds.coarse_labels[0] == 4
+        assert ds.labels[0] == 99      # fine label is the class; coarse is skipped
 
     def test_fine_label_out_of_range(self, tmp_path):
         f = tmp_path / "train.bin"
@@ -105,7 +108,9 @@ class TestRoundTrip:
         back = load_cifar100(f)
         np.testing.assert_array_equal(back.pixels, ds.pixels)
         np.testing.assert_array_equal(back.labels, ds.labels)
-        assert (back.coarse_labels == 0).all()
+        f2 = tmp_path / "again.bin"
+        write_cifar100(f2, back)
+        assert f.read_bytes() == f2.read_bytes()
 
 
 class TestNormalization:
@@ -223,3 +228,62 @@ class TestLoadDataset:
         loaded = load_dataset("cifar100")
         assert len(loaded) == 6
         assert loaded.num_classes == 100
+
+
+def _batch_dir(tmp_path, records):
+    """data_batch_<i>.bin files of `records[i - 1]` synthetic records each."""
+    for i, n in enumerate(records, start=1):
+        write_cifar10(tmp_path / f"data_batch_{i}.bin", synth_dataset(n, 10, seed=i))
+    return [tmp_path / f"data_batch_{i}.bin" for i in range(1, len(records) + 1)]
+
+
+class TestMultiFileLoad:
+    @pytest.mark.parametrize("records", [(5, 7), (4, 1, 6)])
+    def test_files_stack_in_order(self, tmp_path, records):
+        parts = [load_cifar10(f) for f in _batch_dir(tmp_path, records)]
+        loaded = load_dataset("cifar10", data_dir=tmp_path)
+        np.testing.assert_array_equal(loaded.pixels,
+                                      np.concatenate([p.pixels for p in parts]))
+        np.testing.assert_array_equal(loaded.labels,
+                                      np.concatenate([p.labels for p in parts]))
+        assert loaded.num_classes == 10
+
+    def test_bad_label_in_second_file_is_named(self, tmp_path):
+        second = _batch_dir(tmp_path, (3, 4))[1]
+        raw = bytearray(second.read_bytes())
+        raw[2 * RECORD_BYTES_10] = 10
+        second.write_bytes(bytes(raw))
+        with pytest.raises(SpikeNasError,
+                           match=f"^label 10 exceeds 9 in {re.escape(str(second))}$"):
+            load_dataset("cifar10", data_dir=tmp_path)
+
+    def test_truncated_second_file_is_named(self, tmp_path):
+        second = _batch_dir(tmp_path, (3, 4))[1]
+        second.write_bytes(second.read_bytes()[:-1])
+        size = 4 * RECORD_BYTES_10 - 1
+        with pytest.raises(SpikeNasError, match=f"^{re.escape(str(second))} is {size} "
+                                                "bytes, not a multiple of 3073$"):
+            load_dataset("cifar10", data_dir=tmp_path)
+
+    def test_short_read_is_an_error(self, tmp_path, monkeypatch):
+        # a file that reads fewer bytes than its size must not leave
+        # uninitialised records in the dataset
+        first = _batch_dir(tmp_path, (3,))[0]
+        real = os.path.getsize
+        monkeypatch.setattr(os.path, "getsize", lambda p: real(p) + RECORD_BYTES_10)
+        claimed, real_size = 4 * RECORD_BYTES_10, 3 * RECORD_BYTES_10
+        with pytest.raises(SpikeNasError, match=f"^{re.escape(str(first))} is {claimed} "
+                                                f"bytes but {real_size} could be read$"):
+            load_dataset("cifar10", data_dir=tmp_path)
+
+    def test_peak_memory_is_about_the_files_size(self, tmp_path):
+        files = _batch_dir(tmp_path, (64, 64))
+        total = sum(f.stat().st_size for f in files)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset("cifar10", data_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 128
+        assert peak < 1.2 * total, peak / total

@@ -116,6 +116,10 @@ class TestMemoryBudget:
             MemoryBudget(10, 0)
         with pytest.raises(ValueError):
             MemoryBudget(10, 65)
+        for args in ((1.5,), (100.0,), (True,), (100, 8.5), (100, True)):
+            with pytest.raises(ValueError):
+                MemoryBudget(*args)
+        MemoryBudget(np.int64(10), np.int8(8))
 
 
 class TestMemoryCost:

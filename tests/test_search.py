@@ -54,12 +54,17 @@ class TestConfigValidation:
 
         for bad in (dict(num_cells=0), dict(num_cells=4), dict(jobs=0),
                     dict(batch_size=1), dict(seed=-1),
+                    dict(num_cells=1.0), dict(num_cells=True), dict(jobs=2.5),
+                    dict(jobs=True), dict(batch_size=4.5), dict(seed=1.5),
+                    dict(seed=False),
                     dict(strategy="anneal"), dict(carryover="worst"),
                     dict(alpha=float("nan")), dict(alpha=float("inf")),
                     dict(alpha=-float("inf")), dict(code_mode="all"),
                     dict(input_coding="poisson")):
             with pytest.raises(ValueError):
                 cfg(**bad)
+        cfg(num_cells=np.int64(2), jobs=np.int32(1), batch_size=np.uint8(4),
+            seed=np.int64(3))
 
 
 class TestCandidateSeed:
@@ -262,8 +267,12 @@ class TestRandomSearch:
         assert a == b == c
 
     def test_iterations_must_be_positive(self, base_cfg):
-        with pytest.raises(ValueError):
-            search_random(base_cfg, 0, score_fn=stub_score)
+        for iterations in (0, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="iterations must be >= 1"):
+                search_random(base_cfg, iterations, score_fn=stub_score)
+
+    def test_numpy_iterations_accepted(self, base_cfg):
+        assert search_random(base_cfg, np.int64(3), score_fn=stub_score).iterations == 3
 
 
 class TestAblate:

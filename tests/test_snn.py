@@ -45,8 +45,10 @@ class TestLIFParams:
             LIFParams(tau_leak=0.5)
         with pytest.raises(ValueError):
             LIFParams(v_threshold=0.0, v_reset=0.0)
-        with pytest.raises(ValueError):
-            LIFParams(timesteps=0)
+        for timesteps in (0, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="timesteps must be >= 1"):
+                LIFParams(timesteps=timesteps)
+        assert LIFParams(timesteps=np.int16(3)).timesteps == 3
 
     @pytest.mark.parametrize("field, value", [
         ("tau_leak", float("nan")), ("tau_leak", float("inf")),
@@ -579,20 +581,6 @@ class TestCellPath:
                    for e, k in (("con01", 3), ("con02", 3), ("con12", 1))}
         for cell in (CellArch.uniform(O.ZEROIZE), dead):
             assert snn._cell_preactivation(cell, x, weights, "cell1") is None
-
-    @pytest.mark.parametrize("opset", [THREE_OPS, FIVE_OPS], ids=["3O", "5O"])
-    def test_silent_input_equals_cells_on_zeros(self, opset, monkeypatch):
-        # every cell is always zero on a silent input, and runs no kernel
-        bank = self._weights(np.random.default_rng(len(opset)))
-        x = np.zeros((3, self.C, 5, 7), dtype=np.float32)
-        calls = self._count_convs(monkeypatch)
-        for index in range(search_space_size(opset)):
-            cell = decode_cell(index, opset)
-            weights = {f"cell1.{e}": bank[op, e]
-                       for e, op in zip(EDGES, cell.edges()) if op in CONV_OPS}
-            assert not straight_cell_preactivation(cell, x, weights, "cell1").any()
-            got = snn._cell_preactivation(cell, x, weights, "cell1", silent=True)
-            assert got is None and not calls, f"cell {index}"
 
     def test_fan_out_convs_run_as_one_gemm(self, monkeypatch):
         bank = self._weights(np.random.default_rng(0))
