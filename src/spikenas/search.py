@@ -143,12 +143,9 @@ def candidate_seed(run_seed: int, phase: int, index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _beats(rec: CandidateRecord, best: CandidateRecord | None) -> bool:
-    if best is None:
-        return True
-    if rec.score != best.score:
-        return rec.score > best.score
-    return (rec.phase, rec.index) < (best.phase, best.index)
+def _rank(rec: CandidateRecord) -> tuple[float, int, int]:
+    """Order of preference: highest score, then the lowest (phase, index)."""
+    return rec.score, -rec.phase, -rec.index
 
 
 def _cells(cfg: SearchConfig, base: tuple[CellArch, ...] | None, phase: int,
@@ -201,10 +198,8 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
     phases = cfg.num_cells if draws is None else 1
 
     best: CandidateRecord | None = None
-    best_cells: tuple[CellArch, ...] | None = None
     total = skipped = 0
-    log: list[CandidateRecord] | None = [] if cfg.keep_candidate_log else None
-
+    log: list[CandidateRecord] = []
     for phase in range(1, phases + 1):
         if phase == 1:
             base = None
@@ -213,23 +208,19 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         else:
             base = best_cells
         visit = partial(_visit, cfg, pixels, score_fn, base, phase)
-        indices = range(space) if draws is None else draws
-        for rec in _run_all(visit, indices, cfg.jobs):
-            if rec.feasible:
-                total += 1
-            else:
-                skipped += 1
-            if log is not None:
-                log.append(rec)
-            if rec.feasible and _beats(rec, best):
-                best = rec
-                best_cells = _cells(cfg, base, phase, rec.index)
+        records = _run_all(visit, range(space) if draws is None else draws, cfg.jobs)
+        feasible = [rec for rec in records if rec.feasible]
+        total += len(feasible)
+        skipped += len(records) - len(feasible)
+        if cfg.keep_candidate_log:
+            log.extend(records)
+        best = max(feasible + ([best] if best else []), key=_rank, default=None)
         if best is None:
             what = (f"all {space} shared-cell candidates exceed" if draws is None
                     else f"none of the {len(draws)} drawn candidates fit")
-            raise SpikeNasError(
-                f"{what} the budget of {cfg.budget.max_params} parameters"
-            )
+            raise SpikeNasError(f"{what} the budget of {cfg.budget.max_params} parameters")
+        if best.phase == phase:  # decode the phase's winner once
+            best_cells = _cells(cfg, base, phase, best.index)
 
     return SearchReport(
         opset_name=cfg.opset.name,
@@ -245,7 +236,7 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         seed=cfg.seed,
         budget=cfg.budget,
         iterations=None if draws is None else len(draws),
-        candidate_log=tuple(log) if log is not None else None,
+        candidate_log=tuple(log) if cfg.keep_candidate_log else None,
     )
 
 

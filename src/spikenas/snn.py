@@ -13,8 +13,9 @@ synaptic input at every timestep, so the stem convolution of that image
 is computed once and fed to the stem at every step (rate coding draws a
 new spike map, and runs the stem, per step).  Convolutions are plain
 stride-1 same-padding weighted sums implemented via im2col, with no bias
-term: an untrained network's biases are zero, and a weight set holding a
-non-zero bias is refused.  All feature-map operators preserve the stage
+term: an untrained network's biases are zero, so a weight set holds one
+weight array per layer and nothing else (biases count only toward the
+memory model's `n_param`).  All feature-map operators preserve the stage
 shape so node summations are well defined.  The 3x3 average pool is a
 separable box sum over the zero-padded map: three column-shifted slices
 summed into row sums, then three row-shifted row sums, then a division
@@ -51,7 +52,7 @@ from . import arch
 from .arch import NetworkArch, Operation
 from .errors import SpikeNasError
 
-WeightSet = dict[str, tuple[np.ndarray, np.ndarray | None]]
+WeightSet = dict[str, np.ndarray]
 
 CODE_MODES = ("any", "concat")
 INPUT_CODINGS = ("direct", "rate")
@@ -169,20 +170,20 @@ def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
 
 
 def init_weights(net: NetworkArch, seed: int) -> WeightSet:
-    """Seeded weight set for every parameterized layer.
+    """Seeded weights for every parameterized layer, and no biases.
 
-    Weights are zero-mean normal with std sqrt(2 / fan_in); biases are
-    zero.  The draw order follows the flattened layer list, so a given
-    (net, seed) pair always produces bit-identical tensors.
+    Weights are zero-mean normal with std sqrt(2 / fan_in).  An untrained
+    network's biases are zero, so none are drawn: they count only toward
+    `n_param`.  The draw order follows the flattened layer list, so a
+    given (net, seed) pair always produces bit-identical tensors.
     """
     rng = np.random.default_rng(seed)
     out: WeightSet = {}
     for layer in arch.network_layers(net):
         shape = layer.weight_shape
         fan_in = math.prod(shape[1:])
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
-        b = np.zeros(shape[0], dtype=np.float32) if layer.has_bias else None
-        out[layer.name] = (w, b)
+        out[layer.name] = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                                     size=shape).astype(np.float32)
     return out
 
 
@@ -228,10 +229,10 @@ def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
     for layer in arch.network_layers(net):
         if layer.name not in weights:
             raise SpikeNasError(f"no weights for layer {layer.name!r}")
-        bias = weights[layer.name][1]
-        if bias is not None and bias.any():
-            raise SpikeNasError(f"layer {layer.name!r} has a non-zero bias; "
-                                "an untrained network's biases are zero")
+        got = getattr(weights[layer.name], "shape", None)
+        if got != layer.weight_shape:
+            raise SpikeNasError(f"layer {layer.name!r} takes weights of shape "
+                                f"{layer.weight_shape}, got {got}")
 
 
 def _live_edges(cell) -> list[tuple[str, int, int]]:
@@ -285,8 +286,7 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
         if name not in pending:
             if op in arch.CONV_OPS:
                 group = [e for e, s, _ in live if s == src and getattr(cell, e) is op]
-                outs = _conv_fan_out(nodes[src],
-                                     [weights[f"{prefix}.{e}"][0] for e in group])
+                outs = _conv_fan_out(nodes[src], [weights[f"{prefix}.{e}"] for e in group])
                 pending.update(zip(group, outs))
             elif op is Operation.AVGPOOL3X3:
                 pending[name] = avgpool3x3_same(nodes[src])
@@ -337,8 +337,8 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     stage_names.append("classifier")
     stages = {name: _LifStage(p, code_mode) for name in stage_names}
 
-    fc_w = weights["classifier.fc"][0]
-    stem_w = weights["stem.conv"][0]
+    fc_w = weights["classifier.fc"]
+    stem_w = weights["stem.conv"]
     # direct coding feeds the same image at every step: one stem conv
     stem_pre = conv2d_same(x0, stem_w) if rate_rng is None else None
     for _ in range(p.timesteps):
@@ -352,7 +352,7 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
             pre = None if silent else _cell_preactivation(cell, cur, weights, f"cell{i}")
             cur, silent = stages[f"cell{i}"].step(pre, cur.shape)
             if i < num_cells:
-                w = weights[f"down{i}.conv"][0]
+                w = weights[f"down{i}.conv"]
                 s, _, h, wd = cur.shape
                 pre = None if silent else conv2d_same(avgpool2x2_down(cur), w)
                 cur, silent = stages[f"down{i}"].step(pre, (s, len(w), h // 2, wd // 2))

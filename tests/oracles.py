@@ -28,14 +28,21 @@ REPORT_FIELDS = (
 )
 
 
-def walk_count_elements(weights) -> int:
-    """Count weight/bias scalars one element at a time."""
+def walk_count_elements(weights, macro) -> int:
+    """Count weight scalars one element at a time, plus the biases.
+
+    A weight set holds no biases, so one bias per output unit is added
+    for each layer whose kind (the layer-name prefix) carries biases
+    under `macro`'s flags.
+    """
+    biased = {"stem": macro.stem_bias, "cell": macro.cell_bias,
+              "down": macro.down_bias, "classifier": macro.fc_bias}
     n = 0
-    for w, b in weights.values():
+    for name, w in weights.items():
         for _ in w.flat:
             n += 1
-        if b is not None:
-            for _ in b.flat:
+        if biased[name.split(".")[0].rstrip("0123456789")]:
+            for _ in range(w.shape[0]):
                 n += 1
     return n
 
@@ -222,7 +229,7 @@ def _naive_pool(x, size, stride, pad):
     return out
 
 
-def _naive_edge(op, x, weights):
+def _naive_edge(op, x, w, b):
     label = op.label
     if label == "zeroize":
         return np.zeros_like(x)
@@ -230,7 +237,6 @@ def _naive_edge(op, x, weights):
         return x
     if label == "avgpool3x3":
         return _naive_pool(x, 3, 1, 1)
-    w, b = weights
     return _naive_conv(x, w, b)
 
 
@@ -267,15 +273,17 @@ class _NaiveLif:
 
 
 def naive_forward_codes(net, weights, batch, p, code_mode="any",
-                        input_coding="direct", coding_seed=0):
+                        input_coding="direct", coding_seed=0, biases=None):
     """Stage codes by per-pixel, per-timestep loops in float64.
 
     Follows the network description directly: stem conv, each cell's
     node sums (n1 = e01(n0), n2 = e02(n0) + e12(n1), out = e03(n0) +
     e13(n1) + e23(n2)), 2x2 mean + 1x1 conv between cells, global
     average pool and the classifier, with a spiking stage after each.
-    Returns (stage names, code matrices).
+    `biases` maps a layer name to its bias vector; a layer it leaves out
+    has none.  Returns (stage names, code matrices).
     """
+    biases = biases or {}
     names = ["stem"]
     for i in range(1, net.num_cells + 1):
         names.append(f"cell{i}")
@@ -283,25 +291,25 @@ def naive_forward_codes(net, weights, batch, p, code_mode="any",
             names.append(f"down{i}")
     names.append("classifier")
     stages = {name: _NaiveLif(p) for name in names}
+    wb = lambda layer: (weights.get(layer), biases.get(layer))
     x0 = np.asarray(batch, dtype=np.float32)
     rng = np.random.default_rng(coding_seed)
     for _ in range(p.timesteps):
         x = x0
         if input_coding == "rate":
             x = (rng.random(x0.shape, dtype=np.float32) < x0).astype(np.float32)
-        cur = stages["stem"].step(_naive_conv(x, *weights["stem.conv"]))
+        cur = stages["stem"].step(_naive_conv(x, *wb("stem.conv")))
         for i, cell in enumerate(net.cells, start=1):
-            w = lambda edge: weights.get(f"cell{i}.{edge}")
-            n1 = _naive_edge(cell.con01, cur, w("con01"))
-            n2 = _naive_edge(cell.con02, cur, w("con02")) + _naive_edge(cell.con12, n1, w("con12"))
-            out = (_naive_edge(cell.con03, cur, w("con03"))
-                   + _naive_edge(cell.con13, n1, w("con13"))
-                   + _naive_edge(cell.con23, n2, w("con23")))
+            edge = lambda op, x, name: _naive_edge(op, x, *wb(f"cell{i}.{name}"))
+            n1 = edge(cell.con01, cur, "con01")
+            n2 = edge(cell.con02, cur, "con02") + edge(cell.con12, n1, "con12")
+            out = (edge(cell.con03, cur, "con03") + edge(cell.con13, n1, "con13")
+                   + edge(cell.con23, n2, "con23"))
             cur = stages[f"cell{i}"].step(out)
             if i < net.num_cells:
                 pooled = _naive_pool(cur, 2, 2, 0)
-                cur = stages[f"down{i}"].step(_naive_conv(pooled, *weights[f"down{i}.conv"]))
-        fc_w, fc_b = weights["classifier.fc"]
+                cur = stages[f"down{i}"].step(_naive_conv(pooled, *wb(f"down{i}.conv")))
+        fc_w, fc_b = wb("classifier.fc")
         s, c = cur.shape[:2]
         logits = np.zeros((s, fc_w.shape[0]))
         for n in range(s):
@@ -327,7 +335,7 @@ def reshape_mean_avgpool2x2(x):
     return x.reshape(s, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
 
-def _straight_edge(op, x, weights):
+def _straight_edge(op, x, w):
     label = op.label
     if label == "zeroize":
         return np.zeros_like(x)
@@ -335,7 +343,7 @@ def _straight_edge(op, x, weights):
         return x
     if label == "avgpool3x3":
         return windowed_mean_avgpool3x3(x)
-    return conv2d_same(x, weights[0])
+    return conv2d_same(x, w)
 
 
 def straight_cell_preactivation(cell, x_spikes, weights, prefix):

@@ -147,7 +147,7 @@ def test_criterion_02_memory_model_oracle():
                      for _ in range(cells_n)]
             net = build_network(cells, macro)
             assert count_network_params(net) == walk_count_elements(
-                init_weights(net, seed=checked)
+                init_weights(net, seed=checked), macro
             )
             checked += 1
         assert checked == 200

@@ -82,12 +82,12 @@ class TestCountNetworkParams:
                      for _ in range(num_cells)]
             net = build_network(cells, macro)
             weights = init_weights(net, seed=0)
-            assert count_network_params(net) == walk_count_elements(weights)
+            assert count_network_params(net) == walk_count_elements(weights, macro)
 
     def test_no_bias_mode_matches_walk(self):
         macro = MacroConfig(stem_channels=8).without_bias()
         net = build_network([decode_cell(63, TWO_OPS)] * 2, macro)
-        assert count_network_params(net) == walk_count_elements(init_weights(net, 3))
+        assert count_network_params(net) == walk_count_elements(init_weights(net, 3), macro)
 
     def test_monotone_under_parameterizing_an_edge(self):
         # upgrading any parameter-free edge to a conv never lowers the count

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from spikenas.arch import (
     TWO_OPS,
     build_network,
     decode_cell,
+    network_layers,
     search_space_size,
 )
 from spikenas import snn
@@ -206,26 +209,35 @@ class TestInitWeights:
         b = init_weights(net, 7)
         assert a.keys() == b.keys()
         for name in a:
-            np.testing.assert_array_equal(a[name][0], b[name][0])
+            np.testing.assert_array_equal(a[name], b[name])
 
     def test_different_seeds_differ(self, tiny_macro):
         net = build_network([decode_cell(40, TWO_OPS)], tiny_macro)
         a = init_weights(net, 7)
         b = init_weights(net, 8)
-        assert any(not np.array_equal(a[n][0], b[n][0]) for n in a)
+        assert any(not np.array_equal(a[n], b[n]) for n in a)
 
-    def test_biases_start_at_zero(self, tiny_macro):
-        net = build_network([decode_cell(63, TWO_OPS)], tiny_macro)
-        for w, b in init_weights(net, 0).values():
-            if b is not None:
-                assert not b.any()
+    def test_one_float32_array_per_layer(self, tiny_macro):
+        # no bias vectors, and the bias flags do not change the draw
+        drawn = []
+        for macro in (tiny_macro, tiny_macro.without_bias()):
+            net = build_network([decode_cell(63, TWO_OPS)] * 2, macro)
+            weights = init_weights(net, 0)
+            assert list(weights) == [layer.name for layer in network_layers(net)]
+            for layer in network_layers(net):
+                w = weights[layer.name]
+                assert type(w) is np.ndarray and w.dtype == np.float32
+                assert w.shape == layer.weight_shape
+            drawn.append(weights)
+        for name, w in drawn[0].items():
+            np.testing.assert_array_equal(w, drawn[1][name])
 
     def test_variance_tracks_fan_in(self):
         # conv at 64 channels: 9*64*64 = 36864 elements, comfortably large
         macro = MacroConfig(stem_channels=64)
         net = build_network([CellArch.uniform(Operation.CONV3X3)], macro)
         weights = init_weights(net, 1)
-        w, _ = weights["cell1.con01"]
+        w = weights["cell1.con01"]
         fan_in = 9 * 64
         var = float(w.var())
         assert abs(var - 2.0 / fan_in) < 0.2 * (2.0 / fan_in)
@@ -254,8 +266,7 @@ class TestForwardCollectCodes:
     def test_dominant_input_fires_whole_stem(self, tiny_macro):
         net = self._net(tiny_macro)
         weights = init_weights(net, 0)
-        w, b = weights["stem.conv"]
-        weights["stem.conv"] = (np.full_like(w, 10.0), b)
+        weights["stem.conv"] = np.full_like(weights["stem.conv"], 10.0)
         p = LIFParams(v_threshold=1e-6, timesteps=2)
         batch = np.ones((2, 3, 32, 32), dtype=np.float32)
         codes = forward_collect_codes(net, weights, batch, p)
@@ -461,42 +472,62 @@ class TestForwardOracle:
     ])
     def test_biased_layer_on_silent_input_still_runs(self, layer, fires, code_mode):
         # a bias makes a layer fire on silent input, so skipping silent
-        # stages would give wrong codes: such weights are refused instead
+        # stages would give wrong codes: that is why a weight set holds no
+        # biases and the engine has no bias slot
         cells, seed, threshold, coding, _ = self.SILENT_CASES["deep"]
         lif = LIFParams(v_threshold=threshold, timesteps=4)
         net = build_network([ORACLE_CELLS[c] for c in cells], self.MACRO)
         weights = init_weights(net, seed)
-        w, b = weights[layer]
-        weights[layer] = (w, np.linspace(-1.5, 1.5, b.size, dtype=np.float32)[::-1])
+        bias = np.linspace(-1.5, 1.5, len(weights[layer]), dtype=np.float32)[::-1]
         batch = np.random.default_rng(seed).random((3, 3, 6, 6), dtype=np.float32)
         names, steps = naive_forward_codes(net, weights, batch, lif, code_mode="concat",
-                                           input_coding=coding)
+                                           input_coding=coding, biases={layer: bias})
         fired = {name: cat.reshape(cat.shape[0], lif.timesteps, -1).any(axis=(0, 2))
                  for name, cat in zip(names, steps)}
         assert fired[fires].any()
         if layer != "down1.conv":
             assert not fired["down1"].any()
-        with pytest.raises(SpikeNasError, match=f"layer {layer!r} has a non-zero bias"):
-            forward_collect_codes(net, weights, batch, lif, code_mode=code_mode,
-                                  input_coding=coding)
+        got = forward_collect_codes(net, weights, batch, lif, code_mode=code_mode,
+                                    input_coding=coding)
+        _, want = naive_forward_codes(net, weights, batch, lif, code_mode=code_mode,
+                                      input_coding=coding)
+        for name, g, w in zip(names, got.matrices, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        assert not got.matrices[names.index(fires)].any()
 
-    @pytest.mark.parametrize("layer", ["stem.conv", "cell1.con01", "down1.conv",
-                                       "classifier.fc"])
-    def test_nonzero_bias_refused(self, layer):
-        net = build_network(ORACLE_CELLS[:2], self.MACRO)
+    # layer: (shape of the array put in its place, or None for a
+    # (weights, bias) pair, which has no shape; the message's tail)
+    MISSHAPED = {
+        "stem.conv": ((4, 3, 1, 1), "(4, 3, 3, 3), got (4, 3, 1, 1)"),
+        # one filter of the cell's fused 3x3 fan-out from node 0
+        "cell1.con01": ((4, 4, 1, 1), "(4, 4, 3, 3), got (4, 4, 1, 1)"),
+        "classifier.fc": ((3, 8), "(4, 8), got (3, 8)"),
+        "down1.conv": (None, "(8, 4, 1, 1), got None"),
+    }
+
+    @pytest.mark.parametrize("layer", sorted(MISSHAPED))
+    def test_misshaped_weights_refused(self, layer):
+        shape, message = self.MISSHAPED[layer]
+        macro = MacroConfig(stem_channels=4, num_classes=4, input_shape=(3, 6, 6))
+        net = build_network([CellArch.uniform(O.CONV3X3)] * 2, macro)
         weights = init_weights(net, 0)
-        weights[layer][1][-1] = 0.5
-        with pytest.raises(SpikeNasError, match=f"layer {layer!r} has a non-zero bias"):
+        w = weights[layer]
+        weights[layer] = (w, np.zeros(len(w), np.float32)) if shape is None else (
+            np.ones(shape, np.float32))
+        with pytest.raises(SpikeNasError, match=re.escape(
+                f"layer {layer!r} takes weights of shape {message}")):
             forward_collect_codes(net, weights, np.ones((2, 3, 6, 6), np.float32), self.LIF)
 
     def test_zero_and_absent_biases_accepted(self):
+        # the bias flags count toward n_param only: same weights, same codes
         batch = np.random.default_rng(0).random((3, 3, 6, 6), dtype=np.float32)
-        codes = []
+        weights, codes = [], []
         for macro in (self.MACRO, self.MACRO.without_bias()):
             net = build_network(ORACLE_CELLS[:2], macro)
-            weights = init_weights(net, 0)
-            assert all((b is None) != macro.stem_bias for _, b in weights.values())
-            codes.append(forward_collect_codes(net, weights, batch, self.LIF).matrices)
+            weights.append(init_weights(net, 0))
+            codes.append(forward_collect_codes(net, weights[-1], batch, self.LIF).matrices)
+        for name, w in weights[0].items():
+            np.testing.assert_array_equal(w, weights[1][name])
         for zero, absent in zip(*codes):
             np.testing.assert_array_equal(zero, absent)
 
@@ -530,7 +561,7 @@ class TestCellPath:
         for edge in EDGES:
             for op, k in ((O.CONV1X1, 1), (O.CONV3X3, 3)):
                 w = rng.normal(0.0, 0.7, size=(self.C, self.C, k, k)).astype(np.float32)
-                out[op, edge] = (w, np.zeros(self.C, dtype=np.float32))
+                out[op, edge] = w
         return out
 
     def _count_convs(self, monkeypatch):
@@ -576,8 +607,7 @@ class TestCellPath:
         x = np.ones((2, self.C, 6, 6), dtype=np.float32)
         # con01 and con02 feed nodes nothing reads; con12 reads them
         dead = CellArch(O.CONV3X3, O.CONV3X3, O.ZEROIZE, O.CONV1X1, O.ZEROIZE, O.ZEROIZE)
-        weights = {f"cell1.{e}": (np.ones((self.C, self.C, k, k), np.float32),
-                                  np.zeros(self.C, np.float32))
+        weights = {f"cell1.{e}": np.ones((self.C, self.C, k, k), np.float32)
                    for e, k in (("con01", 3), ("con02", 3), ("con12", 1))}
         for cell in (CellArch.uniform(O.ZEROIZE), dead):
             assert snn._cell_preactivation(cell, x, weights, "cell1") is None
