@@ -519,15 +519,13 @@ class TestForwardOracle:
             forward_collect_codes(net, weights, np.ones((2, 3, 6, 6), np.float32), self.LIF)
 
     def test_zero_and_absent_biases_accepted(self):
-        # the bias flags count toward n_param only: same weights, same codes
+        # the bias flags count toward n_param only, not toward the codes
         batch = np.random.default_rng(0).random((3, 3, 6, 6), dtype=np.float32)
-        weights, codes = [], []
+        codes = []
         for macro in (self.MACRO, self.MACRO.without_bias()):
             net = build_network(ORACLE_CELLS[:2], macro)
-            weights.append(init_weights(net, 0))
-            codes.append(forward_collect_codes(net, weights[-1], batch, self.LIF).matrices)
-        for name, w in weights[0].items():
-            np.testing.assert_array_equal(w, weights[1][name])
+            codes.append(forward_collect_codes(net, init_weights(net, 0), batch,
+                                               self.LIF).matrices)
         for zero, absent in zip(*codes):
             np.testing.assert_array_equal(zero, absent)
 
