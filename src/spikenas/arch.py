@@ -54,7 +54,7 @@ class Operation(enum.IntEnum):
         try:
             return cls[label.strip().upper()]
         except KeyError:
-            raise ValueError(
+            raise SpikeNasError(
                 f"unknown operation {label!r}; "
                 f"expected one of {sorted(op.label for op in cls)}"
             ) from None
@@ -78,9 +78,9 @@ class OpSet:
 
     def __post_init__(self) -> None:
         if not self.ops:
-            raise ValueError("operation set must not be empty")
+            raise SpikeNasError("operation set must not be empty")
         if len(set(self.ops)) != len(self.ops):
-            raise ValueError(f"operation set {self.name!r} has duplicates")
+            raise SpikeNasError(f"operation set {self.name!r} has duplicates")
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -96,7 +96,7 @@ class OpSet:
     def without(self, op: Operation) -> "OpSet":
         """Same set minus one operation (used by the ablation runner)."""
         if op not in self.ops:
-            raise ValueError(f"{op.label} is not in operation set {self.name!r}")
+            raise SpikeNasError(f"{op.label} is not in operation set {self.name!r}")
         return OpSet(
             name=f"{self.name}-{op.label}",
             ops=tuple(o for o in self.ops if o is not op),
@@ -120,7 +120,7 @@ def get_opset(name: str) -> OpSet:
     try:
         return OPSETS[name]
     except KeyError:
-        raise ValueError(
+        raise SpikeNasError(
             f"unknown operation set {name!r}; expected one of {sorted(OPSETS)}"
         ) from None
 
@@ -144,7 +144,7 @@ class CellArch:
     @classmethod
     def from_edges(cls, edges: tuple[Operation, ...]) -> "CellArch":
         if len(edges) != NUM_CELL_EDGES:
-            raise ValueError(f"a cell has {NUM_CELL_EDGES} edges, got {len(edges)}")
+            raise SpikeNasError(f"a cell has {NUM_CELL_EDGES} edges, got {len(edges)}")
         return cls(*edges)
 
     @classmethod

@@ -116,7 +116,7 @@ SETTINGS = (
     ("alpha", _FLOAT, 1.0, "sparsity normalization factor"),
     ("batch_size", _int(2), 16, "samples scored per candidate"),
     ("jobs", _int(1), 1, "worker threads for scoring, capped at the core count; "
-                         "each uses one BLAS thread"),
+                         "two or more use one BLAS thread each"),
     ("bits", _int(1, 64), 32, "bit precision per parameter"),
     ("budget", _int(1), None, "max parameter count"),
     ("iterations", _int(1), 5000, "number of draws (default 5000)"),
@@ -182,11 +182,8 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     classes = s.pop("classes") or DATASETS.get(getattr(args, "dataset", None), 10)
     macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), classes)
     s["macro"] = macro.without_bias() if s.pop("no_bias") else macro
-    try:
-        s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
-                             s.pop("v_reset"), s.pop("timesteps"))
-    except ValueError as exc:
-        raise SpikeNasError(str(exc)) from exc
+    s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
+                         s.pop("v_reset"), s.pop("timesteps"))
     if s["budget"] is not None:
         s["budget"] = MemoryBudget(s["budget"], s["bits"])
     s["keep_candidate_log"] = bool(getattr(args, "candidate_log", None))
@@ -210,12 +207,9 @@ def _resolve_budget(scenario: Scenario | None, dataset: str,
 def _search_config(dataset_name: str, opset_name: str, cells: int,
                    s: dict, strategy: str) -> SearchConfig:
     dataset = load_dataset(dataset_name, s["data_dir"], seed=s["seed"])
-    try:
-        return SearchConfig(dataset=dataset, opset=get_opset(opset_name),
-                            num_cells=cells, strategy=strategy,
-                            **{k: v for k, v in s.items() if k in _SEARCH_FIELDS})
-    except ValueError as exc:
-        raise SpikeNasError(str(exc)) from exc
+    return SearchConfig(dataset=dataset, opset=get_opset(opset_name),
+                        num_cells=cells, strategy=strategy,
+                        **{k: v for k, v in s.items() if k in _SEARCH_FIELDS})
 
 
 # Output-file flags as (destination, flag), checked before any work runs.
@@ -275,11 +269,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     s = _settings_from_args(args)
-    try:
-        removed = Operation.from_label(args.remove)
-        ablated_opset(get_opset(args.opset), removed)  # refuse it before loading data
-    except ValueError as exc:
-        raise SpikeNasError(str(exc)) from exc
+    removed = Operation.from_label(args.remove)
+    ablated_opset(get_opset(args.opset), removed)  # refuse it before loading data
     if args.cells not in (1, 2, 3):  # refuse it before loading data, too
         raise SpikeNasError(f"num_cells must be 1..3, got {args.cells}")
     cfg = _search_config(args.dataset, args.opset, args.cells, s, args.strategy)
@@ -408,8 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_output_paths(args)
         return args.handler(args)
-    except SpikeNasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpikeNasError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -74,8 +74,11 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
             raise SpikeNasError(f"no such dataset file: {path}")
         if size % record:
             raise SpikeNasError(f"{path} is {size} bytes, not a multiple of {record}")
-        with open(path, "rb") as fh:
-            got = fh.readinto(buf[start:start + size].data)
+        try:
+            with open(path, "rb") as fh:
+                got = fh.readinto(buf[start:start + size].data)
+        except OSError as exc:
+            raise SpikeNasError(f"cannot read {path}: {exc}") from exc
         if got != size:
             raise SpikeNasError(f"{path} is {size} bytes but {got} could be read")
         top = buf[start + offset:start + size:record].max(initial=0)
@@ -91,7 +94,7 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
 def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
     """Seeded draw of `num_samples` distinct records, order included."""
     if num_samples < 1:
-        raise ValueError(f"batch size must be positive, got {num_samples}")
+        raise SpikeNasError(f"batch size must be positive, got {num_samples}")
     if num_samples > len(dataset):
         raise SpikeNasError(
             f"requested {num_samples} samples from {len(dataset)} records"

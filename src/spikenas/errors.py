@@ -1,5 +1,5 @@
-"""The package's one exception type."""
+"""The package's one exception type; a `ValueError`, so `except ValueError` catches it."""
 
 
-class SpikeNasError(Exception):
+class SpikeNasError(ValueError):
     """Every engine error: bad settings, data files, architectures or budgets."""

@@ -10,11 +10,11 @@ listed.  Counts convert to bits and bytes given a bit precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import arch
 from .arch import NetworkArch
+from .errors import SpikeNasError
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class MemoryBudget:
 
     def __post_init__(self) -> None:
         if not arch.is_int(self.max_params) or self.max_params < 1:
-            raise ValueError(f"max_params must be >= 1, got {self.max_params}")
+            raise SpikeNasError(f"max_params must be >= 1, got {self.max_params}")
         if not (arch.is_int(self.bit_precision) and 1 <= self.bit_precision <= 64):
-            raise ValueError(f"bit_precision must be in 1..64, got {self.bit_precision}")
+            raise SpikeNasError(f"bit_precision must be in 1..64, got {self.bit_precision}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def count_network_params(net: NetworkArch) -> int:
 def footprint(n_param: int, bit_precision: int) -> MemoryFootprint:
     """Bits and (rounded-up) bytes held by `n_param` parameters."""
     bits = n_param * bit_precision
-    return MemoryFootprint(bits=bits, bytes=math.ceil(bits / 8))
+    return MemoryFootprint(bits=bits, bytes=-(-bits // 8))
 
 
 def within_budget(n_param: int, budget: MemoryBudget | None) -> bool:

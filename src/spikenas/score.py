@@ -45,12 +45,12 @@ def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """
     codes = np.asarray(codes)
     if codes.ndim != 2:
-        raise ValueError(f"expected a 2-D bit matrix, got shape {codes.shape}")
+        raise SpikeNasError(f"expected a 2-D bit matrix, got shape {codes.shape}")
     num_samples, num_neurons = codes.shape
     if num_samples < 2:
         raise SpikeNasError(f"need >= 2 samples for pairwise distances, got {num_samples}")
     if num_neurons < 1:
-        raise ValueError("bit matrix must have at least one neuron column")
+        raise SpikeNasError("bit matrix must have at least one neuron column")
     packed = np.packbits(codes.astype(np.uint8, copy=False), axis=1)
     xored = packed[:, None, :] ^ packed[None, :, :]
     distances = np.bitwise_count(xored).sum(axis=2, dtype=np.int64)

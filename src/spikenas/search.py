@@ -77,23 +77,23 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if not is_int(self.num_cells) or self.num_cells not in (1, 2, 3):
-            raise ValueError(f"num_cells must be 1..3, got {self.num_cells}")
+            raise SpikeNasError(f"num_cells must be 1..3, got {self.num_cells}")
         if not is_int(self.jobs) or self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+            raise SpikeNasError(f"jobs must be >= 1, got {self.jobs}")
         if not is_int(self.batch_size) or self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+            raise SpikeNasError(f"batch_size must be >= 2, got {self.batch_size}")
         if not is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise SpikeNasError(f"seed must be non-negative, got {self.seed}")
         if self.strategy not in (MEMORY_AWARE, RANDOM):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise SpikeNasError(f"unknown strategy {self.strategy!r}")
         if self.carryover not in (CARRY_BEST, CARRY_LITERAL):
-            raise ValueError(f"unknown carryover policy {self.carryover!r}")
+            raise SpikeNasError(f"unknown carryover policy {self.carryover!r}")
         if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+            raise SpikeNasError(f"alpha must be finite, got {self.alpha}")
         if self.code_mode not in CODE_MODES:
-            raise ValueError(f"unknown code_mode {self.code_mode!r}")
+            raise SpikeNasError(f"unknown code_mode {self.code_mode!r}")
         if self.input_coding not in INPUT_CODINGS:
-            raise ValueError(f"unknown input_coding {self.input_coding!r}")
+            raise SpikeNasError(f"unknown input_coding {self.input_coding!r}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def search_random(cfg: SearchConfig, iterations: int, *,
     exactly as in the memory-aware search.
     """
     if not is_int(iterations) or iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+        raise SpikeNasError(f"iterations must be >= 1, got {iterations}")
     draws = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 1])
     ).integers(0, search_space_size(cfg.opset), size=iterations)

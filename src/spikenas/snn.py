@@ -70,15 +70,15 @@ class LIFParams:
     def __post_init__(self) -> None:
         for name in ("tau_leak", "v_threshold", "v_reset"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise SpikeNasError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau_leak < 1.0:
-            raise ValueError(f"tau_leak must be >= 1, got {self.tau_leak}")
+            raise SpikeNasError(f"tau_leak must be >= 1, got {self.tau_leak}")
         if self.v_threshold <= self.v_reset:
-            raise ValueError(
+            raise SpikeNasError(
                 f"v_threshold ({self.v_threshold}) must exceed v_reset ({self.v_reset})"
             )
         if not arch.is_int(self.timesteps) or self.timesteps < 1:
-            raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
+            raise SpikeNasError(f"timesteps must be >= 1, got {self.timesteps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +90,12 @@ class BinaryCodes:
 
     def __post_init__(self) -> None:
         if len(self.layer_names) != len(self.matrices):
-            raise ValueError("one bit matrix per layer name required")
+            raise SpikeNasError("one bit matrix per layer name required")
         if not self.matrices:
-            raise ValueError("at least one layer of codes required")
+            raise SpikeNasError("at least one layer of codes required")
         counts = {m.shape[0] for m in self.matrices}
         if len(counts) != 1:
-            raise ValueError(f"inconsistent sample counts across layers: {counts}")
+            raise SpikeNasError(f"inconsistent sample counts across layers: {counts}")
 
 
 def lif_step(v_prev: np.ndarray, x: np.ndarray, p: LIFParams):
@@ -318,9 +318,9 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     spike trains whose rates are the pixel values.
     """
     if code_mode not in CODE_MODES:
-        raise ValueError(f"unknown code_mode {code_mode!r}")
+        raise SpikeNasError(f"unknown code_mode {code_mode!r}")
     if input_coding not in INPUT_CODINGS:
-        raise ValueError(f"unknown input_coding {input_coding!r}")
+        raise SpikeNasError(f"unknown input_coding {input_coding!r}")
     x0 = np.asarray(batch, dtype=np.float32)
     expected = net.macro.input_shape
     if x0.ndim != 4 or x0.shape[1:] != expected:

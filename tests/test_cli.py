@@ -20,6 +20,7 @@ from spikenas.memmodel import MemoryBudget, count_network_params, footprint
 from spikenas.snn import LIFParams
 import spikenas
 from spikenas import cli as cli_mod
+from spikenas import data as data_mod
 from spikenas import report as report_mod
 
 TINY = ["--stem-channels", "4", "--classes", "4", "--batch-size", "4",
@@ -454,6 +455,33 @@ class TestRealDataPath:
         doc = json.loads(report_path.read_text())
         assert doc["dataset"] == "cifar10"
         assert doc["evaluations_total"] == 64
+
+
+class TestCleanErrors:
+    """Failures past the argument checks still end in `error: ...` and exit 1."""
+
+    def test_unreadable_dataset_file(self, tmp_path, monkeypatch, capsys):
+        write_cifar10(tmp_path / "data_batch_1.bin", synth_dataset(8, 10, 5))
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(data_mod, "open", refuse, raising=False)
+        argv = ["score", "--opset", "2O", "--indices", "4", "--dataset", "cifar10",
+                "--data-dir", str(tmp_path)] + TINY
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+        ("", "out of memory"),
+    ])
+    def test_memory_error(self, monkeypatch, capsys, message, printed):
+        def exhaust(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli_mod, "search_random", exhaust)
+        argv = ["random-search", "--scenario", "1C2O", "--dataset", "synth"] + TINY
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {printed}\n"
 
 
 class TestOutputPathsCheckedFirst:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import write_cifar10, write_cifar100
+from spikenas import data as data_mod
 from spikenas.data import (
     DATA_DIR_ENV,
     Dataset,
@@ -211,6 +212,16 @@ class TestLoadDataset:
             load_dataset("cifar10", data_dir=tmp_path)
         with pytest.raises(SpikeNasError, match="no data directory given for cifar10"):
             load_dataset("cifar10", data_dir=None)
+
+    def test_unreadable_file(self, tmp_path, monkeypatch):
+        write_cifar10(tmp_path / "data_batch_1.bin", synth_dataset(4, 10, seed=1))
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(data_mod, "open", refuse, raising=False)
+        with pytest.raises(SpikeNasError, match="cannot read .*data_batch_1.bin: "
+                                                ".*Permission denied"):
+            load_dataset("cifar10", data_dir=tmp_path)
 
     def test_finds_batches_in_dir(self, tmp_path):
         ds = synth_dataset(12, 10, seed=1)

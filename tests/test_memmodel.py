@@ -137,6 +137,11 @@ class TestMemoryCost:
     def test_byte_rounding(self):
         assert footprint(3, 3).bytes == 2  # 9 bits round up
 
+    def test_bytes_are_exact_past_float_precision(self):
+        # memcalc --opset 2O --indices 63 --stem-channels 3000000000
+        assert footprint(486000000132000000010, 32).bytes == 1944000000528000000040
+        assert footprint(2**61 + 1, 1).bytes == 2**58 + 1  # 1 bit past 2**61 rounds up
+
     @given(st.integers(min_value=0, max_value=10**7),
            st.integers(min_value=1, max_value=32))
     def test_bits_scale_linearly(self, n, bits):
