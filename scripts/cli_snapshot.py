@@ -17,11 +17,12 @@ behaves the same are identical:
     python3 scripts/cli_snapshot.py /tmp/after
     diff -r /tmp/before /tmp/after
 
-The matrix holds nine working commands (search with a report, candidate log
-and table; random-search with `--jobs 2`; a memory-aware and a random
-ablate; score with a kernel dump; score with `--no-bias`; memcalc; score
-over two 10-class files; search over one 100-class file) and fifteen bad
-inputs, two of them a bad label byte and a truncated 10-class file.
+The matrix holds ten working commands (search with a report, candidate log
+and table; random-search with `--jobs 2`; random-search with 300 draws over
+64 cells, so most draws repeat; a memory-aware and a random ablate; score
+with a kernel dump; score with `--no-bias`; memcalc; score over two
+10-class files; search over one 100-class file) and fifteen bad inputs, two
+of them a bad label byte and a truncated 10-class file.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ COMMANDS = [
                              "--budget", "3000", "--iterations", "20", "--jobs", "2",
                              "--candidate-log", "cands.ndjson", "--table-out", "runs.csv",
                              *TINY], LOW_THRESHOLD),
+    ("random_search_repeats", ["random-search", "--scenario", "1C2O", "--dataset", "synth",
+                               "--iterations", "300", "--jobs", "2",
+                               "--candidate-log", "cands.ndjson", *TINY], None),
     ("ablate_memory_aware", ["ablate", "--opset", "3O", "--cells", "1", "--remove",
                              "avgpool3x3", "--dataset", "synth", *OUTPUTS, *TINY], None),
     ("ablate_random", ["ablate", "--opset", "5O", "--cells", "2", "--remove", "zeroize",

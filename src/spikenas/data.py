@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .arch import is_int
 from .errors import SpikeNasError
 
 DATA_DIR_ENV = "SPIKENAS_DATA_DIR"
@@ -93,8 +94,8 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
 
 def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
     """Seeded draw of `num_samples` distinct records, order included."""
-    if num_samples < 1:
-        raise SpikeNasError(f"batch size must be positive, got {num_samples}")
+    if not is_int(num_samples) or num_samples < 1:
+        raise SpikeNasError(f"batch size must be a positive integer, got {num_samples}")
     if num_samples > len(dataset):
         raise SpikeNasError(
             f"requested {num_samples} samples from {len(dataset)} records"

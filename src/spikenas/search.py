@@ -1,12 +1,15 @@
 """Memory-aware per-cell search, random baseline, and ablation runner.
 
-The memory-aware search proceeds in one phase per cell.  Phase 1 tries
-every candidate as the shared architecture of all cells and fixes the
-best feasible one; each later phase re-searches a single cell over the
-full per-cell space while the earlier cells keep the best configuration
-found so far.  Candidates whose parameter count exceeds the budget are
-skipped without scoring, so a run visits exactly
-``num_cells * len(opset) ** 6`` candidates but may evaluate far fewer.
+`SearchConfig.strategy` decides what a search visits; `search_memory_aware`
+and `search_random` set it, and `ablate_operation` follows it.  The
+memory-aware search runs one phase per cell: phase 1 fixes the best
+feasible architecture shared by all cells, and each later phase
+re-searches one cell over the full space while the earlier cells keep the
+best configuration so far, ``num_cells * len(opset) ** 6`` visits in all.
+The random baseline is one shared-cell phase over seeded draws with
+replacement.  A phase scores each distinct index once and keeps one
+record per visit, in visit order, so a repeated draw is counted and logged
+at every draw.  Over-budget candidates are skipped without scoring.
 
 Scores are reproducible and schedule-independent: every candidate's
 weights are seeded from (run seed, phase, candidate index) and the
@@ -184,23 +187,26 @@ def _run_all(visit: Callable[[int], CandidateRecord], indices: Sequence[int],
 
 
 def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
-            draws: np.ndarray | None) -> SearchReport:
-    """Visit, count, log and reduce to the best feasible candidate.
-
-    With `draws` None this is the memory-aware search: one phase per cell
-    over the whole space.  Otherwise it is one shared-cell phase over
-    the drawn indices.
-    """
+            iterations: int | None = None) -> SearchReport:
+    """Run the phases `cfg.strategy` names; count, log and reduce to the best."""
     score_fn = score_fn or score_mod.score_candidate
     start = time.perf_counter()
-    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
     space = search_space_size(cfg.opset)
-    phases = cfg.num_cells if draws is None else 1
+    if cfg.strategy == RANDOM:
+        if not is_int(iterations) or iterations < 1:
+            raise SpikeNasError(f"iterations must be >= 1, got {iterations}")
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+        phases = [rng.integers(0, space, size=iterations).tolist()]
+        none_fit = f"none of the {iterations} drawn candidates fit"
+    else:
+        phases = [range(space)] * cfg.num_cells
+        none_fit = f"all {space} shared-cell candidates exceed"
+    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
 
     best: CandidateRecord | None = None
     total = skipped = 0
     log: list[CandidateRecord] = []
-    for phase in range(1, phases + 1):
+    for phase, indices in enumerate(phases, 1):
         if phase == 1:
             base = None
         elif cfg.carryover == CARRY_LITERAL:
@@ -208,7 +214,9 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         else:
             base = best_cells
         visit = partial(_visit, cfg, pixels, score_fn, base, phase)
-        records = _run_all(visit, range(space) if draws is None else draws, cfg.jobs)
+        distinct = list(dict.fromkeys(indices))
+        by_index = dict(zip(distinct, _run_all(visit, distinct, cfg.jobs)))
+        records = [by_index[i] for i in indices]
         feasible = [rec for rec in records if rec.feasible]
         total += len(feasible)
         skipped += len(records) - len(feasible)
@@ -216,16 +224,14 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
             log.extend(records)
         best = max(feasible + ([best] if best else []), key=_rank, default=None)
         if best is None:
-            what = (f"all {space} shared-cell candidates exceed" if draws is None
-                    else f"none of the {len(draws)} drawn candidates fit")
-            raise SpikeNasError(f"{what} the budget of {cfg.budget.max_params} parameters")
+            raise SpikeNasError(f"{none_fit} the budget of {cfg.budget.max_params} parameters")
         if best.phase == phase:  # decode the phase's winner once
             best_cells = _cells(cfg, base, phase, best.index)
 
     return SearchReport(
         opset_name=cfg.opset.name,
         num_cells=cfg.num_cells,
-        strategy=MEMORY_AWARE if draws is None else RANDOM,
+        strategy=cfg.strategy,
         best_arch=build_network(best_cells, cfg.macro),
         per_cell_best_indices=tuple(encode_cell(c, cfg.opset) for c in best_cells),
         best_score=best.score,
@@ -235,7 +241,7 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         wall_time_s=time.perf_counter() - start,
         seed=cfg.seed,
         budget=cfg.budget,
-        iterations=None if draws is None else len(draws),
+        iterations=len(phases[0]) if cfg.strategy == RANDOM else None,
         candidate_log=tuple(log) if cfg.keep_candidate_log else None,
     )
 
@@ -243,23 +249,18 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
 def search_memory_aware(cfg: SearchConfig, *,
                         score_fn: ScoreFn | None = None) -> SearchReport:
     """Per-cell consecutive search under the configured memory budget."""
-    return _search(cfg, score_fn, None)
+    return _search(replace(cfg, strategy=MEMORY_AWARE), score_fn)
 
 
 def search_random(cfg: SearchConfig, iterations: int, *,
                   score_fn: ScoreFn | None = None) -> SearchReport:
     """Baseline: seeded uniform draws of one shared cell architecture.
 
-    Draws are with replacement; a repeated index reuses the same derived
-    weight seed and therefore the same score.  The budget filter applies
-    exactly as in the memory-aware search.
+    Draws are with replacement; a repeated index is scored once, since it
+    would reuse the same weight seed, and logged at every draw.  The budget
+    filter applies exactly as in the memory-aware search.
     """
-    if not is_int(iterations) or iterations < 1:
-        raise SpikeNasError(f"iterations must be >= 1, got {iterations}")
-    draws = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, 1])
-    ).integers(0, search_space_size(cfg.opset), size=iterations)
-    return _search(cfg, score_fn, draws)
+    return _search(replace(cfg, strategy=RANDOM), score_fn, iterations)
 
 
 def ablated_opset(opset: OpSet, removed: Operation) -> OpSet:
@@ -276,10 +277,6 @@ def ablated_opset(opset: OpSet, removed: Operation) -> OpSet:
 def ablate_operation(cfg: SearchConfig, removed: Operation, *,
                      iterations: int = 5000,
                      score_fn: ScoreFn | None = None) -> SearchReport:
-    """Re-run the configured search with one operation removed."""
+    """Re-run the search `cfg.strategy` names with one operation removed."""
     sub = replace(cfg, opset=ablated_opset(cfg.opset, removed))
-    if cfg.strategy == RANDOM:
-        report = search_random(sub, iterations, score_fn=score_fn)
-    else:
-        report = search_memory_aware(sub, score_fn=score_fn)
-    return replace(report, removed_op=removed)
+    return replace(_search(sub, score_fn, iterations), removed_op=removed)

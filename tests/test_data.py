@@ -167,6 +167,14 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(_indexed_dataset(4), 0, seed=0)
 
+    @pytest.mark.parametrize("size", [True, 2.5, 3.0])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(SpikeNasError, match="batch size must be a positive integer"):
+            sample_batch(_indexed_dataset(4), size, seed=0)
+
+    def test_numpy_size_accepted(self):
+        assert len(sample_batch(_indexed_dataset(4), np.int64(3), seed=0).labels) == 3
+
     def test_pixels_live_in_unit_interval(self):
         batch = sample_batch(synth_dataset(30, 10, 0), 10, seed=0)
         assert batch.pixels.dtype == np.float32

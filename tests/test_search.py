@@ -245,6 +245,26 @@ class TestRandomSearch:
                 by_index[rec.index] = rec.score
         assert duplicates > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeated_draw_is_scored_once_and_logged_at_every_draw(self, base_cfg, jobs):
+        calls = []
+        lock = threading.Lock()
+
+        def counting_score(net, batch, lif, seed, alpha, **kwargs):
+            with lock:
+                calls.append(seed)
+            return stub_score(net, batch, lif, seed, alpha, **kwargs)
+
+        cfg = replace(base_cfg, jobs=jobs, keep_candidate_log=True)
+        report = search_random(cfg, 300, score_fn=counting_score)
+        draws = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).integers(
+            0, 64, size=300)
+        assert [rec.index for rec in report.candidate_log] == draws.tolist()
+        assert sorted(calls) == sorted(candidate_seed(cfg.seed, 1, i) for i in set(draws.tolist()))
+        assert len(calls) < 300
+        assert report == replace(search_random(cfg, 300, score_fn=stub_score),
+                                 wall_time_s=report.wall_time_s)
+
     def test_budget_filter_applies(self, base_cfg):
         floor = min_shared_candidate_params(TWO_OPS, 1, base_cfg.macro)
         cfg = replace(base_cfg, budget=MemoryBudget(floor),
