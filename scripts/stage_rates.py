@@ -38,7 +38,7 @@ def main() -> int:
 
     def record_rates(*args, **kwargs):
         result = score.score_candidate(*args, **kwargs)
-        for name, bits in zip(result.codes.layer_names, result.codes.matrices):
+        for name, bits in result.codes.items():
             rates.setdefault(name, []).append(float(bits.mean()))
         return result
 

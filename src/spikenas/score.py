@@ -84,7 +84,12 @@ def log_abs_det(matrix: np.ndarray) -> float:
 def _kernels(all_codes: BinaryCodes,
              alpha: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Each stage's kernel, and their sum in stage order."""
-    kernels = [hamming_kernel(codes, alpha) for codes in all_codes.matrices]
+    if not all_codes:
+        raise SpikeNasError("at least one layer of codes required")
+    counts = {bits.shape[0] for bits in all_codes.values()}
+    if len(counts) != 1:
+        raise SpikeNasError(f"inconsistent sample counts across layers: {counts}")
+    kernels = [hamming_kernel(bits, alpha) for bits in all_codes.values()]
     return kernels, sum(kernels[1:], kernels[0])
 
 
@@ -107,7 +112,7 @@ def write_kernel_dump(path, codes: BinaryCodes, alpha: float) -> None:
     """Write each stage's kernel and their sum as space-separated matrices."""
     kernels, total = _kernels(codes, alpha)
     with open(path, "w", encoding="utf-8") as fh:
-        for name, bits, kernel in zip(codes.layer_names, codes.matrices, kernels):
+        for (name, bits), kernel in zip(codes.items(), kernels):
             fh.write(f"# layer {name} neurons={bits.shape[1]} alpha={alpha}\n")
             _write_matrix(fh, kernel)
         fh.write("# sum\n")

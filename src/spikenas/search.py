@@ -165,7 +165,6 @@ def _cells(cfg: SearchConfig, base: tuple[CellArch, ...] | None, phase: int,
 def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
            base: tuple[CellArch, ...] | None, phase: int,
            index: int) -> CandidateRecord:
-    index = int(index)
     net = build_network(_cells(cfg, base, phase, index), cfg.macro)
     n_param = count_network_params(net)
     if not within_budget(n_param, cfg.budget):

@@ -43,6 +43,7 @@ stay exactly the same.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,8 @@ from .arch import NetworkArch, Operation
 from .errors import SpikeNasError
 
 WeightSet = dict[str, np.ndarray]
+# Stage name -> (samples x neurons) uint8 firing codes, in stage order.
+BinaryCodes = dict[str, np.ndarray]
 
 CODE_MODES = ("any", "concat")
 INPUT_CODINGS = ("direct", "rate")
@@ -79,23 +82,6 @@ class LIFParams:
             )
         if not arch.is_int(self.timesteps) or self.timesteps < 1:
             raise SpikeNasError(f"timesteps must be >= 1, got {self.timesteps}")
-
-
-@dataclass(frozen=True, eq=False)
-class BinaryCodes:
-    """Per-stage firing codes: one (samples x neurons) bit matrix each."""
-
-    layer_names: tuple[str, ...]
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.layer_names) != len(self.matrices):
-            raise SpikeNasError("one bit matrix per layer name required")
-        if not self.matrices:
-            raise SpikeNasError("at least one layer of codes required")
-        counts = {m.shape[0] for m in self.matrices}
-        if len(counts) != 1:
-            raise SpikeNasError(f"inconsistent sample counts across layers: {counts}")
 
 
 def lif_step(v_prev: np.ndarray, x: np.ndarray, p: LIFParams):
@@ -259,8 +245,6 @@ def _live_edges(cell) -> list[tuple[str, int, int]]:
 
 def _conv_fan_out(x: np.ndarray, filters: list[np.ndarray]) -> list[np.ndarray]:
     """`conv2d_same(x, w)` for each w, as one GEMM over stacked filters."""
-    if len(filters) == 1:
-        return [conv2d_same(x, filters[0])]
     return np.split(conv2d_same(x, np.concatenate(filters)), len(filters), axis=1)
 
 
@@ -329,13 +313,8 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
 
     rate_rng = np.random.default_rng(coding_seed) if input_coding == "rate" else None
     num_cells = net.num_cells
-    stage_names = ["stem"]
-    for i in range(1, num_cells + 1):
-        stage_names.append(f"cell{i}")
-        if i < num_cells:
-            stage_names.append(f"down{i}")
-    stage_names.append("classifier")
-    stages = {name: _LifStage(p, code_mode) for name in stage_names}
+    # a stage is made at its first step, so `stages` is in stage order
+    stages: dict[str, _LifStage] = defaultdict(lambda: _LifStage(p, code_mode))
 
     fc_w = weights["classifier.fc"]
     stem_w = weights["stem.conv"]
@@ -359,7 +338,4 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
         logits = None if silent else cur.mean(axis=(2, 3)) @ fc_w.T
         stages["classifier"].step(logits, (len(cur), len(fc_w)))
 
-    return BinaryCodes(
-        layer_names=tuple(stage_names),
-        matrices=tuple(stages[name].codes() for name in stage_names),
-    )
+    return {name: stage.codes() for name, stage in stages.items()}

@@ -40,7 +40,7 @@ from spikenas.errors import SpikeNasError
 from spikenas.memmodel import MemoryBudget, count_network_params
 from spikenas.score import ScoreResult, hamming_kernel, network_score, score_candidate
 from spikenas.search import SearchConfig, search_memory_aware, search_random
-from spikenas.snn import BinaryCodes, LIFParams, init_weights, lif_step
+from spikenas.snn import LIFParams, init_weights, lif_step
 
 
 class _Timer:
@@ -204,8 +204,7 @@ def test_criterion_04_score_oracles():
                 (rng.random((4, int(rng.integers(3, 48)))) < 0.5).astype(np.uint8)
                 for _ in range(3)
             )
-            names = tuple(f"l{i}" for i in range(3))
-            got = network_score(BinaryCodes(names, mats), alpha=1.0)
+            got = network_score(dict(zip(("l0", "l1", "l2"), mats)), alpha=1.0)
             total = sum(naive_hamming_kernel(m, 1.0) for m in mats)
             det = cofactor_det(total)
             if got.singular:
@@ -240,18 +239,16 @@ def test_criterion_05_kernel_invariants():
         for _ in range(25):
             mats = tuple((rng.random((5, 31)) < 0.5).astype(np.uint8)
                          for _ in range(3))
-            names = ("a", "b", "c")
-            base = network_score(BinaryCodes(names, mats))
+            base = network_score(dict(zip("abc", mats)))
             perm = rng.permutation(5)
-            permuted = network_score(
-                BinaryCodes(names, tuple(m[perm] for m in mats)))
+            permuted = network_score(dict(zip("abc", (m[perm] for m in mats))))
             assert base.singular == permuted.singular
             if not base.singular:
                 assert abs(base.value - permuted.value) <= 1e-9 * max(
                     1.0, abs(base.value))
         identical = tuple(np.tile((np.arange(f) % 2).astype(np.uint8), (4, 1))
                           for f in (6, 11))
-        assert network_score(BinaryCodes(("x", "y"), identical)).singular
+        assert network_score(dict(zip("xy", identical))).singular
 
 
 def test_criterion_06_search_equivalence(small_dataset):

@@ -31,7 +31,7 @@ def _code_widths(net):
     """Columns of each stage's code matrix for one forward pass."""
     batch = np.random.default_rng(0).random((2, *net.macro.input_shape), dtype=np.float32)
     codes = forward_collect_codes(net, init_weights(net, 0), batch, LIFParams(timesteps=1))
-    return {name: m.shape[1] for name, m in zip(codes.layer_names, codes.matrices)}
+    return {name: m.shape[1] for name, m in codes.items()}
 
 
 class TestOperation:

@@ -22,9 +22,8 @@ ALPHA = 0.3
 
 def _codes() -> BinaryCodes:
     rng = np.random.default_rng(5)
-    return BinaryCodes(("stem", "cell1"),
-                       ((rng.random((5, 13)) < 0.5).astype(np.uint8),
-                        (rng.random((5, 40)) < 0.2).astype(np.uint8)))
+    return {"stem": (rng.random((5, 13)) < 0.5).astype(np.uint8),
+            "cell1": (rng.random((5, 40)) < 0.2).astype(np.uint8)}
 
 
 def test_kernel_dump_bytes_are_pinned(tmp_path):

@@ -16,7 +16,7 @@ from spikenas.score import (
     score_candidate,
     write_kernel_dump,
 )
-from spikenas.snn import BinaryCodes, LIFParams
+from spikenas.snn import LIFParams
 
 
 def _codes(*rows):
@@ -96,16 +96,15 @@ class TestLogAbsDet:
 
 class TestNetworkScore:
     def test_single_layer_two_sample_example(self):
-        codes = BinaryCodes(("l",), (_codes([0, 1, 0, 1], [0, 1, 1, 0]),))
+        codes = {"l": _codes([0, 1, 0, 1], [0, 1, 1, 0])}
         result = network_score(codes, alpha=1.0)
         # sum matrix [[4,2],[2,4]], determinant 12
         assert abs(result.value - math.log(12.0)) <= 1e-12
         assert not result.singular
 
     def test_indistinguishable_samples_collapse_to_sentinel(self):
-        mats = tuple(np.tile((np.arange(f) % 2).astype(np.uint8), (3, 1))
-                     for f in (5, 9))
-        result = network_score(BinaryCodes(("a", "b"), mats))
+        mats = [np.tile((np.arange(f) % 2).astype(np.uint8), (3, 1)) for f in (5, 9)]
+        result = network_score(dict(zip("ab", mats)))
         assert result.singular
         assert result.value == NEG_INF
 
@@ -114,8 +113,7 @@ class TestNetworkScore:
         rng = np.random.default_rng(seed)
         mats = tuple((rng.random((4, int(rng.integers(4, 40)))) < 0.5).astype(np.uint8)
                      for _ in range(3))
-        names = tuple(f"l{i}" for i in range(3))
-        result = network_score(BinaryCodes(names, mats), alpha=1.0)
+        result = network_score({f"l{i}": m for i, m in enumerate(mats)}, alpha=1.0)
         total = sum(naive_hamming_kernel(m, 1.0) for m in mats)
         det = cofactor_det(total)
         if result.singular:
@@ -129,16 +127,14 @@ class TestNetworkScore:
         rng = np.random.default_rng(seed)
         mats = tuple((rng.random((6, 25)) < 0.5).astype(np.uint8) for _ in range(2))
         perm = rng.permutation(6)
-        base = network_score(BinaryCodes(("a", "b"), mats))
-        shuffled = network_score(BinaryCodes(("a", "b"),
-                                             tuple(m[perm] for m in mats)))
+        base = network_score(dict(zip("ab", mats)))
+        shuffled = network_score(dict(zip("ab", (m[perm] for m in mats))))
         assert base.singular == shuffled.singular
         if not base.singular:
             assert abs(base.value - shuffled.value) <= 1e-9 * max(1.0, abs(base.value))
 
     def test_result_keeps_stage_codes(self):
-        mats = ((np.eye(3, 4, dtype=np.uint8)), (np.eye(3, 2, dtype=np.uint8)))
-        codes = BinaryCodes(("a", "b"), mats)
+        codes = {"a": np.eye(3, 4, dtype=np.uint8), "b": np.eye(3, 2, dtype=np.uint8)}
         assert network_score(codes).codes is codes
 
     def test_sentinel_flag_consistency_enforced(self):
@@ -175,7 +171,7 @@ class TestKernelDump:
         rng = np.random.default_rng(0)
         mats = tuple((rng.random((3, 7)) < 0.5).astype(np.uint8) for _ in range(2))
         path = tmp_path / "kernels.txt"
-        write_kernel_dump(path, BinaryCodes(("a", "b"), mats), 1.0)
+        write_kernel_dump(path, dict(zip("ab", mats)), 1.0)
         blocks = []
         current = []
         for line in path.read_text().splitlines():
@@ -191,3 +187,23 @@ class TestKernelDump:
         np.testing.assert_array_equal(
             blocks[2], hamming_kernel(mats[0]) + hamming_kernel(mats[1])
         )
+
+
+_BAD_CODES = [
+    ({}, "at least one layer"),
+    ({"a": np.zeros((2, 3), np.uint8), "b": np.zeros((3, 3), np.uint8)},
+     "inconsistent sample counts"),
+]
+
+
+@pytest.mark.parametrize("codes, message", _BAD_CODES, ids=["empty", "sample_counts"])
+class TestRefusedCodes:
+    def test_network_score(self, codes, message):
+        with pytest.raises(SpikeNasError, match=message):
+            network_score(codes)
+
+    def test_write_kernel_dump(self, tmp_path, codes, message):
+        path = tmp_path / "kernels.txt"
+        with pytest.raises(SpikeNasError, match=message):
+            write_kernel_dump(path, codes, 1.0)
+        assert not path.exists()

@@ -33,3 +33,25 @@ def test_help_exits_cleanly(script):
     proc = _run(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_cli_snapshot_matrix(tmp_path):
+    # every bad input gives one `error: ...` line and exit 1, never a
+    # traceback; an unknown flag is argparse's usage error, exit 2
+    out = tmp_path / "snapshot"
+    proc = _run("scripts/cli_snapshot.py", str(out))
+    assert proc.returncode == 0, proc.stderr
+    cases = {case.name: (int((case / "exit_code.txt").read_text()),
+                         (case / "stderr.txt").read_text()) for case in out.iterdir()}
+    assert len(cases) == 25
+    assert sum(name.startswith("err_") for name in cases) == 15
+    for name, (code, stderr) in cases.items():
+        assert "Traceback" not in stderr, name
+        if not name.startswith("err_"):
+            assert (code, stderr) == (0, ""), name
+        elif name == "err_memcalc_unread_flag":
+            assert code == 2, name
+        else:
+            assert code == 1, name
+            assert len(stderr.splitlines()) == 1, (name, stderr)
+            assert stderr.startswith("error: "), (name, stderr)

@@ -27,7 +27,6 @@ from spikenas.arch import (
 from spikenas import snn
 from spikenas.errors import SpikeNasError
 from spikenas.snn import (
-    BinaryCodes,
     LIFParams,
     avgpool2x2_down,
     avgpool3x3_same,
@@ -260,7 +259,7 @@ class TestForwardCollectCodes:
         net = self._net(tiny_macro)
         p = LIFParams(v_threshold=1e9, timesteps=3)
         codes = forward_collect_codes(net, init_weights(net, 0), self._batch(), p)
-        for mat in codes.matrices:
+        for mat in codes.values():
             assert not mat.any()
 
     def test_dominant_input_fires_whole_stem(self, tiny_macro):
@@ -270,15 +269,14 @@ class TestForwardCollectCodes:
         p = LIFParams(v_threshold=1e-6, timesteps=2)
         batch = np.ones((2, 3, 32, 32), dtype=np.float32)
         codes = forward_collect_codes(net, weights, batch, p)
-        stem = codes.matrices[codes.layer_names.index("stem")]
-        assert stem.all()
+        assert codes["stem"].all()
 
     def test_duplicated_samples_get_identical_rows(self, tiny_macro, tiny_lif):
         net = self._net(tiny_macro)
         one = self._batch(1)
         batch = np.concatenate([one, one, one])
         codes = forward_collect_codes(net, init_weights(net, 1), batch, tiny_lif)
-        for mat in codes.matrices:
+        for mat in codes.values():
             np.testing.assert_array_equal(mat[0], mat[1])
             np.testing.assert_array_equal(mat[0], mat[2])
 
@@ -290,7 +288,7 @@ class TestForwardCollectCodes:
         b = forward_collect_codes(net, weights, batch, tiny_lif)
         perm = [2, 0, 3, 1]
         c = forward_collect_codes(net, weights, batch[perm], tiny_lif)
-        for m1, m2, m3 in zip(a.matrices, b.matrices, c.matrices):
+        for m1, m2, m3 in zip(a.values(), b.values(), c.values()):
             np.testing.assert_array_equal(m1, m2)
             np.testing.assert_array_equal(m1[perm], m3)
 
@@ -298,21 +296,30 @@ class TestForwardCollectCodes:
         net = build_network([CellArch.uniform(Operation.ZEROIZE)] * 2, tiny_macro)
         codes = forward_collect_codes(net, init_weights(net, 0),
                                       self._batch(2), tiny_lif)
-        by_name = dict(zip(codes.layer_names, codes.matrices))
-        assert not by_name["cell1"].any()
-        assert not by_name["cell2"].any()
+        assert not codes["cell1"].any()
+        assert not codes["cell2"].any()
 
     def test_layer_names_and_neuron_counts(self, tiny_macro, tiny_lif):
         net = self._net(tiny_macro, index=100, opset=THREE_OPS, cells=2)
         codes = forward_collect_codes(net, init_weights(net, 0),
                                       self._batch(2), tiny_lif)
-        assert codes.layer_names == ("stem", "cell1", "down1", "cell2", "classifier")
+        assert list(codes) == ["stem", "cell1", "down1", "cell2", "classifier"]
         # stem width 4 at 32x32, doubled and halved at the downsample; 4 classes
         neurons = (4 * 32 * 32, 4 * 32 * 32, 8 * 16 * 16, 8 * 16 * 16, 4)
-        for n, mat in zip(neurons, codes.matrices):
+        for n, mat in zip(neurons, codes.values()):
             assert mat.shape == (2, n)
             assert mat.dtype == np.uint8
             assert set(np.unique(mat)) <= {0, 1}
+
+    @pytest.mark.parametrize("cells, stages", [
+        (1, ["stem", "cell1", "classifier"]),
+        (2, ["stem", "cell1", "down1", "cell2", "classifier"]),
+        (3, ["stem", "cell1", "down1", "cell2", "down2", "cell3", "classifier"]),
+    ])
+    def test_stages_in_stage_order(self, tiny_macro, tiny_lif, cells, stages):
+        net = self._net(tiny_macro, cells=cells)
+        codes = forward_collect_codes(net, init_weights(net, 0), self._batch(2), tiny_lif)
+        assert list(codes) == stages
 
     def test_concat_mode_multiplies_columns_by_timesteps(self, tiny_macro):
         net = self._net(tiny_macro)
@@ -321,7 +328,7 @@ class TestForwardCollectCodes:
         batch = self._batch(2)
         any_codes = forward_collect_codes(net, weights, batch, p, code_mode="any")
         cat_codes = forward_collect_codes(net, weights, batch, p, code_mode="concat")
-        for a, c in zip(any_codes.matrices, cat_codes.matrices):
+        for a, c in zip(any_codes.values(), cat_codes.values()):
             assert c.shape == (a.shape[0], a.shape[1] * p.timesteps)
 
     def test_rate_coding_is_seeded(self, tiny_macro, tiny_lif):
@@ -334,9 +341,9 @@ class TestForwardCollectCodes:
                                   input_coding="rate", coding_seed=5)
         c = forward_collect_codes(net, weights, batch, tiny_lif,
                                   input_coding="rate", coding_seed=6)
-        same = all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
+        same = all(np.array_equal(x, y) for x, y in zip(a.values(), b.values()))
         assert same
-        assert any(not np.array_equal(x, y) for x, y in zip(a.matrices, c.matrices))
+        assert any(not np.array_equal(x, y) for x, y in zip(a.values(), c.values()))
 
     def test_batch_shape_validated(self, tiny_macro, tiny_lif):
         net = self._net(tiny_macro)
@@ -363,15 +370,6 @@ class TestForwardCollectCodes:
                                   input_coding="ttfs")
 
 
-class TestBinaryCodes:
-    def test_sample_count_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            BinaryCodes(("a", "b"), (np.zeros((2, 3), np.uint8),
-                                     np.zeros((3, 3), np.uint8)))
-        with pytest.raises(ValueError):
-            BinaryCodes((), ())
-
-
 O = Operation
 # Each op appears on at least one edge reading node 0 and one reading a
 # computed node, so every op sees spikes and real-valued maps.
@@ -395,8 +393,8 @@ class TestForwardOracle:
         batch = np.random.default_rng(seed).random((3, 3, 6, 6), dtype=np.float32)
         got = forward_collect_codes(net, weights, batch, self.LIF, **modes)
         names, want = naive_forward_codes(net, weights, batch, self.LIF, **modes)
-        assert got.layer_names == names
-        for name, g, w in zip(names, got.matrices, want):
+        assert tuple(got) == names
+        for name, g, w in zip(names, got.values(), want):
             assert g.dtype == np.uint8
             np.testing.assert_array_equal(g, w, err_msg=name)
         return want
@@ -449,7 +447,7 @@ class TestForwardOracle:
         names, steps = naive_forward_codes(net, weights, batch, lif, code_mode="concat",
                                            input_coding=coding)
         fired = {}
-        for name, g, cat in zip(names, got.matrices, steps):
+        for name, g, cat in zip(names, got.values(), steps):
             per_step = cat.reshape(cat.shape[0], lif.timesteps, -1)
             want = cat if code_mode == "concat" else per_step.max(axis=1)
             np.testing.assert_array_equal(g, want, err_msg=name)
@@ -491,9 +489,9 @@ class TestForwardOracle:
                                     input_coding=coding)
         _, want = naive_forward_codes(net, weights, batch, lif, code_mode=code_mode,
                                       input_coding=coding)
-        for name, g, w in zip(names, got.matrices, want):
+        for name, g, w in zip(names, got.values(), want):
             np.testing.assert_array_equal(g, w, err_msg=name)
-        assert not got.matrices[names.index(fires)].any()
+        assert not got[fires].any()
 
     # layer: (shape of the array put in its place, or None for a
     # (weights, bias) pair, which has no shape; the message's tail)
@@ -525,7 +523,7 @@ class TestForwardOracle:
         for macro in (self.MACRO, self.MACRO.without_bias()):
             net = build_network(ORACLE_CELLS[:2], macro)
             codes.append(forward_collect_codes(net, init_weights(net, 0), batch,
-                                               self.LIF).matrices)
+                                               self.LIF).values())
         for zero, absent in zip(*codes):
             np.testing.assert_array_equal(zero, absent)
 
