@@ -1,17 +1,17 @@
-"""One OpenBLAS thread per search worker.
+"""One OpenBLAS thread per search worker, and for small serial searches.
 
-OpenBLAS starts its own thread team for every large GEMM.  When the
-search already keeps every core busy with worker threads, those teams
-compete with the workers and a second worker adds little.  While a pool
-runs, `single_blas_thread` sets the process-wide OpenBLAS thread count
-to 1 and restores the previous count afterwards.  The count is global,
-not per thread (`openblas_set_num_threads_local` also changes it for
-every thread in this build), so it is set around the pool, not inside
-each worker.
+OpenBLAS starts its own thread team for every large GEMM.  Those teams
+compete with a pool's worker threads, and a serial search whose GEMMs
+are too small to split gains no speed from them.  `single_blas_thread`
+sets the process-wide OpenBLAS thread count to 1 around each pool and
+around a serial search below `search.SPLIT_MACS`, and restores the
+previous count afterwards.  The count is global, not per thread
+(`openblas_set_num_threads_local` also changes it for every thread in
+this build), so it is set around the pool, not inside each worker.
 
 The library is the OpenBLAS that numpy has already loaded; it is found
 through the process's memory map on first use, so importing this module
-loads nothing.  Without it (another BLAS, or no `/proc`), the pool runs
+loads nothing.  Without it (another BLAS, or no `/proc`), the search runs
 with BLAS threading left as it is.
 """
 

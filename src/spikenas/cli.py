@@ -116,7 +116,7 @@ SETTINGS = (
     ("alpha", _FLOAT, 1.0, "sparsity normalization factor"),
     ("batch_size", _int(2), 16, "samples scored per candidate"),
     ("jobs", _int(1), 1, "worker threads for scoring, capped at the core count; "
-                         "two or more use one BLAS thread each"),
+                         "two or more, or one with small GEMMs, use one BLAS thread each"),
     ("bits", _int(1, 64), 32, "bit precision per parameter"),
     ("budget", _int(1), None, "max parameter count"),
     ("iterations", _int(1), 5000, "number of draws (default 5000)"),
@@ -259,10 +259,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     s["budget"] = _resolve_budget(scenario, args.dataset, s)
     cfg = _search_config(args.dataset, _OPSET_BY_SIZE[scenario.opset_size],
                          scenario.cells, s, args.strategy)
-    if args.strategy == RANDOM:
-        result = search_random(cfg, s["iterations"])
-    else:
-        result = search_memory_aware(cfg)
+    result = (search_random(cfg, s["iterations"]) if args.strategy == RANDOM
+              else search_memory_aware(cfg))
     _emit(args, result, scenario.name, s)
     return 0
 
@@ -279,16 +277,12 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_indices(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise SpikeNasError(f"bad --indices {text!r}: {exc}") from exc
-
-
 def _net_from_args(args: argparse.Namespace, s: dict):
     opset = get_opset(args.opset)
-    indices = _parse_indices(args.indices)
+    try:
+        indices = [int(tok) for tok in args.indices.split(",")]
+    except ValueError as exc:
+        raise SpikeNasError(f"bad --indices {args.indices!r}: {exc}") from exc
     return build_network([decode_cell(i, opset) for i in indices], s["macro"])
 
 

@@ -51,6 +51,8 @@ def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         raise SpikeNasError(f"need >= 2 samples for pairwise distances, got {num_samples}")
     if num_neurons < 1:
         raise SpikeNasError("bit matrix must have at least one neuron column")
+    if not codes.any():  # every distance is 0: skip the pack, XOR and popcount
+        return np.full((num_samples,) * 2, num_neurons - alpha * 0.0, dtype=np.float64)
     packed = np.packbits(codes.astype(np.uint8, copy=False), axis=1)
     xored = packed[:, None, :] ^ packed[None, :, :]
     distances = np.bitwise_count(xored).sum(axis=2, dtype=np.int64)

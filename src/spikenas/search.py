@@ -23,6 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -58,6 +59,10 @@ CARRY_BEST = "best"
 CARRY_LITERAL = "literal"
 
 ScoreFn = Callable[..., score_mod.ScoreResult]
+
+# Serial searches whose cell-1 conv3x3 edge (batch*H*W*9*C**2 multiply-adds) is below this
+# run on one BLAS thread: at batch 16, 1.14x as fast at 4 channels, 0.92x at 16 (BENCH_17.json).
+SPLIT_MACS = 2**25
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,31 +206,35 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         phases = [range(space)] * cfg.num_cells
         none_fit = f"all {space} shared-cell candidates exceed"
     pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
+    _, h, w = cfg.macro.input_shape
+    small = cfg.batch_size * h * w * 9 * cfg.macro.stem_channels ** 2 < SPLIT_MACS
+    serial = min(cfg.jobs, os.cpu_count() or 1) == 1
 
     best: CandidateRecord | None = None
     total = skipped = 0
     log: list[CandidateRecord] = []
-    for phase, indices in enumerate(phases, 1):
-        if phase == 1:
-            base = None
-        elif cfg.carryover == CARRY_LITERAL:
-            base = (decode_cell(space - 1, cfg.opset),) * cfg.num_cells
-        else:
-            base = best_cells
-        visit = partial(_visit, cfg, pixels, score_fn, base, phase)
-        distinct = list(dict.fromkeys(indices))
-        by_index = dict(zip(distinct, _run_all(visit, distinct, cfg.jobs)))
-        records = [by_index[i] for i in indices]
-        feasible = [rec for rec in records if rec.feasible]
-        total += len(feasible)
-        skipped += len(records) - len(feasible)
-        if cfg.keep_candidate_log:
-            log.extend(records)
-        best = max(feasible + ([best] if best else []), key=_rank, default=None)
-        if best is None:
-            raise SpikeNasError(f"{none_fit} the budget of {cfg.budget.max_params} parameters")
-        if best.phase == phase:  # decode the phase's winner once
-            best_cells = _cells(cfg, base, phase, best.index)
+    with single_blas_thread() if serial and small else nullcontext():
+        for phase, indices in enumerate(phases, 1):
+            if phase == 1:
+                base = None
+            elif cfg.carryover == CARRY_LITERAL:
+                base = (decode_cell(space - 1, cfg.opset),) * cfg.num_cells
+            else:
+                base = best_cells
+            visit = partial(_visit, cfg, pixels, score_fn, base, phase)
+            distinct = list(dict.fromkeys(indices))
+            by_index = dict(zip(distinct, _run_all(visit, distinct, cfg.jobs)))
+            records = [by_index[i] for i in indices]
+            feasible = [rec for rec in records if rec.feasible]
+            total += len(feasible)
+            skipped += len(records) - len(feasible)
+            if cfg.keep_candidate_log:
+                log.extend(records)
+            best = max(feasible + ([best] if best else []), key=_rank, default=None)
+            if best is None:
+                raise SpikeNasError(f"{none_fit} the budget of {cfg.budget.max_params} parameters")
+            if best.phase == phase:  # decode the phase's winner once
+                best_cells = _cells(cfg, base, phase, best.index)
 
     return SearchReport(
         opset_name=cfg.opset.name,

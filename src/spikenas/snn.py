@@ -106,7 +106,12 @@ def _pad_hw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 def conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Stride-1 zero-padded convolution keeping the spatial size."""
+    """Stride-1 zero-padded convolution keeping the spatial size.
+
+    The im2col operand is copied channel-major, (C*kh*kw, S*H*W), and the
+    GEMM takes its transpose.  It owes a row-major operand equal spike codes
+    and scores; equal float bits are pinned only at the perfbench shapes.
+    """
     if weights.ndim != 4:
         raise SpikeNasError(f"conv weights must be 4-D, got {weights.shape}")
     if x.ndim != 4 or x.shape[1] != weights.shape[1]:
@@ -117,9 +122,9 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         x = _pad_hw(x, ph, pw)
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     s, _, h, w = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(s * h * w, in_ch * kh * kw)
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(in_ch * kh * kw, s * h * w)
     del x, win  # free the padded copy before the GEMM output is allocated
-    out = cols @ weights.reshape(out_ch, -1).T
+    out = cols.T @ weights.reshape(out_ch, -1).T
     return out.reshape(s, h, w, out_ch).transpose(0, 3, 1, 2)
 
 

@@ -335,6 +335,19 @@ def reshape_mean_avgpool2x2(x):
     return x.reshape(s, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
 
+def row_major_conv2d_same(x, weights):
+    """`conv2d_same` with a row-major (S*H*W, C*kh*kw) im2col operand."""
+    out_ch, in_ch, kh, kw = weights.shape
+    ph, pw = kh // 2, kw // 2
+    s, c, h, w = x.shape
+    xp = np.zeros((s, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(s * h * w, in_ch * kh * kw)
+    out = cols @ weights.reshape(out_ch, -1).T
+    return out.reshape(s, h, w, out_ch).transpose(0, 3, 1, 2)
+
+
 def _straight_edge(op, x, w):
     label = op.label
     if label == "zeroize":

@@ -63,6 +63,16 @@ class TestHammingKernel:
         np.testing.assert_array_equal(k, k.T)
         np.testing.assert_array_equal(np.diag(k), np.full(s, float(f)))
 
+    @pytest.mark.parametrize("alpha", [1, 0.5, -2])
+    def test_all_zero_codes_equal_the_full_computation(self, monkeypatch, alpha):
+        codes = np.zeros((6, 37), dtype=np.uint8)
+        # the packed path's last step, on the all-zero distances it would find
+        full = 37 - alpha * np.zeros((6, 6), dtype=np.int64).astype(np.float64)
+        monkeypatch.setattr(np, "packbits", None)  # the short cut packs nothing
+        got = hamming_kernel(codes, alpha)
+        assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
+        np.testing.assert_array_equal(got, naive_hamming_kernel(codes, alpha))
+
     def test_alpha_doubling_relation_exact(self):
         codes = (np.random.default_rng(9).random((5, 33)) < 0.5).astype(np.uint8)
         base = hamming_kernel(codes, alpha=0.75)

@@ -452,6 +452,50 @@ class TestBlasPin:
         search_mod._run_all(lambda i: i, range(10), jobs=2)
         assert fake.sets == [1, 4]
 
+    def test_small_serial_search_pins_once(self, fake, base_cfg):
+        seen = []
+
+        def score(*args, **kwargs):
+            seen.append(fake.count)
+            return stub_score(*args, **kwargs)
+
+        # tiny macro: a cell-1 conv3x3 edge is 4*32*32*9*4**2 multiply-adds
+        report = search_memory_aware(replace(base_cfg, num_cells=2), score_fn=score)
+        assert report.candidates_visited == 128
+        assert set(seen) == {1}
+        assert fake.sets == [1, 4]
+
+    def test_serial_search_at_the_paper_macro_is_not_pinned(self, fake, base_cfg):
+        # 16*32*32*9*64**2 multiply-adds per cell-1 conv3x3 edge
+        cfg = replace(base_cfg, macro=MacroConfig(), batch_size=16)
+        assert 16 * 32 * 32 * 9 * 64 ** 2 >= search_mod.SPLIT_MACS
+        search_random(cfg, 5, score_fn=stub_score)
+        assert fake.sets == []
+
+    def test_pool_search_pins_each_pool_only(self, fake, base_cfg):
+        search_memory_aware(replace(base_cfg, num_cells=2, jobs=2), score_fn=stub_score)
+        assert fake.sets == [1, 4, 1, 4]
+
+    def test_serial_pin_is_restored_when_a_visit_raises(self, fake, base_cfg):
+        def score(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            search_memory_aware(base_cfg, score_fn=score)
+        assert fake.sets == [1, 4] and fake.count == 4
+
+    def test_small_serial_search_runs_on_one_real_thread(self, real, base_cfg):
+        before = real()
+        seen = []
+
+        def score(*args, **kwargs):
+            seen.append(real())
+            return stub_score(*args, **kwargs)
+
+        search_memory_aware(base_cfg, score_fn=score)
+        assert set(seen) == {1}
+        assert real() == before
+
     def test_nested_pins_restore_once_at_the_outermost_exit(self, fake):
         with blas.single_blas_thread():
             with blas.single_blas_thread():
@@ -483,8 +527,10 @@ class TestBlasPin:
                                                      tiny_lif):
         # stem 16 on 32x32 inputs: a stem conv3x3 GEMM of 4096x144x16, past
         # OpenBLAS's threading threshold, so jobs=1 runs threaded GEMMs and
-        # jobs=2 single-threaded ones
+        # jobs=2 single-threaded ones; SPLIT_MACS 0 keeps the serial search
+        # off its one-thread pin for small GEMMs
         monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search_mod, "SPLIT_MACS", 0)
         cfg = SearchConfig(dataset=small_dataset, opset=TWO_OPS, num_cells=1,
                            macro=MacroConfig(stem_channels=16, num_classes=4),
                            seed=3, batch_size=4, lif=tiny_lif,

@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     naive_forward_codes,
     reshape_mean_avgpool2x2,
+    row_major_conv2d_same,
     straight_cell_preactivation,
     windowed_mean_avgpool3x3,
 )
@@ -24,7 +26,7 @@ from spikenas.arch import (
     network_layers,
     search_space_size,
 )
-from spikenas import snn
+from spikenas import blas, snn
 from spikenas.errors import SpikeNasError
 from spikenas.snn import (
     LIFParams,
@@ -35,6 +37,22 @@ from spikenas.snn import (
     init_weights,
     lif_step,
 )
+
+
+def _benchmark_conv_shapes():
+    """(input, weights) shapes of every conv the perfbench workloads run.
+
+    tiny_2c3o_m (S=4, stem 4), mid_2c2o_rate_jobs (S=16, stem 16) and
+    paper_5o_random (S=16, stem 64, conv1x1 too): the stem, cell fan-outs
+    of one to three edges at both cell widths, and the 1x1 downsample.
+    """
+    for s, stem, kernels in ((4, 4, (3,)), (16, 16, (3,)), (16, 64, (3, 1))):
+        yield (s, 3, 32, 32), (stem, 3, 3, 3)
+        yield (s, stem, 16, 16), (2 * stem, stem, 1, 1)
+        for k in kernels:
+            for m in (1, 2, 3):
+                yield (s, stem, 32, 32), (m * stem, stem, k, k)
+                yield (s, 2 * stem, 16, 16), (2 * m * stem, 2 * stem, k, k)
 
 
 class TestLIFParams:
@@ -157,6 +175,20 @@ class TestFeatureOps:
                     for j in range(5):
                         want = (xp[n, :, i:i + 3, j:j + 3] * w[o]).sum()
                         assert abs(out[n, o, i, j] - want) < 1e-9
+
+    @pytest.mark.parametrize("one_thread", [False, True], ids=["default", "one_thread"])
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        pytest.param(x, w, id="x".join(map(str, x)) + "-" + "x".join(map(str, w)))
+        for x, w in _benchmark_conv_shapes()])
+    def test_conv_equals_row_major_operand_at_benchmark_shapes(self, x_shape, w_shape,
+                                                               one_thread):
+        rng = np.random.default_rng([*x_shape, *w_shape])
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(0.0, 0.3, size=w_shape).astype(np.float32)
+        with blas.single_blas_thread() if one_thread else contextlib.nullcontext():
+            got, want = conv2d_same(x, w), row_major_conv2d_same(x, w)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_conv_shape_checks(self):
         with pytest.raises(SpikeNasError, match="incompatible with weights"):
