@@ -2,9 +2,11 @@
 
 Untrained networks are run for a few timesteps on a mini-batch and each
 spiking stage records which neurons fired, producing the per-layer
-binary codes consumed by the scorer.  The neuron model integrates its
-input into a membrane potential that decays toward a reset value and
-fires (then resets) when it crosses a threshold:
+binary codes consumed by the scorer.  A stage keeps its membrane
+potential and one bool mask per step, and nothing else; the codes are
+built from the masks once, after the last step.  The neuron model
+integrates its input into a membrane potential that decays toward a
+reset value and fires (then resets) when it crosses a threshold:
 
     v <- v + (-(v - v_reset) + x) / tau
 
@@ -35,9 +37,9 @@ equal those of running all six edges one by one.
 A stage that fires no spike at a step is silent, and the next stage
 then gets an all-zero input: the cell does not run, and the downsample
 (2x2 pool, 1x1 conv) and the classifier pass zeros on.  A zero input
-leaves a spiking stage at reset where it is and runs no kernel; a
-potential off reset decays through `lif_step` as usual, so spike codes
-stay exactly the same.
+leaves a spiking stage at reset where it is, runs no kernel and stores
+nothing (its mask is a read-only all-False view); a potential off reset
+decays through `lif_step` as usual, so spike codes stay exactly the same.
 """
 
 from __future__ import annotations
@@ -180,40 +182,31 @@ def init_weights(net: NetworkArch, seed: int) -> WeightSet:
 
 @dataclass
 class _LifStage:
-    """Stateful spiking stage: persistent potential + fired accumulator."""
+    """Stateful spiking stage: persistent potential + per-step fired masks."""
 
     params: LIFParams
-    code_mode: str
     potential: np.ndarray | None = None  # None while every neuron is at reset
-    fired: np.ndarray | None = None
-    per_step: list[np.ndarray] = field(default_factory=list)
+    masks: list[np.ndarray] = field(default_factory=list)  # bool, one per step
 
     def step(self, pre: np.ndarray | None,
              shape: tuple[int, ...] = ()) -> tuple[np.ndarray, bool]:
         """One step on `pre` (None: all zero, of `shape`); returns (spikes, silent)."""
-        zero = pre is None
-        if zero:
+        if pre is None:
             pre = np.broadcast_to(np.float32(0), shape)  # read-only, holds no memory
-        if zero and self.potential is None:  # stays at reset, fires nothing
-            spikes, silent = pre, True
-        else:
-            if self.potential is None:
-                self.potential = np.full_like(pre, self.params.v_reset)
-            self.potential, spikes = lif_step(self.potential, pre, self.params)
-            silent = spikes.max() == 0  # 0/1 spikes: the fastest any-fired test
-        if self.code_mode == "concat":
-            self.per_step.append(spikes)
-        elif self.fired is None:
-            self.fired = spikes.copy()
-        elif not silent:
-            np.maximum(self.fired, spikes, out=self.fired)
-        return spikes, silent
+            if self.potential is None:  # stays at reset, fires nothing
+                self.masks.append(np.broadcast_to(False, shape))
+                return pre, True
+        if self.potential is None:
+            self.potential = np.full_like(pre, self.params.v_reset)
+        self.potential, spikes = lif_step(self.potential, pre, self.params)
+        mask = spikes.astype(bool)
+        self.masks.append(mask)
+        return spikes, not mask.any()
 
-    def codes(self) -> np.ndarray:
-        if self.code_mode == "concat":
-            stacked = np.stack(self.per_step, axis=1)
-            return stacked.reshape(stacked.shape[0], -1).astype(np.uint8)
-        return self.fired.reshape(self.fired.shape[0], -1).astype(np.uint8)
+    def codes(self, code_mode: str) -> np.ndarray:
+        """(samples x neurons) uint8 bits: OR over steps, or the steps in order."""
+        bits = np.any(self.masks, axis=0) if code_mode == "any" else np.stack(self.masks, axis=1)
+        return bits.reshape(len(bits), -1).astype(np.uint8)
 
 
 def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
@@ -302,7 +295,8 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
 
     Every sample starts from the reset potential; a neuron's code bit is
     1 if it fired at least once over the horizon (`code_mode="any"`), or
-    the per-step spike trains concatenated (`code_mode="concat"`).
+    the per-step spike trains concatenated (`code_mode="concat"`): per
+    sample, step-major, each step's bits in (C, H, W) order.
     `input_coding="rate"` replaces direct coding with seeded Bernoulli
     spike trains whose rates are the pixel values.
     """
@@ -319,7 +313,7 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     rate_rng = np.random.default_rng(coding_seed) if input_coding == "rate" else None
     num_cells = net.num_cells
     # a stage is made at its first step, so `stages` is in stage order
-    stages: dict[str, _LifStage] = defaultdict(lambda: _LifStage(p, code_mode))
+    stages: dict[str, _LifStage] = defaultdict(lambda: _LifStage(p))
 
     fc_w = weights["classifier.fc"]
     stem_w = weights["stem.conv"]
@@ -343,4 +337,4 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
         logits = None if silent else cur.mean(axis=(2, 3)) @ fc_w.T
         stages["classifier"].step(logits, (len(cur), len(fc_w)))
 
-    return {name: stage.codes() for name, stage in stages.items()}
+    return {name: stage.codes(code_mode) for name, stage in stages.items()}

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,23 @@ class TestForwardCollectCodes:
         with pytest.raises(ValueError):
             forward_collect_codes(net, weights, self._batch(2), tiny_lif,
                                   input_coding="ttfs")
+
+    def test_stage_silent_at_reset_stores_nothing(self):
+        shape = (16, 64, 32, 32)  # a paper-macro stem map: 4 MiB as float32
+        stage = snn._LifStage(LIFParams())
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                spikes, silent = stage.step(None, shape)
+                assert silent and spikes.shape == shape and not spikes.any()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        for mode, width in (("any", 65536), ("concat", 5 * 65536)):
+            codes = stage.codes(mode)
+            assert codes.dtype == np.uint8 and codes.shape == (16, width)
+            assert not codes.any()
 
 
 O = Operation
