@@ -7,12 +7,13 @@ Usage (from the repository root):
 Each run is a fresh interpreter running `python -m spikenas.cli search` on
 a fixed synth scenario: 1C2O at 16 stem channels, batch 16, 5 timesteps,
 rate coding, so every candidate is dominated by 3x3 convolutions large
-enough for OpenBLAS to thread.  A cell-1 conv3x3 edge is 16*32*32*9*16**2
-multiply-adds, above `search.SPLIT_MACS`, so the `--jobs 1` runs keep
-OpenBLAS's own threading; the `--jobs <cores>` runs use one BLAS thread
-per worker.  Runs alternate between the two job counts.  `wall_s` is the
-whole process (start-up, import, dataset, search, report); `cands_per_s`
-is candidates visited over the search wall time the report records.
+enough to split.  A cell-1 conv3x3 edge is 16*32*32*9*16**2 multiply-adds,
+above `search.SPLIT_MACS`, so the `--jobs 1` runs split each candidate's
+batch into one shard per core; the `--jobs <cores>` runs score one
+candidate per worker.  Every thread uses one BLAS thread.  Runs alternate
+between the two job counts.  `wall_s` is the whole process (start-up,
+import, dataset, search, report); `cands_per_s` is candidates visited
+over the search wall time the report records.
 Prints one JSON object with every run, the medians and the speed-up of
 the median `cands_per_s`.
 """

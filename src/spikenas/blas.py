@@ -1,13 +1,14 @@
-"""One OpenBLAS thread per search worker, and for small serial searches.
+"""One OpenBLAS thread per search worker and per sample shard.
 
 OpenBLAS starts its own thread team for every large GEMM.  Those teams
-compete with a pool's worker threads, and a serial search whose GEMMs
-are too small to split gains no speed from them.  `single_blas_thread`
-sets the process-wide OpenBLAS thread count to 1 around each pool and
-around a serial search below `search.SPLIT_MACS`, and restores the
-previous count afterwards.  The count is global, not per thread
-(`openblas_set_num_threads_local` also changes it for every thread in
-this build), so it is set around the pool, not inside each worker.
+compete with a pool's worker threads and with the threads of a sharded
+forward pass, and they leave every other kernel of a serial search on
+one core.  `single_blas_thread` sets the process-wide OpenBLAS thread
+count to 1 around each pool, around each serial search and around each
+sharded forward pass, and restores the previous count afterwards.  The
+count is global, not per thread (`openblas_set_num_threads_local` also
+changes it for every thread in this build), so it is set around the
+threads, not inside each one.
 
 The library is the OpenBLAS that numpy has already loaded; it is found
 through the process's memory map on first use, so importing this module

@@ -60,9 +60,10 @@ CARRY_LITERAL = "literal"
 
 ScoreFn = Callable[..., score_mod.ScoreResult]
 
-# Serial searches whose cell-1 conv3x3 edge (batch*H*W*9*C**2 multiply-adds) is below this
-# run on one BLAS thread: at batch 16, 1.14x as fast at 4 channels, 0.92x at 16 (BENCH_17.json).
-SPLIT_MACS = 2**25
+# Serial searches run on one BLAS thread; those whose cell-1 conv3x3 edge (batch*H*W*9*C**2
+# multiply-adds) is at or above this also split each batch into one shard per core: at
+# batch 16, 0.82x as fast at 4 channels, even at 6, 1.26x at 8 (BENCH_19.json).
+SPLIT_MACS = 2**23
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +168,7 @@ def _cells(cfg: SearchConfig, base: tuple[CellArch, ...] | None, phase: int,
     return tuple(cells)
 
 
-def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
+def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn, shards: int,
            base: tuple[CellArch, ...] | None, phase: int,
            index: int) -> CandidateRecord:
     net = build_network(_cells(cfg, base, phase, index), cfg.macro)
@@ -176,7 +177,8 @@ def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
         return CandidateRecord(phase, index, n_param, None)
     result = score_fn(net, pixels, cfg.lif,
                       candidate_seed(cfg.seed, phase, index), cfg.alpha,
-                      code_mode=cfg.code_mode, input_coding=cfg.input_coding)
+                      code_mode=cfg.code_mode, input_coding=cfg.input_coding,
+                      shards=shards)
     return CandidateRecord(phase, index, n_param, result.value)
 
 
@@ -207,13 +209,15 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         none_fit = f"all {space} shared-cell candidates exceed"
     pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
     _, h, w = cfg.macro.input_shape
-    small = cfg.batch_size * h * w * 9 * cfg.macro.stem_channels ** 2 < SPLIT_MACS
-    serial = min(cfg.jobs, os.cpu_count() or 1) == 1
+    big = cfg.batch_size * h * w * 9 * cfg.macro.stem_channels ** 2 >= SPLIT_MACS
+    cores = os.cpu_count() or 1
+    serial = min(cfg.jobs, cores) == 1
+    shards = min(cores, cfg.batch_size) if serial and big else 1
 
     best: CandidateRecord | None = None
     total = skipped = 0
     log: list[CandidateRecord] = []
-    with single_blas_thread() if serial and small else nullcontext():
+    with single_blas_thread() if serial else nullcontext():
         for phase, indices in enumerate(phases, 1):
             if phase == 1:
                 base = None
@@ -221,7 +225,7 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
                 base = (decode_cell(space - 1, cfg.opset),) * cfg.num_cells
             else:
                 base = best_cells
-            visit = partial(_visit, cfg, pixels, score_fn, base, phase)
+            visit = partial(_visit, cfg, pixels, score_fn, shards, base, phase)
             distinct = list(dict.fromkeys(indices))
             by_index = dict(zip(distinct, _run_all(visit, distinct, cfg.jobs)))
             records = [by_index[i] for i in indices]

@@ -12,18 +12,18 @@ reset value and fires (then resets) when it crosses a threshold:
 
 Inputs use direct coding by default: the analog image is presented as
 synaptic input at every timestep, so the stem convolution of that image
-is computed once and fed to the stem at every step (rate coding draws a
-new spike map, and runs the stem, per step).  Convolutions are plain
-stride-1 same-padding weighted sums implemented via im2col, with no bias
-term: an untrained network's biases are zero, so a weight set holds one
-weight array per layer and nothing else (biases count only toward the
-memory model's `n_param`).  All feature-map operators preserve the stage
-shape so node summations are well defined.  The 3x3 average pool is a
-separable box sum over the zero-padded map: three column-shifted slices
-summed into row sums, then three row-shifted row sums, then a division
-by 9; the 2x2 downsampling pool adds strided slices the same way.  That
-is the order numpy's windowed mean adds in, so both are bit-identical
-to it.
+is computed once and fed to the stem at every step (rate coding draws
+every step's spike map in one call, then runs the stem per step).
+Convolutions are plain stride-1 same-padding weighted sums implemented
+via im2col, with no bias term: an untrained network's biases are zero,
+so a weight set holds one weight array per layer and nothing else
+(biases count only toward the memory model's `n_param`).  All
+feature-map operators preserve the stage shape so node summations are
+well defined.  The 3x3 average pool is a separable box sum over the
+zero-padded map: three column-shifted slices summed into row sums, then
+three row-shifted row sums, then a division by 9; the 2x2 downsampling
+pool adds strided slices the same way.  That is the order numpy's
+windowed mean adds in, so both are bit-identical to it.
 
 A cell runs only its live edges.  An edge is dead when its output is
 always zero (zeroize, or any op reading a node that is always zero) or
@@ -40,19 +40,27 @@ then gets an all-zero input: the cell does not run, and the downsample
 leaves a spiking stage at reset where it is, runs no kernel and stores
 nothing (its mask is a read-only all-False view); a potential off reset
 decays through `lif_step` as usual, so spike codes stay exactly the same.
+
+Every kernel works per sample and the silent test is exact per sample
+too, so a batch can be split into contiguous shards that run on their
+own threads, each on one BLAS thread: each stage's codes are the shards'
+codes in sample order, the same bits as one run over the whole batch.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import arch
 from .arch import NetworkArch, Operation
+from .blas import single_blas_thread
 from .errors import SpikeNasError
 
 WeightSet = dict[str, np.ndarray]
@@ -205,8 +213,14 @@ class _LifStage:
 
     def codes(self, code_mode: str) -> np.ndarray:
         """(samples x neurons) uint8 bits: OR over steps, or the steps in order."""
-        bits = np.any(self.masks, axis=0) if code_mode == "any" else np.stack(self.masks, axis=1)
-        return bits.reshape(len(bits), -1).astype(np.uint8)
+        if code_mode == "concat":
+            bits = np.stack(self.masks, axis=1)
+        else:  # OR the stored masks; zero-stride ones are steps silent at reset
+            bits = np.zeros(self.masks[0].shape, bool)
+            for mask in self.masks:
+                if any(mask.strides):
+                    bits |= mask
+        return bits.reshape(len(bits), -1).view(np.uint8)
 
 
 def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
@@ -287,30 +301,9 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
     return nodes[3]
 
 
-def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarray,
-                          p: LIFParams, *, code_mode: str = "any",
-                          input_coding: str = "direct",
-                          coding_seed: int = 0) -> BinaryCodes:
-    """Simulate the network over `p.timesteps` steps and collect codes.
-
-    Every sample starts from the reset potential; a neuron's code bit is
-    1 if it fired at least once over the horizon (`code_mode="any"`), or
-    the per-step spike trains concatenated (`code_mode="concat"`): per
-    sample, step-major, each step's bits in (C, H, W) order.
-    `input_coding="rate"` replaces direct coding with seeded Bernoulli
-    spike trains whose rates are the pixel values.
-    """
-    if code_mode not in CODE_MODES:
-        raise SpikeNasError(f"unknown code_mode {code_mode!r}")
-    if input_coding not in INPUT_CODINGS:
-        raise SpikeNasError(f"unknown input_coding {input_coding!r}")
-    x0 = np.asarray(batch, dtype=np.float32)
-    expected = net.macro.input_shape
-    if x0.ndim != 4 or x0.shape[1:] != expected:
-        raise SpikeNasError(f"batch shape {x0.shape} does not match input {expected}")
-    _check_weights(net, weights)
-
-    rate_rng = np.random.default_rng(coding_seed) if input_coding == "rate" else None
+def _simulate(net: NetworkArch, weights: WeightSet, x: np.ndarray, p: LIFParams,
+              code_mode: str, rate: bool) -> BinaryCodes:
+    """Codes of the samples in `x`: an image batch, or (rate) T spike batches."""
     num_cells = net.num_cells
     # a stage is made at its first step, so `stages` is in stage order
     stages: dict[str, _LifStage] = defaultdict(lambda: _LifStage(p))
@@ -318,14 +311,12 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     fc_w = weights["classifier.fc"]
     stem_w = weights["stem.conv"]
     # direct coding feeds the same image at every step: one stem conv
-    stem_pre = conv2d_same(x0, stem_w) if rate_rng is None else None
-    for _ in range(p.timesteps):
-        if rate_rng is None:
-            cur, silent = stages["stem"].step(stem_pre)
+    stem_pre = None if rate else conv2d_same(x, stem_w)
+    for t in range(p.timesteps):
+        if rate:
+            cur, silent = stages["stem"].step(conv2d_same(x[t].astype(np.float32), stem_w))
         else:
-            x = (rate_rng.random(x0.shape, dtype=np.float32) < x0).astype(np.float32)
-            cur, silent = stages["stem"].step(conv2d_same(x, stem_w))
-            del x
+            cur, silent = stages["stem"].step(stem_pre)
         for i, cell in enumerate(net.cells, start=1):
             pre = None if silent else _cell_preactivation(cell, cur, weights, f"cell{i}")
             cur, silent = stages[f"cell{i}"].step(pre, cur.shape)
@@ -338,3 +329,43 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
         stages["classifier"].step(logits, (len(cur), len(fc_w)))
 
     return {name: stage.codes(code_mode) for name, stage in stages.items()}
+
+
+def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarray,
+                          p: LIFParams, *, code_mode: str = "any",
+                          input_coding: str = "direct", coding_seed: int = 0,
+                          shards: int = 1) -> BinaryCodes:
+    """Simulate the network over `p.timesteps` steps and collect codes.
+
+    Every sample starts from the reset potential; a neuron's code bit is
+    1 if it fired at least once over the horizon (`code_mode="any"`), or
+    the per-step spike trains concatenated (`code_mode="concat"`): per
+    sample, step-major, each step's bits in (C, H, W) order.
+    `input_coding="rate"` replaces direct coding with seeded Bernoulli
+    spike trains whose rates are the pixel values.  `shards` > 1 runs
+    that many contiguous shards of samples (at most one per sample) on
+    their own threads and joins their codes in sample order.
+    """
+    if code_mode not in CODE_MODES:
+        raise SpikeNasError(f"unknown code_mode {code_mode!r}")
+    if input_coding not in INPUT_CODINGS:
+        raise SpikeNasError(f"unknown input_coding {input_coding!r}")
+    if not arch.is_int(shards) or shards < 1:
+        raise SpikeNasError(f"shards must be >= 1, got {shards}")
+    x = np.asarray(batch, dtype=np.float32)
+    expected = net.macro.input_shape
+    if x.ndim != 4 or x.shape[1:] != expected:
+        raise SpikeNasError(f"batch shape {x.shape} does not match input {expected}")
+    _check_weights(net, weights)
+
+    n = min(shards, len(x))
+    rate = input_coding == "rate"
+    if rate:  # all T steps' spikes in one draw: the stream of T draws of one step
+        rng = np.random.default_rng(coding_seed)
+        x = rng.random((p.timesteps, *x.shape), dtype=np.float32) < x
+    run = partial(_simulate, net, weights, p=p, code_mode=code_mode, rate=rate)
+    if n <= 1:
+        return run(x)
+    with single_blas_thread(), ThreadPoolExecutor(max_workers=n) as pool:
+        parts = list(pool.map(run, np.array_split(x, n, axis=int(rate))))
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

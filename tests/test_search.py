@@ -465,12 +465,31 @@ class TestBlasPin:
         assert set(seen) == {1}
         assert fake.sets == [1, 4]
 
-    def test_serial_search_at_the_paper_macro_is_not_pinned(self, fake, base_cfg):
+    @staticmethod
+    def _recording(fake, seen):
+        def score(*args, shards, **kwargs):
+            seen.append((fake.count, shards))
+            return stub_score(*args, **kwargs)
+        return score
+
+    @pytest.mark.parametrize("cores, jobs", [(1, 2), (2, 1), (3, 1), (32, 1)])
+    def test_serial_search_at_the_paper_macro_pins_once_and_shards(self, fake, base_cfg,
+                                                                   monkeypatch, cores, jobs):
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cores)
         # 16*32*32*9*64**2 multiply-adds per cell-1 conv3x3 edge
-        cfg = replace(base_cfg, macro=MacroConfig(), batch_size=16)
+        cfg = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=jobs)
         assert 16 * 32 * 32 * 9 * 64 ** 2 >= search_mod.SPLIT_MACS
-        search_random(cfg, 5, score_fn=stub_score)
-        assert fake.sets == []
+        seen = []
+        search_random(cfg, 5, score_fn=self._recording(fake, seen))
+        assert fake.sets == [1, 4]
+        assert set(seen) == {(1, min(cores, 16))}
+
+    def test_small_serial_and_pooled_searches_do_not_shard(self, fake, base_cfg):
+        seen = []
+        search_random(base_cfg, 5, score_fn=self._recording(fake, seen))
+        paper = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=2)
+        search_random(paper, 5, score_fn=self._recording(fake, seen))
+        assert {shards for _, shards in seen} == {1}
 
     def test_pool_search_pins_each_pool_only(self, fake, base_cfg):
         search_memory_aware(replace(base_cfg, num_cells=2, jobs=2), score_fn=stub_score)
@@ -525,10 +544,9 @@ class TestBlasPin:
 
     def test_records_equal_at_a_gemm_threading_shape(self, monkeypatch, small_dataset,
                                                      tiny_lif):
-        # stem 16 on 32x32 inputs: a stem conv3x3 GEMM of 4096x144x16, past
-        # OpenBLAS's threading threshold, so jobs=1 runs threaded GEMMs and
-        # jobs=2 single-threaded ones; SPLIT_MACS 0 keeps the serial search
-        # off its one-thread pin for small GEMMs
+        # stem 16 on 32x32 inputs: a stem conv3x3 GEMM of 4096x144x16;
+        # SPLIT_MACS 0 makes jobs=1 split each batch into two shards, while
+        # jobs=2 scores whole batches on two workers
         monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(search_mod, "SPLIT_MACS", 0)
         cfg = SearchConfig(dataset=small_dataset, opset=TWO_OPS, num_cells=1,

@@ -419,6 +419,37 @@ class TestForwardCollectCodes:
             assert codes.dtype == np.uint8 and codes.shape == (16, width)
             assert not codes.any()
 
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("pattern", ["0000", "0100", "1000", "0110", "1011", "1111"])
+    def test_codes_over_silent_and_firing_steps(self, pattern, code_mode):
+        # "1": the step gets a random input and stores a mask; "0": the step
+        # gets no input, and a stage still at reset stores a zero-stride mask
+        shape = (3, 2, 4, 4)
+        rng = np.random.default_rng(int(pattern, 2))
+        p = LIFParams(v_threshold=0.4, timesteps=len(pattern))
+        stage = snn._LifStage(p)
+        dense = []
+        for step in pattern:
+            pre = rng.random(shape, dtype=np.float32) if step == "1" else None
+            stage.step(pre, shape)
+            dense.append(np.array(stage.masks[-1]))
+        at_reset = len(pattern) - len(pattern.lstrip("0"))
+        assert [not any(m.strides) for m in stage.masks] == [i < at_reset for i in range(4)]
+        want = (np.any(dense, axis=0) if code_mode == "any"
+                else np.stack(dense, axis=1)).reshape(3, -1).astype(np.uint8)
+        got = stage.codes(code_mode)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.any() == ("1" in pattern)
+        assert all(np.array_equal(m, d) for m, d in zip(stage.masks, dense))
+
+    def test_shards_validated(self, tiny_macro, tiny_lif):
+        net = self._net(tiny_macro)
+        for shards in (0, -1, 1.5, True):
+            with pytest.raises(SpikeNasError, match="shards must be >= 1"):
+                forward_collect_codes(net, init_weights(net, 0), self._batch(2), tiny_lif,
+                                      shards=shards)
+
 
 O = Operation
 # Each op appears on at least one edge reading node 0 and one reading a
@@ -592,6 +623,80 @@ class TestForwardOracle:
             "cell1_silent"][-1]
         assert {k for k, _ in shapes} == {"conv2d_same", "avgpool3x3_same", "lif_step"}
         assert all(shape[2:] == (6, 6) for _, shape in shapes), shapes
+
+
+def _assert_same_codes(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype == np.uint8, name
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestShards:
+    """Sharded forward passes against one run over the whole batch."""
+
+    MACRO = MacroConfig(stem_channels=4, num_classes=4, input_shape=(3, 8, 8))
+    LIF = LIFParams(v_threshold=0.3, timesteps=3)
+
+    def _both(self, net, weights, batch, lif, shards, **modes):
+        whole = forward_collect_codes(net, weights, batch, lif, **modes)
+        split = forward_collect_codes(net, weights, batch, lif, shards=shards, **modes)
+        _assert_same_codes(split, whole)
+        return whole
+
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("input_coding", ["direct", "rate"])
+    @pytest.mark.parametrize("samples, shards", [(5, 2), (4, 2), (6, 3), (3, 8)])
+    def test_sharded_codes_equal(self, samples, shards, input_coding, code_mode):
+        net = build_network(ORACLE_CELLS[:2], self.MACRO)
+        batch = np.random.default_rng(samples).random((samples, 3, 8, 8), dtype=np.float32)
+        whole = self._both(net, init_weights(net, 4), batch, self.LIF, shards,
+                           code_mode=code_mode, input_coding=input_coding, coding_seed=3)
+        assert any(0 < m.mean() < 1 for m in whole.values())
+
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    def test_one_shard_silent_while_the_other_fires(self, code_mode):
+        # a black image never drives the bias-free stem: the first shard's
+        # stem, and every stage after it, stays at reset
+        net = build_network(ORACLE_CELLS[:2], self.MACRO)
+        batch = np.random.default_rng(1).random((5, 3, 8, 8), dtype=np.float32)
+        batch[:3] = 0
+        whole = self._both(net, init_weights(net, 4), batch, self.LIF, 2,
+                           code_mode=code_mode)
+        assert not any(m[:3].any() for m in whole.values())
+        assert whole["stem"][3:].any() and whole["cell1"][3:].any()
+
+    @pytest.mark.parametrize("cell", [ORACLE_CELLS[0], ORACLE_CELLS[1]],
+                             ids=["conv3_conv1_pool_zero", "pool_conv1_conv3_zero"])
+    def test_paper_macro_codes_equal_under_one_blas_thread(self, cell):
+        net = build_network([cell] * 2, MacroConfig())
+        batch = np.random.default_rng(7).random((16, 3, 32, 32), dtype=np.float32)
+        with blas.single_blas_thread():
+            whole = self._both(net, init_weights(net, 11), batch, LIFParams(), 2)
+        assert whole["stem"].any() and whole["cell1"].any()
+
+    def test_raising_shard_surfaces_and_restores_blas_count(self, monkeypatch):
+        sets, count = [], [4]
+
+        def set_(n):
+            sets.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(blas, "openblas_controls", lambda: (lambda: count[0], set_))
+        real = snn._cell_preactivation
+
+        def preactivation(cell, x, *args):
+            if len(x) == 2:  # the second shard of five samples
+                raise RuntimeError("shard failed")
+            return real(cell, x, *args)
+
+        monkeypatch.setattr(snn, "_cell_preactivation", preactivation)
+        net = build_network(ORACLE_CELLS[:1], self.MACRO)
+        batch = np.random.default_rng(0).random((5, 3, 8, 8), dtype=np.float32)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            forward_collect_codes(net, init_weights(net, 0), batch, self.LIF, shards=2)
+        assert sets == [1, 4] and count[0] == 4
 
 
 EDGES = ("con01", "con02", "con03", "con12", "con13", "con23")
