@@ -7,13 +7,16 @@ Usage (from the repository root):
 Each run is a fresh interpreter running `python -m spikenas.cli search` on
 a fixed synth scenario: 1C2O at 16 stem channels, batch 16, 5 timesteps,
 rate coding, so every candidate is dominated by 3x3 convolutions large
-enough to split.  A cell-1 conv3x3 edge is 16*32*32*9*16**2 multiply-adds,
-above `search.SPLIT_MACS`, so the `--jobs 1` runs split each candidate's
-batch into one shard per core; the `--jobs <cores>` runs score one
-candidate per worker.  Every thread uses one BLAS thread.  Runs alternate
-between the two job counts.  `wall_s` is the whole process (start-up,
-import, dataset, search, report); `cands_per_s` is candidates visited
-over the search wall time the report records.
+enough to split.  `<cores>` is the number of CPUs in this process's
+affinity mask, the count a search itself uses.  Each phase runs on
+min(jobs, cores, candidates) workers, and one whose cell-1 conv3x3 edge is
+at or above `search.SPLIT_MACS` (here 16*32*32*9*16**2 multiply-adds) and
+has one worker splits each candidate's batch into one shard per core.  So
+the `--jobs 1` runs shard each batch and the `--jobs <cores>` runs score
+one candidate per worker.  Every thread uses one BLAS thread.  Runs
+alternate between the two job counts.  `wall_s` is the whole process
+(start-up, import, dataset, search, report); `cands_per_s` is candidates
+visited over the search wall time the report records.
 Prints one JSON object with every run, the medians and the speed-up of
 the median `cands_per_s`.
 """
@@ -58,7 +61,8 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    cores = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     runs: dict[int, list[dict]] = {1: [], cores: []}
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"

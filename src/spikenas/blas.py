@@ -1,19 +1,16 @@
-"""One OpenBLAS thread per search worker and per sample shard.
+"""One way onto the cores: `thread_map`, each thread on one OpenBLAS thread.
 
-OpenBLAS starts its own thread team for every large GEMM.  Those teams
-compete with a pool's worker threads and with the threads of a sharded
-forward pass, and they leave every other kernel of a serial search on
-one core.  `single_blas_thread` sets the process-wide OpenBLAS thread
-count to 1 around each pool, around each serial search and around each
-sharded forward pass, and restores the previous count afterwards.  The
-count is global, not per thread (`openblas_set_num_threads_local` also
-changes it for every thread in this build), so it is set around the
-threads, not inside each one.
-
-The library is the OpenBLAS that numpy has already loaded; it is found
-through the process's memory map on first use, so importing this module
-loads nothing.  Without it (another BLAS, or no `/proc`), the search runs
-with BLAS threading left as it is.
+OpenBLAS starts a thread team for every large GEMM, which would compete
+with a search's workers and a sharded forward pass's threads.  So
+`thread_map` is the one place that starts threads, and a search holds
+`single_blas_thread` (OpenBLAS count 1, restored at exit) for its whole
+run: per phase it maps its candidates over min(jobs, cores, candidates)
+workers, and one worker whose GEMMs are large maps each batch's shards over
+the cores.  The count is process-wide (`openblas_set_num_threads_local` also
+changes it for every thread in this build), so it is set around threads.
+The library is the OpenBLAS numpy has loaded, found through the process's
+memory map on first use; without it (another BLAS, or no `/proc`), BLAS
+threading is left as it is.
 """
 
 from __future__ import annotations
@@ -21,8 +18,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 # (get, set) symbol pairs: numpy's scipy-openblas wheels, then 64-bit and
 # plain OpenBLAS builds.
@@ -92,3 +90,13 @@ def single_blas_thread() -> Iterator[None]:
             _depth -= 1
             if _depth == 0:
                 set_(_saved)
+
+
+def thread_map(fn: Callable[[Any], Any], items: Sequence, workers: int) -> list:
+    """`[fn(x) for x in items]`: inline when one thread would do, else on
+    min(workers, len(items)) pooled threads inside `single_blas_thread`."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

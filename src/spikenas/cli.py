@@ -115,8 +115,9 @@ SETTINGS = (
     ("seed", _int(0), 0, "seed of the weights, the batch and synthetic data"),
     ("alpha", _FLOAT, 1.0, "sparsity normalization factor"),
     ("batch_size", _int(2), 16, "samples scored per candidate"),
-    ("jobs", _int(1), 1, "worker threads for scoring, capped at the core count, each on "
-                         "one BLAS thread; one with large GEMMs splits each batch across the cores"),
+    ("jobs", _int(1), 1, "worker threads per phase, capped at the usable cores and the "
+                         "candidates, each on one BLAS thread; one worker with large GEMMs "
+                         "splits each batch across the cores"),
     ("bits", _int(1, 64), 32, "bit precision per parameter"),
     ("budget", _int(1), None, "max parameter count"),
     ("iterations", _int(1), 5000, "number of draws (default 5000)"),

@@ -22,11 +22,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +41,7 @@ from .arch import (
     is_int,
     search_space_size,
 )
-from .blas import single_blas_thread
+from .blas import single_blas_thread, thread_map
 from .data import Dataset, sample_batch
 from .errors import SpikeNasError
 from .memmodel import MemoryBudget, count_network_params, within_budget
@@ -60,9 +58,9 @@ CARRY_LITERAL = "literal"
 
 ScoreFn = Callable[..., score_mod.ScoreResult]
 
-# Serial searches run on one BLAS thread; those whose cell-1 conv3x3 edge (batch*H*W*9*C**2
-# multiply-adds) is at or above this also split each batch into one shard per core: at
-# batch 16, 0.82x as fast at 4 channels, even at 6, 1.26x at 8 (BENCH_19.json).
+# A phase scored by one worker whose cell-1 conv3x3 edge (batch*H*W*9*C**2 multiply-adds)
+# is at or above this splits each batch into one shard per core: at batch 16, 0.82x as
+# fast at 4 channels, even at 6, 1.26x at 8 (BENCH_19.json).
 SPLIT_MACS = 2**23
 
 
@@ -182,16 +180,6 @@ def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn, shards: int
     return CandidateRecord(phase, index, n_param, result.value)
 
 
-def _run_all(visit: Callable[[int], CandidateRecord], indices: Sequence[int],
-             jobs: int) -> list[CandidateRecord]:
-    """Visit every index; a pool of workers runs with one BLAS thread each."""
-    workers = min(jobs, os.cpu_count() or 1, len(indices))
-    if workers <= 1:
-        return [visit(i) for i in indices]
-    with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(visit, indices))
-
-
 def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
             iterations: int | None = None) -> SearchReport:
     """Run the phases `cfg.strategy` names; count, log and reduce to the best."""
@@ -210,14 +198,13 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
     pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
     _, h, w = cfg.macro.input_shape
     big = cfg.batch_size * h * w * 9 * cfg.macro.stem_channels ** 2 >= SPLIT_MACS
-    cores = os.cpu_count() or 1
-    serial = min(cfg.jobs, cores) == 1
-    shards = min(cores, cfg.batch_size) if serial and big else 1
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
 
     best: CandidateRecord | None = None
     total = skipped = 0
     log: list[CandidateRecord] = []
-    with single_blas_thread() if serial else nullcontext():
+    with single_blas_thread():
         for phase, indices in enumerate(phases, 1):
             if phase == 1:
                 base = None
@@ -225,9 +212,11 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
                 base = (decode_cell(space - 1, cfg.opset),) * cfg.num_cells
             else:
                 base = best_cells
-            visit = partial(_visit, cfg, pixels, score_fn, shards, base, phase)
             distinct = list(dict.fromkeys(indices))
-            by_index = dict(zip(distinct, _run_all(visit, distinct, cfg.jobs)))
+            workers = min(cfg.jobs, cores, len(distinct))
+            shards = min(cores, cfg.batch_size) if workers == 1 and big else 1
+            visit = partial(_visit, cfg, pixels, score_fn, shards, base, phase)
+            by_index = dict(zip(distinct, thread_map(visit, distinct, workers)))
             records = [by_index[i] for i in indices]
             feasible = [rec for rec in records if rec.feasible]
             total += len(feasible)

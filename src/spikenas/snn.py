@@ -43,15 +43,16 @@ decays through `lif_step` as usual, so spike codes stay exactly the same.
 
 Every kernel works per sample and the silent test is exact per sample
 too, so a batch can be split into contiguous shards that run on their
-own threads, each on one BLAS thread: each stage's codes are the shards'
-codes in sample order, the same bits as one run over the whole batch.
+own threads through `blas.thread_map`, each on one BLAS thread: each
+stage's codes are the shards' codes in sample order, the same bits as
+one run over the whole batch.  A search shards only a phase it scores
+with one worker, one shard per core, and only above `search.SPLIT_MACS`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -60,7 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import arch
 from .arch import NetworkArch, Operation
-from .blas import single_blas_thread
+from .blas import thread_map
 from .errors import SpikeNasError
 
 WeightSet = dict[str, np.ndarray]
@@ -366,6 +367,5 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     run = partial(_simulate, net, weights, p=p, code_mode=code_mode, rate=rate)
     if n <= 1:
         return run(x)
-    with single_blas_thread(), ThreadPoolExecutor(max_workers=n) as pool:
-        parts = list(pool.map(run, np.array_split(x, n, axis=int(rate))))
+    parts = thread_map(run, np.array_split(x, n, axis=int(rate)), n)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

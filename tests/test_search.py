@@ -1,5 +1,7 @@
+import ast
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,34 +347,57 @@ class _RecordingPool:
         return map(fn, items)
 
 
+def _set_cores(monkeypatch, cores, machine=None):
+    """Give the process an affinity mask of `cores` CPUs on a `machine`-CPU host.
+
+    `cores=None` takes the mask away, as on a platform without one; the
+    host's count defaults to the mask's.
+    """
+    if cores is None:
+        monkeypatch.delattr(search_mod.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(search_mod.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: machine or cores)
+
+
 class TestWorkerBound:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
-        monkeypatch.setattr(search_mod, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(blas, "ThreadPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
 
-    @pytest.mark.parametrize("jobs,cpus,n,pool", [
-        (10**6, 2, 15625, 2),   # huge --jobs: one worker per core
-        (3, 8, 100, 3),         # fewer jobs than cores
-        (8, 8, 2, 2),           # never more workers than candidates
-        (4, None, 100, None),   # unknown core count runs serially
-        (1, 8, 100, None),
+    @pytest.mark.parametrize("workers,n,pool", [
+        (2, 15625, 2),
+        (3, 100, 3),
+        (8, 2, 2),              # never more workers than items
+        (4, 1, None),           # one item runs inline
+        (1, 100, None),         # so does one worker
     ])
-    def test_run_all_bounds_workers(self, monkeypatch, jobs, cpus, n, pool):
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
-        out = search_mod._run_all(lambda i: 2 * i, range(n), jobs)
+    def test_thread_map_bounds_workers(self, workers, n, pool):
+        out = blas.thread_map(lambda i: 2 * i, range(n), workers)
         assert out == [2 * i for i in range(n)]
         assert _RecordingPool.sizes == ([] if pool is None else [pool])
 
-    def test_search_with_huge_jobs_uses_core_count(self, monkeypatch, base_cfg):
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 3)
-        wide = search_memory_aware(replace(base_cfg, num_cells=2, jobs=10**6),
-                                   score_fn=stub_score)
-        assert _RecordingPool.sizes == [3, 3]
+    @pytest.mark.parametrize("jobs,cores,machine,pools", [
+        (10**6, 2, 2, [2, 2]),      # huge --jobs: one worker per core
+        (3, 8, 8, [3, 3]),          # fewer jobs than cores
+        (100, 100, 100, [64, 64]),  # never more workers than candidates
+        (4, None, None, []),        # no mask and an unknown core count: serial
+        (4, None, 3, [3, 3]),       # no mask: the machine's count
+        (2, 1, 2, []),              # the mask, not the machine, bounds the pool
+        (1, 8, 8, []),
+    ])
+    def test_search_bounds_workers(self, monkeypatch, base_cfg, jobs, cores, machine,
+                                   pools):
+        _set_cores(monkeypatch, cores, machine)
+        report = search_memory_aware(replace(base_cfg, num_cells=2, jobs=jobs),
+                                     score_fn=stub_score)
+        assert _RecordingPool.sizes == pools
         narrow = search_memory_aware(replace(base_cfg, num_cells=2),
                                      score_fn=stub_score)
-        assert wide.per_cell_best_indices == narrow.per_cell_best_indices
-        assert wide.best_score == narrow.best_score
+        assert report.per_cell_best_indices == narrow.per_cell_best_indices
+        assert report.best_score == narrow.best_score
 
 
 def _numpy_uses_openblas() -> bool:
@@ -404,7 +429,7 @@ class TestBlasPin:
         get, set_ = controls
         before = get()
         set_(2)
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        _set_cores(monkeypatch, 2)
         yield get
         set_(before)
 
@@ -413,7 +438,7 @@ class TestBlasPin:
         controls = _FakeControls()
         monkeypatch.setattr(blas, "openblas_controls",
                             lambda: (controls.get, controls.set))
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        _set_cores(monkeypatch, 2)
         return controls
 
     def test_lookup_finds_numpy_openblas(self):
@@ -429,7 +454,7 @@ class TestBlasPin:
             seen.append((threading.get_ident(), real()))
             return 3 * i
 
-        assert search_mod._run_all(visit, range(40), jobs=2) == [3 * i for i in range(40)]
+        assert blas.thread_map(visit, range(40), 2) == [3 * i for i in range(40)]
         assert {count for _, count in seen} == {1}
         assert threading.get_ident() not in {tid for tid, _ in seen}
         assert real() == before
@@ -443,13 +468,14 @@ class TestBlasPin:
             return i
 
         with pytest.raises(RuntimeError, match="boom"):
-            search_mod._run_all(visit, range(20), jobs=2)
+            blas.thread_map(visit, range(20), 2)
         assert real() == before
 
-    def test_serial_path_never_sets_the_count(self, fake):
-        assert search_mod._run_all(lambda i: i, range(10), jobs=1) == list(range(10))
+    def test_one_thread_runs_inline_and_sets_nothing(self, fake):
+        assert blas.thread_map(lambda i: i, range(10), 1) == list(range(10))
+        assert blas.thread_map(lambda i: i, range(1), 2) == [0]
         assert fake.sets == []
-        search_mod._run_all(lambda i: i, range(10), jobs=2)
+        blas.thread_map(lambda i: i, range(10), 2)
         assert fake.sets == [1, 4]
 
     def test_small_serial_search_pins_once(self, fake, base_cfg):
@@ -475,7 +501,7 @@ class TestBlasPin:
     @pytest.mark.parametrize("cores, jobs", [(1, 2), (2, 1), (3, 1), (32, 1)])
     def test_serial_search_at_the_paper_macro_pins_once_and_shards(self, fake, base_cfg,
                                                                    monkeypatch, cores, jobs):
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cores)
+        _set_cores(monkeypatch, cores)
         # 16*32*32*9*64**2 multiply-adds per cell-1 conv3x3 edge
         cfg = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=jobs)
         assert 16 * 32 * 32 * 9 * 64 ** 2 >= search_mod.SPLIT_MACS
@@ -491,9 +517,27 @@ class TestBlasPin:
         search_random(paper, 5, score_fn=self._recording(fake, seen))
         assert {shards for _, shards in seen} == {1}
 
-    def test_pool_search_pins_each_pool_only(self, fake, base_cfg):
+    @pytest.mark.parametrize("cores", [2, 3, 32])
+    def test_pooled_search_with_one_distinct_draw_pins_and_shards(self, fake, base_cfg,
+                                                                  monkeypatch, cores):
+        _set_cores(monkeypatch, cores)
+        paper = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=2)
+        seen = []
+        search_random(paper, 1, score_fn=self._recording(fake, seen))
+        assert fake.sets == [1, 4]
+        assert seen == [(1, min(cores, 16))]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mask_of_one_cpu_scores_unsharded(self, fake, base_cfg, monkeypatch, jobs):
+        _set_cores(monkeypatch, 1, machine=2)
+        paper = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=jobs)
+        seen = []
+        search_random(paper, 5, score_fn=self._recording(fake, seen))
+        assert set(seen) == {(1, 1)}
+
+    def test_pooled_search_pins_once(self, fake, base_cfg):
         search_memory_aware(replace(base_cfg, num_cells=2, jobs=2), score_fn=stub_score)
-        assert fake.sets == [1, 4, 1, 4]
+        assert fake.sets == [1, 4]
 
     def test_serial_pin_is_restored_when_a_visit_raises(self, fake, base_cfg):
         def score(*args, **kwargs):
@@ -524,9 +568,8 @@ class TestBlasPin:
 
     def test_not_found_runs_unpinned(self, monkeypatch, base_cfg):
         monkeypatch.setattr(blas, "openblas_controls", lambda: None)
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
-        assert search_mod._run_all(lambda i: i * i, range(30), jobs=2) == [
-            i * i for i in range(30)]
+        _set_cores(monkeypatch, 2)
+        assert blas.thread_map(lambda i: i * i, range(30), 2) == [i * i for i in range(30)]
         cfg = replace(base_cfg, num_cells=2, keep_candidate_log=True)
         pooled = search_memory_aware(replace(cfg, jobs=2), score_fn=stub_score)
         serial = search_memory_aware(cfg, score_fn=stub_score)
@@ -547,7 +590,7 @@ class TestBlasPin:
         # stem 16 on 32x32 inputs: a stem conv3x3 GEMM of 4096x144x16;
         # SPLIT_MACS 0 makes jobs=1 split each batch into two shards, while
         # jobs=2 scores whole batches on two workers
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        _set_cores(monkeypatch, 2)
         monkeypatch.setattr(search_mod, "SPLIT_MACS", 0)
         cfg = SearchConfig(dataset=small_dataset, opset=TWO_OPS, num_cells=1,
                            macro=MacroConfig(stem_channels=16, num_classes=4),
@@ -559,3 +602,55 @@ class TestBlasPin:
         assert pooled.candidate_log == serial.candidate_log
         assert pooled.per_cell_best_indices == serial.per_cell_best_indices
         assert pooled.best_score == serial.best_score
+
+
+SRC = Path(search_mod.__file__).resolve().parent
+
+
+def _calls(tree: ast.AST, name: str, func: str | None = None):
+    """The enclosing function of each call to `name` (bare or as an attribute)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) == name:
+                yield func
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _calls(node, name, inner)
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier `tree` names, imported, read or written."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(filter(None, (node.name, node.asname)))
+    return out
+
+
+class TestOneWayOntoTheCores:
+    """Only `blas.thread_map` starts threads; only it and `_search` pin BLAS."""
+
+    def _trees(self):
+        return {path.stem: ast.parse(path.read_text(), filename=str(path))
+                for path in sorted(SRC.glob("*.py"))}
+
+    def test_only_blas_names_the_thread_pool(self):
+        naming = [mod for mod, tree in self._trees().items()
+                  if "ThreadPoolExecutor" in _names(tree)]
+        assert naming == ["blas"]
+
+    def test_only_search_and_thread_map_enter_the_pin(self):
+        entries = sorted((mod, func) for mod, tree in self._trees().items()
+                         for func in _calls(tree, "single_blas_thread"))
+        assert entries == [("blas", "thread_map"), ("search", "_search")]
+
+    def test_scan_sees_calls_by_function(self):
+        tree = ast.parse("def f():\n    with g():\n        x.g()\n"
+                         "    def h():\n        g()\ng()\n")
+        assert list(_calls(tree, "g")) == ["f", "f", "h", None]
+        names = _names(ast.parse("from a import P as Q\nimport b\nb.R\nS = 1\n"))
+        assert {"P", "Q", "b", "R", "S"} <= names
