@@ -1,9 +1,9 @@
 """Machine-readable run reports.
 
-`from_search_report` owns the report schema: it turns a search result
-into the report's JSON object, a flat field set with the best
-architecture nested under `best_arch` as (operation-set name, per-cell
-candidate indices, macro configuration).  `score_fields` writes every
+`from_search_report` owns the report schema: it reads the settings from
+a search result's `config` and writes the report's JSON object, a flat
+field set with the best architecture nested under `best_arch` as
+(opset name, per-cell candidate indices, macro).  `score_fields` writes every
 score, in reports, candidate logs and `score` output: a singular score
 is JSON null with `singular` set, since strict JSON has no -inf.
 Reports also export as one-row-per-run CSV for plotting, and candidate
@@ -20,7 +20,7 @@ from typing import Iterable
 
 from . import __version__
 from .score import NEG_INF
-from .search import CandidateRecord, SearchReport
+from .search import RANDOM, CandidateRecord, SearchReport
 
 TABLE_COLUMNS = (
     "scenario", "dataset", "opset", "cells", "budget_params", "best_score",
@@ -39,25 +39,26 @@ def score_fields(score: float | None, key: str = "score") -> dict:
 def from_search_report(result: SearchReport, scenario: str | None,
                        dataset: str, bit_precision: int) -> dict:
     """The report's JSON object for one search."""
+    cfg = result.config
     return {
         "scenario": scenario,
         "dataset": dataset,
-        "opset": result.opset_name,
-        "cells": result.num_cells,
-        "budget": None if result.budget is None else asdict(result.budget),
+        "opset": cfg.opset.name,
+        "cells": cfg.num_cells,
+        "budget": None if cfg.budget is None else asdict(cfg.budget),
         "best_arch": {"cell_indices": list(result.per_cell_best_indices),
-                      "opset": result.opset_name,
+                      "opset": cfg.opset.name,
                       "macro": asdict(result.best_arch.macro)},
         **score_fields(result.best_score, "best_score"),
         "n_param": result.n_param,
         "mem_bits": result.n_param * bit_precision,
         "evaluations_total": result.evaluations_total,
         "evaluations_skipped": result.evaluations_skipped_by_budget,
-        "seed": result.seed,
+        "seed": cfg.seed,
         "wall_time_ms": result.wall_time_s * 1000.0,
         "engine_version": __version__,
-        "strategy": result.strategy,
-        "iterations": result.iterations,
+        "strategy": cfg.strategy,
+        "iterations": result.candidates_visited if cfg.strategy == RANDOM else None,
         "removed_op": None if result.removed_op is None else result.removed_op.label,
     }
 

@@ -5,16 +5,16 @@ and `search_random` set it, and `ablate_operation` follows it.  The
 memory-aware search runs one phase per cell: phase 1 fixes the best
 feasible architecture shared by all cells, and each later phase
 re-searches one cell over the full space while the earlier cells keep the
-best configuration so far, ``num_cells * len(opset) ** 6`` visits in all.
-The random baseline is one shared-cell phase over seeded draws with
-replacement.  A phase scores each distinct index once and keeps one
-record per visit, in visit order, so a repeated draw is counted and logged
-at every draw.  Over-budget candidates are skipped without scoring.
+best so far, ``num_cells * len(opset) ** 6`` visits in all.  The random
+baseline is one shared-cell phase over seeded draws with replacement.  A
+phase scores each distinct index once and keeps one record per visit, in
+visit order, so a repeated draw is counted and logged at every draw.
+Over-budget candidates are skipped without scoring.
 
-Scores are reproducible and schedule-independent: every candidate's
-weights are seeded from (run seed, phase, candidate index) and the
-best-candidate reduction breaks ties toward the lowest (phase, index),
-so reports do not depend on the worker pool size.
+Every candidate's weights are seeded from (run seed, phase, index), and
+ties go to the lowest (phase, index), so reports do not depend on the
+worker pool size.  A `SearchReport` holds the `SearchConfig` that ran and
+the winning `CandidateRecord`, whose phase and index replay its score.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -83,6 +84,11 @@ class SearchConfig:
     keep_candidate_log: bool = False
 
     def __post_init__(self) -> None:
+        for name, kind in (("dataset", Dataset), ("opset", OpSet), ("macro", MacroConfig),
+                           ("budget", (MemoryBudget, type(None))), ("lif", LIFParams),
+                           ("keep_candidate_log", bool), ("alpha", Real)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise SpikeNasError(f"{name} has the wrong type {type(value).__name__}")
         if not is_int(self.num_cells) or self.num_cells not in (1, 2, 3):
             raise SpikeNasError(f"num_cells must be 1..3, got {self.num_cells}")
         if not is_int(self.jobs) or self.jobs < 1:
@@ -95,8 +101,8 @@ class SearchConfig:
             raise SpikeNasError(f"unknown strategy {self.strategy!r}")
         if self.carryover not in (CARRY_BEST, CARRY_LITERAL):
             raise SpikeNasError(f"unknown carryover policy {self.carryover!r}")
-        if not math.isfinite(self.alpha):
-            raise SpikeNasError(f"alpha must be finite, got {self.alpha}")
+        if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
+            raise SpikeNasError(f"alpha must be a finite number, got {self.alpha}")
         if self.code_mode not in CODE_MODES:
             raise SpikeNasError(f"unknown code_mode {self.code_mode!r}")
         if self.input_coding not in INPUT_CODINGS:
@@ -119,21 +125,28 @@ class CandidateRecord:
 
 @dataclass(frozen=True)
 class SearchReport:
-    opset_name: str
-    num_cells: int
-    strategy: str
+    """One search's outcome: `config` is the SearchConfig that ran, `best` the winning record."""
+
+    config: SearchConfig
     best_arch: NetworkArch
-    per_cell_best_indices: tuple[int, ...]
-    best_score: float
-    n_param: int
+    best: CandidateRecord
     evaluations_total: int
     evaluations_skipped_by_budget: int
     wall_time_s: float
-    seed: int
-    budget: MemoryBudget | None
-    iterations: int | None = None
     removed_op: Operation | None = None
     candidate_log: tuple[CandidateRecord, ...] | None = None
+
+    @property
+    def best_score(self) -> float:
+        return self.best.score
+
+    @property
+    def n_param(self) -> int:
+        return self.best.n_param
+
+    @property
+    def per_cell_best_indices(self) -> tuple[int, ...]:
+        return tuple(encode_cell(c, self.config.opset) for c in self.best_arch.cells)
 
     @property
     def singular(self) -> bool:
@@ -230,19 +243,12 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
                 best_cells = _cells(cfg, base, phase, best.index)
 
     return SearchReport(
-        opset_name=cfg.opset.name,
-        num_cells=cfg.num_cells,
-        strategy=cfg.strategy,
+        config=cfg,
         best_arch=build_network(best_cells, cfg.macro),
-        per_cell_best_indices=tuple(encode_cell(c, cfg.opset) for c in best_cells),
-        best_score=best.score,
-        n_param=best.n_param,
+        best=best,
         evaluations_total=total,
         evaluations_skipped_by_budget=skipped,
         wall_time_s=time.perf_counter() - start,
-        seed=cfg.seed,
-        budget=cfg.budget,
-        iterations=len(phases[0]) if cfg.strategy == RANDOM else None,
         candidate_log=tuple(log) if cfg.keep_candidate_log else None,
     )
 

@@ -1,4 +1,5 @@
 import ast
+import json
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -16,12 +17,15 @@ from spikenas import blas
 from spikenas.arch import (
     FIVE_OPS, MacroConfig, Operation, THREE_OPS, TWO_OPS, decode_cell, encode_cell,
 )
+from spikenas.data import sample_batch
 from spikenas.errors import SpikeNasError
 from spikenas.memmodel import MemoryBudget
-from spikenas.score import NEG_INF, ScoreResult
+from spikenas.report import from_search_report, to_json
+from spikenas.score import NEG_INF, ScoreResult, score_candidate
 from spikenas import search as search_mod
 from spikenas.search import (
     CARRY_LITERAL,
+    MEMORY_AWARE,
     RANDOM,
     SearchConfig,
     candidate_seed,
@@ -66,7 +70,15 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 cfg(**bad)
         cfg(num_cells=np.int64(2), jobs=np.int32(1), batch_size=np.uint8(4),
-            seed=np.int64(3))
+            seed=np.int64(3), alpha=np.float32(0.5))
+
+    @pytest.mark.parametrize("setting", [
+        dict(dataset=None), dict(opset="2O"), dict(macro=None), dict(budget=500),
+        dict(lif=None), dict(keep_candidate_log=1), dict(alpha="0.5"), dict(alpha=True),
+    ])
+    def test_mistyped_setting_is_refused_at_construction(self, base_cfg, setting):
+        with pytest.raises(SpikeNasError, match=next(iter(setting))):
+            replace(base_cfg, **setting)
 
 
 class TestCandidateSeed:
@@ -215,8 +227,9 @@ class TestRandomSearch:
         report = search_random(base_cfg, 1, score_fn=stub_score)
         assert report.candidates_visited == 1
         assert report.evaluations_total == 1
-        assert report.iterations == 1
-        assert report.strategy == RANDOM
+        assert report.config.strategy == RANDOM
+        doc = json.loads(to_json(from_search_report(report, None, "synth", 32)))
+        assert doc["iterations"] == 1
 
     def test_seeded_determinism(self, base_cfg):
         a = search_random(base_cfg, 50, score_fn=stub_score)
@@ -264,8 +277,9 @@ class TestRandomSearch:
         assert [rec.index for rec in report.candidate_log] == draws.tolist()
         assert sorted(calls) == sorted(candidate_seed(cfg.seed, 1, i) for i in set(draws.tolist()))
         assert len(calls) < 300
+        assert report.config.strategy == RANDOM
         assert report == replace(search_random(cfg, 300, score_fn=stub_score),
-                                 wall_time_s=report.wall_time_s)
+                                 config=report.config, wall_time_s=report.wall_time_s)
 
     def test_budget_filter_applies(self, base_cfg):
         floor = min_shared_candidate_params(TWO_OPS, 1, base_cfg.macro)
@@ -294,7 +308,10 @@ class TestRandomSearch:
                 search_random(base_cfg, iterations, score_fn=stub_score)
 
     def test_numpy_iterations_accepted(self, base_cfg):
-        assert search_random(base_cfg, np.int64(3), score_fn=stub_score).iterations == 3
+        report = search_random(base_cfg, np.int64(3), score_fn=stub_score)
+        assert report.candidates_visited == 3
+        doc = json.loads(to_json(from_search_report(report, None, "synth", 32)))
+        assert doc["iterations"] == 3
 
 
 class TestAblate:
@@ -303,7 +320,7 @@ class TestAblate:
         report = ablate_operation(cfg, Operation.ZEROIZE, score_fn=stub_score)
         assert report.candidates_visited == 4 ** 6 == 4096
         assert report.removed_op is Operation.ZEROIZE
-        assert report.opset_name == "5O-zeroize"
+        assert report.config.opset.name == "5O-zeroize"
 
     def test_random_strategy_respects_iterations(self, base_cfg):
         cfg = replace(base_cfg, opset=THREE_OPS, strategy=RANDOM)
@@ -327,6 +344,26 @@ class TestAblate:
         idx = report.per_cell_best_indices[0]
         assert decode_cell(idx, sub) == report.best_arch.cells[0]
         assert encode_cell(report.best_arch.cells[0], sub) == idx
+
+
+class TestReplay:
+    """A report keeps the config that ran and the winning record, phase included."""
+
+    @pytest.mark.parametrize("strategy, seed, phase", [
+        (MEMORY_AWARE, 0, 2), (MEMORY_AWARE, 1, 1), (RANDOM, 0, 1),
+    ])
+    def test_best_candidate_replays_its_score(self, base_cfg, strategy, seed, phase):
+        cfg = replace(base_cfg, num_cells=2, seed=seed)
+        report = search_random(cfg, 30) if strategy == RANDOM else search_memory_aware(cfg)
+        cfg, best = report.config, report.best
+        assert (cfg.strategy, best.phase) == (strategy, phase)
+        assert report.best_arch.cells[phase - 1] == decode_cell(best.index, cfg.opset)
+        pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
+        replayed = score_candidate(report.best_arch, pixels, cfg.lif,
+                                   candidate_seed(cfg.seed, best.phase, best.index),
+                                   cfg.alpha, code_mode=cfg.code_mode,
+                                   input_coding=cfg.input_coding)
+        assert replayed.value == report.best_score
 
 
 class _RecordingPool:
