@@ -3,15 +3,18 @@
 Binary files follow the classic layouts: 3073-byte records (label byte
 + 3072 channel-major pixel bytes) for the 10-class set and 3074-byte
 records (coarse + fine label bytes + pixels) for the 100-class set; the
-coarse label is skipped.  The files are read once into one buffer that
-the pixels view, so peak memory is about the dataset's size.  Handles
-keep raw uint8 pixels and scale to [0, 1] on access.  A seeded synthetic
-generator with class-dependent mean shifts backs fast tests.
+coarse label is skipped.  A load streams each file through one reused
+chunk of about 1 MiB, checks its size and label bytes, and keeps only the
+labels; pixels are read back by position, record by record, when a batch
+is drawn, so memory stays about one chunk whatever the dataset's size.
+Handles keep raw uint8 pixels and scale to [0, 1] on access.  A seeded
+synthetic generator with class-dependent mean shifts backs fast tests.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,22 +31,67 @@ IMAGE_SHAPE = (3, 32, 32)
 _PIXELS = 3 * 32 * 32
 RECORD_BYTES_10 = 1 + _PIXELS
 RECORD_BYTES_100 = 2 + _PIXELS
+# Records per read chunk while loading: about 1 MiB.
+_CHUNK_RECORDS = (1 << 20) // RECORD_BYTES_10
+
+
+@dataclass(frozen=True)
+class _RecordFiles:
+    """Checked record files, read by position; `sizes` are the sizes the load checked."""
+
+    paths: tuple[Path, ...]
+    sizes: tuple[int, ...]
+    record: int  # bytes per record, whose last _PIXELS bytes are the pixels
+
+    def __getitem__(self, indices: np.ndarray) -> np.ndarray:
+        """uint8 pixels of the given records, in the given order."""
+        indices = np.asarray(indices)
+        out = np.empty((indices.size, _PIXELS), dtype=np.uint8)
+        ends = np.cumsum(self.sizes) // self.record
+        if indices.size and not 0 <= indices.min() <= indices.max() < ends[-1]:
+            raise IndexError(f"record indices must lie in 0..{ends[-1] - 1}")
+        owner = np.searchsorted(ends, indices, side="right")
+        for f, (path, size) in enumerate(zip(self.paths, self.sizes)):
+            rows = np.flatnonzero(owner == f)
+            if not rows.size:
+                continue
+            first = ends[f] - size // self.record
+            with _reading(path) as fh:
+                now = os.fstat(fh.fileno()).st_size
+                if now != size:
+                    raise SpikeNasError(f"{path} is {now} bytes, not the {size} it had "
+                                        "when the dataset was loaded")
+                for row in rows:
+                    fh.seek((indices[row] - first + 1) * self.record - _PIXELS)
+                    if fh.readinto(out[row].data) != _PIXELS:
+                        raise SpikeNasError(f"{path} ended inside record {indices[row] - first}")
+        return out.reshape(-1, *IMAGE_SHAPE)
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable record store; pixels stay uint8 until sampled."""
+    """Immutable record store; pixels stay uint8 until sampled.
 
-    pixels: np.ndarray  # (n, 3, 32, 32) uint8
+    `records` is an in-memory (n, 3, 32, 32) uint8 array or, from the
+    loaders, the checked files; indexing either with record indices is the
+    one way pixels are read.
+    """
+
+    records: np.ndarray | _RecordFiles
     labels: np.ndarray  # (n,) int64
     num_classes: int
 
     def __len__(self) -> int:
-        return self.pixels.shape[0]
+        return len(self.labels)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """Every record's uint8 pixels, (n, 3, 32, 32)."""
+        return self.records[np.arange(len(self))]
 
     def scaled(self, indices: np.ndarray | None = None) -> np.ndarray:
         """Float pixels in [0, 1] for the given records (all by default)."""
-        raw = self.pixels if indices is None else self.pixels[indices]
+        raw = self.pixels if indices is None else self.records[indices]
         return raw.astype(np.float32) / 255.0
 
 
@@ -63,33 +111,44 @@ def load_cifar100(path: str | os.PathLike) -> Dataset:
     return _load_records([Path(path)], 100)
 
 
+@contextmanager
+def _reading(path: Path):
+    """`path` open for binary reads; an OS error becomes a `SpikeNasError` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except OSError as exc:
+        raise SpikeNasError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_records(paths: list[Path], classes: int) -> Dataset:
-    """Read and check `paths` in order into one buffer; 100-class labels skip a byte."""
+    """Stream and check `paths` in order, keeping the labels; 100-class labels skip a byte."""
     offset = int(classes == 100)
     record = RECORD_BYTES_10 + offset
     sizes = [os.path.getsize(path) if path.is_file() else 0 for path in paths]
-    buf = np.empty(sum(sizes), dtype=np.uint8)
+    chunk = np.empty(min(_CHUNK_RECORDS, max(sizes) // record) * record, dtype=np.uint8)
+    labels = np.empty(sum(sizes) // record, dtype=np.int64)
     start = 0
     for path, size in zip(paths, sizes):
         if not path.is_file():
             raise SpikeNasError(f"no such dataset file: {path}")
         if size % record:
             raise SpikeNasError(f"{path} is {size} bytes, not a multiple of {record}")
-        try:
-            with open(path, "rb") as fh:
-                got = fh.readinto(buf[start:start + size].data)
-        except OSError as exc:
-            raise SpikeNasError(f"cannot read {path}: {exc}") from exc
+        got = 0
+        with _reading(path) as fh:
+            while got < size and (n := fh.readinto(chunk[:size - got].data)):
+                first = start + got // record
+                labels[first:first + n // record] = chunk[offset:n - n % record:record]
+                got += n
         if got != size:
             raise SpikeNasError(f"{path} is {size} bytes but {got} could be read")
-        top = buf[start + offset:start + size:record].max(initial=0)
+        top = labels[start:start + size // record].max(initial=0)
         if top >= classes:
             raise SpikeNasError(
                 f"{'fine ' if offset else ''}label {top} exceeds {classes - 1} in {path}")
-        start += size
-    raw = buf.reshape(-1, record)
-    return Dataset(pixels=raw[:, offset + 1:].reshape(-1, *IMAGE_SHAPE),
-                   labels=raw[:, offset].astype(np.int64), num_classes=classes)
+        start += size // record
+    return Dataset(records=_RecordFiles(tuple(paths), tuple(sizes), record),
+                   labels=labels, num_classes=classes)
 
 
 def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
@@ -119,7 +178,7 @@ def synth_dataset(num_records: int, classes: int, seed: int,
         -noise, noise, size=(num_records, *IMAGE_SHAPE)
     )
     pixels = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
-    return Dataset(pixels=pixels, labels=labels, num_classes=classes)
+    return Dataset(records=pixels, labels=labels, num_classes=classes)
 
 
 # Conventional file names inside a data directory.

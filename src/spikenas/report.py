@@ -18,6 +18,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__
 from .score import NEG_INF
 from .search import RANDOM, CandidateRecord, SearchReport
@@ -40,7 +42,7 @@ def from_search_report(result: SearchReport, scenario: str | None,
                        dataset: str, bit_precision: int) -> dict:
     """The report's JSON object for one search."""
     cfg = result.config
-    return {
+    return _plain({
         "scenario": scenario,
         "dataset": dataset,
         "opset": cfg.opset.name,
@@ -60,7 +62,16 @@ def from_search_report(result: SearchReport, scenario: str | None,
         "strategy": cfg.strategy,
         "iterations": result.candidates_visited if cfg.strategy == RANDOM else None,
         "removed_op": None if result.removed_op is None else result.removed_op.label,
-    }
+    })
+
+
+def _plain(value):
+    """`value` with numpy scalars, which a library config may hold, as Python numbers."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def to_json(doc: dict) -> str:

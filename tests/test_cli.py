@@ -471,6 +471,32 @@ class TestCleanErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: cannot read ")
 
+    @pytest.mark.parametrize("command", [
+        ["search", "--scenario", "1C2O"],
+        ["score", "--opset", "2O", "--indices", "4"],
+    ], ids=["search", "score"])
+    @pytest.mark.parametrize("change, message", [
+        (lambda f: f.write_bytes(f.read_bytes()[:-3073]), "bytes, not the 24584 it had"),
+        (lambda f: f.unlink(), "cannot read "),
+    ], ids=["shrinks", "vanishes"])
+    def test_dataset_file_changed_after_load(self, tmp_path, monkeypatch, capsys,
+                                             command, change, message):
+        # a file that shrinks or vanishes between the load and the batch
+        # draw is named in one error line, not read as mixed records
+        batch = tmp_path / "data_batch_1.bin"
+        write_cifar10(batch, synth_dataset(8, 10, 5))
+
+        def load_then_change(*args, **kwargs):
+            dataset = load_dataset(*args, **kwargs)
+            change(batch)
+            return dataset
+        monkeypatch.setattr(cli_mod, "load_dataset", load_then_change)
+        argv = command + ["--dataset", "cifar10", "--data-dir", str(tmp_path)] + TINY
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and str(batch) in err
+
     @pytest.mark.parametrize("message, printed", [
         ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
         ("", "out of memory"),

@@ -116,7 +116,7 @@ class TestRoundTrip:
 
 class TestNormalization:
     def test_endpoints(self):
-        ds = Dataset(pixels=np.array([0, 255], dtype=np.uint8).reshape(2, 1, 1, 1),
+        ds = Dataset(records=np.array([0, 255], dtype=np.uint8).reshape(2, 1, 1, 1),
                      labels=np.zeros(2, dtype=np.int64), num_classes=1)
         scaled = ds.scaled()
         assert scaled[0, 0, 0, 0] == 0.0
@@ -124,14 +124,14 @@ class TestNormalization:
 
     def test_order_preserving(self):
         raw = np.arange(256, dtype=np.uint8).reshape(-1, 1, 1, 1)
-        ds = Dataset(pixels=raw, labels=np.zeros(256, dtype=np.int64), num_classes=1)
+        ds = Dataset(records=raw, labels=np.zeros(256, dtype=np.int64), num_classes=1)
         scaled = ds.scaled().ravel()
         assert (np.diff(scaled) > 0).all()
 
 
 def _indexed_dataset(n):
     """Labels double as record identities for distinctness checks."""
-    return Dataset(pixels=np.zeros((n, 3, 32, 32), dtype=np.uint8),
+    return Dataset(records=np.zeros((n, 3, 32, 32), dtype=np.uint8),
                    labels=np.arange(n, dtype=np.int64), num_classes=n)
 
 
@@ -306,3 +306,73 @@ class TestMultiFileLoad:
             tracemalloc.stop()
         assert len(loaded) == 128
         assert peak < 1.2 * total, peak / total
+
+
+class TestStreamedRecords:
+    @pytest.mark.parametrize("classes, write", [(10, write_cifar10),
+                                                 (100, write_cifar100)])
+    def test_files_across_chunk_boundaries(self, tmp_path, classes, write):
+        # each of two files spans several read chunks and ends inside one;
+        # the loaders name one 100-class file, so both go to `_load_records`
+        per = data_mod._CHUNK_RECORDS
+        parts = [synth_dataset(2 * per + 5, classes, seed=1),
+                 synth_dataset(3 * per + 1, classes, seed=2)]
+        files = [tmp_path / "first.bin", tmp_path / "second.bin"]
+        for path, part in zip(files, parts):
+            write(path, part)
+        loaded = data_mod._load_records(files, classes)
+        memory = Dataset(records=np.concatenate([p.pixels for p in parts]),
+                         labels=np.concatenate([p.labels for p in parts]),
+                         num_classes=classes)
+        np.testing.assert_array_equal(loaded.labels, memory.labels)
+        np.testing.assert_array_equal(loaded.pixels, memory.pixels)
+        for seed in range(3):
+            a, b = sample_batch(loaded, 64, seed), sample_batch(memory, 64, seed)
+            np.testing.assert_array_equal(a.pixels, b.pixels)
+            np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_record_index_out_of_range(self, tmp_path):
+        _batch_dir(tmp_path, (3, 2))
+        loaded = load_dataset("cifar10", data_dir=tmp_path)
+        for bad in ([5], [0, 7], [-1]):
+            with pytest.raises(IndexError, match=r"must lie in 0\.\.4"):
+                loaded.scaled(np.array(bad))
+
+    @pytest.mark.parametrize("records", [64, 2048])
+    def test_load_and_draw_stay_within_a_chunk(self, tmp_path, records):
+        _batch_dir(tmp_path, (records, records))
+        tracemalloc.start()
+        try:
+            loaded = load_dataset("cifar10", data_dir=tmp_path)
+            batch = sample_batch(loaded, 16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 2 * records and batch.pixels.shape == (16, 3, 32, 32)
+        assert peak < 2 << 20, peak
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda f: f.write_bytes(f.read_bytes()[:-RECORD_BYTES_10]),
+         "is 12292 bytes, not the 15365 it had when the dataset was loaded"),
+        (lambda f: f.write_bytes(f.read_bytes() + bytes(RECORD_BYTES_10)),
+         "is 18438 bytes, not the 15365 it had when the dataset was loaded"),
+        (lambda f: f.unlink(), "cannot read "),
+    ], ids=["shrinks", "grows", "vanishes"])
+    def test_file_changed_after_load(self, tmp_path, change, message):
+        second = _batch_dir(tmp_path, (3, 5))[1]
+        loaded = load_dataset("cifar10", data_dir=tmp_path)
+        change(second)
+        with pytest.raises(SpikeNasError, match=re.escape(str(second))) as info:
+            sample_batch(loaded, 8, seed=0)
+        assert message in str(info.value)
+
+    def test_file_unreadable_after_load(self, tmp_path, monkeypatch):
+        first = _batch_dir(tmp_path, (4,))[0]
+        loaded = load_dataset("cifar10", data_dir=tmp_path)
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(data_mod, "open", refuse, raising=False)
+        with pytest.raises(SpikeNasError, match=f"^cannot read {re.escape(str(first))}: "
+                                                ".*Permission denied"):
+            sample_batch(loaded, 2, seed=0)

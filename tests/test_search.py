@@ -313,6 +313,21 @@ class TestRandomSearch:
         doc = json.loads(to_json(from_search_report(report, None, "synth", 32)))
         assert doc["iterations"] == 3
 
+    def test_numpy_integer_settings_write_the_same_report(self, base_cfg):
+        # numpy integers pass every setting check, so the report must
+        # write them as the plain ints a Python config gives
+        def doc(cfg):
+            report = search_random(cfg, 3, score_fn=stub_score)
+            out = json.loads(to_json(from_search_report(report, None, "synth", 16)))
+            return {**out, "wall_time_ms": None}
+        plain = replace(base_cfg, seed=3, num_cells=1, budget=MemoryBudget(10**6, 16),
+                        macro=MacroConfig(stem_channels=4, num_classes=4))
+        i64 = np.int64
+        numpy = replace(base_cfg, seed=i64(3), num_cells=i64(1),
+                        budget=MemoryBudget(i64(10**6), i64(16)),
+                        macro=MacroConfig(stem_channels=i64(4), num_classes=i64(4)))
+        assert doc(numpy) == doc(plain)
+
 
 class TestAblate:
     def test_removing_zeroize_searches_four_op_space(self, base_cfg):
