@@ -5,9 +5,9 @@ with a search's workers and a sharded forward pass's threads.  So
 `thread_map` is the one place that starts threads, and a search holds
 `single_blas_thread` (OpenBLAS count 1, restored at exit) for its whole
 run: per phase it maps its candidates over min(jobs, cores, candidates)
-workers, and one worker whose GEMMs are large maps each batch's shards over
-the cores.  The count is process-wide (`openblas_set_num_threads_local` also
-changes it for every thread in this build), so it is set around threads.
+workers, and one worker whose GEMMs are large maps each batch's sample tiles
+over the cores.  The count is process-wide (`openblas_set_num_threads_local`
+also changes it for every thread in this build), so it is set around threads.
 The library is the OpenBLAS numpy has loaded, found through the process's
 memory map on first use; without it (another BLAS, or no `/proc`), BLAS
 threading is left as it is.

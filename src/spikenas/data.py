@@ -7,6 +7,8 @@ coarse label is skipped.  A load streams each file through one reused
 chunk of about 1 MiB, checks its size and label bytes, and keeps only the
 labels; pixels are read back by position, record by record, when a batch
 is drawn, so memory stays about one chunk whatever the dataset's size.
+A draw first checks that each file it reads still has the size and
+modification time the load saw.
 Handles keep raw uint8 pixels and scale to [0, 1] on access.  A seeded
 synthetic generator with class-dependent mean shifts backs fast tests.
 """
@@ -37,10 +39,12 @@ _CHUNK_RECORDS = (1 << 20) // RECORD_BYTES_10
 
 @dataclass(frozen=True)
 class _RecordFiles:
-    """Checked record files, read by position; `sizes` are the sizes the load checked."""
+    """Checked record files, read by position; `sizes` and `mtimes` (`st_mtime_ns`) are
+    as the load found them."""
 
     paths: tuple[Path, ...]
     sizes: tuple[int, ...]
+    mtimes: tuple[int, ...]
     record: int  # bytes per record, whose last _PIXELS bytes are the pixels
 
     def __getitem__(self, indices: np.ndarray) -> np.ndarray:
@@ -51,16 +55,18 @@ class _RecordFiles:
         if indices.size and not 0 <= indices.min() <= indices.max() < ends[-1]:
             raise IndexError(f"record indices must lie in 0..{ends[-1] - 1}")
         owner = np.searchsorted(ends, indices, side="right")
-        for f, (path, size) in enumerate(zip(self.paths, self.sizes)):
+        for f, (path, size, mtime) in enumerate(zip(self.paths, self.sizes, self.mtimes)):
             rows = np.flatnonzero(owner == f)
             if not rows.size:
                 continue
             first = ends[f] - size // self.record
             with _reading(path) as fh:
-                now = os.fstat(fh.fileno()).st_size
-                if now != size:
-                    raise SpikeNasError(f"{path} is {now} bytes, not the {size} it had "
-                                        "when the dataset was loaded")
+                now = os.fstat(fh.fileno())
+                if now.st_size != size:
+                    raise SpikeNasError(f"{path} is {now.st_size} bytes, not the {size} it "
+                                        "had when the dataset was loaded")
+                if now.st_mtime_ns != mtime:
+                    raise SpikeNasError(f"{path} was modified after the dataset was loaded")
                 for row in rows:
                     fh.seek((indices[row] - first + 1) * self.record - _PIXELS)
                     if fh.readinto(out[row].data) != _PIXELS:
@@ -126,6 +132,7 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
     offset = int(classes == 100)
     record = RECORD_BYTES_10 + offset
     sizes = [os.path.getsize(path) if path.is_file() else 0 for path in paths]
+    mtimes = []
     chunk = np.empty(min(_CHUNK_RECORDS, max(sizes) // record) * record, dtype=np.uint8)
     labels = np.empty(sum(sizes) // record, dtype=np.int64)
     start = 0
@@ -136,6 +143,7 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
             raise SpikeNasError(f"{path} is {size} bytes, not a multiple of {record}")
         got = 0
         with _reading(path) as fh:
+            mtimes.append(os.fstat(fh.fileno()).st_mtime_ns)
             while got < size and (n := fh.readinto(chunk[:size - got].data)):
                 first = start + got // record
                 labels[first:first + n // record] = chunk[offset:n - n % record:record]
@@ -147,7 +155,7 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
             raise SpikeNasError(
                 f"{'fine ' if offset else ''}label {top} exceeds {classes - 1} in {path}")
         start += size // record
-    return Dataset(records=_RecordFiles(tuple(paths), tuple(sizes), record),
+    return Dataset(records=_RecordFiles(tuple(paths), tuple(sizes), tuple(mtimes), record),
                    labels=labels, num_classes=classes)
 
 

@@ -60,8 +60,8 @@ CARRY_LITERAL = "literal"
 ScoreFn = Callable[..., score_mod.ScoreResult]
 
 # A phase scored by one worker whose cell-1 conv3x3 edge (batch*H*W*9*C**2 multiply-adds)
-# is at or above this splits each batch into one shard per core: at batch 16, 0.82x as
-# fast at 4 channels, even at 6, 1.26x at 8 (BENCH_19.json).
+# is at or above this maps each batch's sample tiles (`snn.TILE_MACS`) over one thread
+# per core: at batch 16, 0.82x as fast at 4 channels, even at 6, 1.26x at 8 (BENCH_19.json).
 SPLIT_MACS = 2**23
 
 

@@ -15,9 +15,10 @@ synaptic input at every timestep, so the stem convolution of that image
 is computed once and fed to the stem at every step (rate coding draws
 every step's spike map in one call, then runs the stem per step).
 Convolutions are plain stride-1 same-padding weighted sums implemented
-via im2col, with no bias term: an untrained network's biases are zero,
-so a weight set holds one weight array per layer and nothing else
-(biases count only toward the memory model's `n_param`).  All
+via im2col, one GEMM per sample, with no bias term: an untrained
+network's biases are zero, so a weight set holds one weight array per
+layer and nothing else (biases count only toward the memory model's
+`n_param`).  Every map is a C-contiguous (S, C, H, W) array, and all
 feature-map operators preserve the stage shape so node summations are
 well defined.  The 3x3 average pool is a separable box sum over the
 zero-padded map: three column-shifted slices summed into row sums, then
@@ -42,11 +43,14 @@ nothing (its mask is a read-only all-False view); a potential off reset
 decays through `lif_step` as usual, so spike codes stay exactly the same.
 
 Every kernel works per sample and the silent test is exact per sample
-too, so a batch can be split into contiguous shards that run on their
-own threads through `blas.thread_map`, each on one BLAS thread: each
-stage's codes are the shards' codes in sample order, the same bits as
-one run over the whole batch.  A search shards only a phase it scores
-with one worker, one shard per core, and only above `search.SPLIT_MACS`.
+too, so a batch can be split into contiguous tiles that run one after
+another or on `shards` threads through `blas.thread_map`, each on one
+BLAS thread: each stage's codes are the tiles' codes in sample order, the
+same bits as one run over the whole batch.  Tiles keep a pass's working
+set near the size of a core's cache; `TILE_MACS` sizes them from the
+macro, and a batch is cut into at least `shards` tiles.  A search asks for
+threads only in a phase it scores with one worker, one per core, and only
+above `search.SPLIT_MACS`.
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ from .errors import SpikeNasError
 WeightSet = dict[str, np.ndarray]
 # Stage name -> (samples x neurons) uint8 firing codes, in stage order.
 BinaryCodes = dict[str, np.ndarray]
+
+# Samples per tile: as many as keep a tile's cell-1 conv3x3 (H*W*9*C**2 multiply-adds
+# per sample) within this, so one at 64 channels, 4 at 32 and 16 at 16.  In jobs=1 5O
+# searches at batch 16 on two threads (2-vCPU Xeon, 2 MiB L2 per core), a candidate took
+# 124, 72, 51 and 40 ms at 64, 32, 16 and 8 channels with one-sample tiles, and 120, 59,
+# 32 and 15 ms with this.
+TILE_MACS = 9 * 2**22
 
 CODE_MODES = ("any", "concat")
 INPUT_CODINGS = ("direct", "rate")
@@ -119,9 +130,11 @@ def _pad_hw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 def conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Stride-1 zero-padded convolution keeping the spatial size.
 
-    The im2col operand is copied channel-major, (C*kh*kw, S*H*W), and the
-    GEMM takes its transpose.  It owes a row-major operand equal spike codes
-    and scores; equal float bits are pinned only at the perfbench shapes.
+    Each sample's im2col operand is copied channel-major, (C*kh*kw, H*W),
+    and one stacked matmul runs W (oc, C*kh*kw) @ operand per sample into a
+    C-contiguous (S, oc, H, W) output of dtype `np.result_type(x, weights)`.
+    It owes a row-major operand equal spike codes and scores; equal float
+    bits are pinned only at the perfbench shapes and tile sizes.
     """
     if weights.ndim != 4:
         raise SpikeNasError(f"conv weights must be 4-D, got {weights.shape}")
@@ -133,10 +146,9 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         x = _pad_hw(x, ph, pw)
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     s, _, h, w = win.shape[:4]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(in_ch * kh * kw, s * h * w)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(s, in_ch * kh * kw, h * w)
     del x, win  # free the padded copy before the GEMM output is allocated
-    out = cols.T @ weights.reshape(out_ch, -1).T
-    return out.reshape(s, h, w, out_ch).transpose(0, 3, 1, 2)
+    return (weights.reshape(out_ch, -1) @ cols).reshape(s, out_ch, h, w)
 
 
 def avgpool3x3_same(x: np.ndarray) -> np.ndarray:
@@ -343,9 +355,10 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     the per-step spike trains concatenated (`code_mode="concat"`): per
     sample, step-major, each step's bits in (C, H, W) order.
     `input_coding="rate"` replaces direct coding with seeded Bernoulli
-    spike trains whose rates are the pixel values.  `shards` > 1 runs
-    that many contiguous shards of samples (at most one per sample) on
-    their own threads and joins their codes in sample order.
+    spike trains whose rates are the pixel values.  The samples run in
+    contiguous tiles, as many as `TILE_MACS` asks for but at least
+    `shards` and at most one per sample; `shards` > 1 maps them over that
+    many threads.  Codes are joined in sample order.
     """
     if code_mode not in CODE_MODES:
         raise SpikeNasError(f"unknown code_mode {code_mode!r}")
@@ -359,7 +372,9 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
         raise SpikeNasError(f"batch shape {x.shape} does not match input {expected}")
     _check_weights(net, weights)
 
-    n = min(shards, len(x))
+    _, h, w = expected
+    tile = max(1, TILE_MACS // (h * w * 9 * net.macro.stem_channels ** 2))
+    n = min(len(x), max(shards, -(-len(x) // tile)))
     rate = input_coding == "rate"
     if rate:  # all T steps' spikes in one draw: the stream of T draws of one step
         rng = np.random.default_rng(coding_seed)
@@ -367,5 +382,5 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     run = partial(_simulate, net, weights, p=p, code_mode=code_mode, rate=rate)
     if n <= 1:
         return run(x)
-    parts = thread_map(run, np.array_split(x, n, axis=int(rate)), n)
+    parts = thread_map(run, np.array_split(x, n, axis=int(rate)), shards)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 
 import pytest
 
@@ -457,6 +458,13 @@ class TestRealDataPath:
         assert doc["evaluations_total"] == 64
 
 
+def _rewrite_same_size(path):
+    """Other records of the same size in `path`, with a modification time a second on."""
+    before = path.stat()
+    write_cifar10(path, synth_dataset(8, 10, 6))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+
+
 class TestCleanErrors:
     """Failures past the argument checks still end in `error: ...` and exit 1."""
 
@@ -478,11 +486,12 @@ class TestCleanErrors:
     @pytest.mark.parametrize("change, message", [
         (lambda f: f.write_bytes(f.read_bytes()[:-3073]), "bytes, not the 24584 it had"),
         (lambda f: f.unlink(), "cannot read "),
-    ], ids=["shrinks", "vanishes"])
+        (_rewrite_same_size, "was modified after the dataset was loaded"),
+    ], ids=["shrinks", "vanishes", "rewritten"])
     def test_dataset_file_changed_after_load(self, tmp_path, monkeypatch, capsys,
                                              command, change, message):
-        # a file that shrinks or vanishes between the load and the batch
-        # draw is named in one error line, not read as mixed records
+        # a file that shrinks, vanishes or is rewritten between the load and
+        # the batch draw is named in one error line, not read as mixed records
         batch = tmp_path / "data_batch_1.bin"
         write_cifar10(batch, synth_dataset(8, 10, 5))
 

@@ -366,6 +366,19 @@ class TestStreamedRecords:
             sample_batch(loaded, 8, seed=0)
         assert message in str(info.value)
 
+    def test_file_rewritten_with_the_same_size(self, tmp_path):
+        # other pixels, same size: only the modification time tells them
+        # apart; it is moved a second on, as a rewrite in one clock tick keeps it
+        second = _batch_dir(tmp_path, (3, 5))[1]
+        loaded = load_dataset("cifar10", data_dir=tmp_path)
+        before = second.stat()
+        write_cifar10(second, synth_dataset(5, 10, seed=9))
+        os.utime(second, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        assert second.stat().st_size == before.st_size
+        with pytest.raises(SpikeNasError, match=f"^{re.escape(str(second))} was modified "
+                                                "after the dataset was loaded$"):
+            sample_batch(loaded, 8, seed=0)
+
     def test_file_unreadable_after_load(self, tmp_path, monkeypatch):
         first = _batch_dir(tmp_path, (4,))[0]
         loaded = load_dataset("cifar10", data_dir=tmp_path)

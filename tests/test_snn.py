@@ -46,8 +46,13 @@ def _benchmark_conv_shapes():
     tiny_2c3o_m (S=4, stem 4), mid_2c2o_rate_jobs (S=16, stem 16) and
     paper_5o_random (S=16, stem 64, conv1x1 too): the stem, cell fan-outs
     of one to three edges at both cell widths, and the 1x1 downsample.
+    The sample counts a tiled or sharded pass runs them at are covered too:
+    one-sample tiles at 64 channels, the rule's tile at 32, and half a batch
+    of 16 on each of two threads.
     """
-    for s, stem, kernels in ((4, 4, (3,)), (16, 16, (3,)), (16, 64, (3, 1))):
+    tile32 = snn.TILE_MACS // (32 * 32 * 9 * 32**2)
+    for s, stem, kernels in ((4, 4, (3,)), (16, 16, (3,)), (8, 16, (3,)), (16, 64, (3, 1)),
+                             (8, 64, (3, 1)), (1, 64, (3, 1)), (tile32, 32, (3, 1))):
         yield (s, 3, 32, 32), (stem, 3, 3, 3)
         yield (s, stem, 16, 16), (2 * stem, stem, 1, 1)
         for k in kernels:
@@ -684,19 +689,44 @@ class TestShards:
             count[0] = n
 
         monkeypatch.setattr(blas, "openblas_controls", lambda: (lambda: count[0], set_))
-        real = snn._cell_preactivation
-
-        def preactivation(cell, x, *args):
-            if len(x) == 2:  # the second shard of five samples
-                raise RuntimeError("shard failed")
-            return real(cell, x, *args)
-
-        monkeypatch.setattr(snn, "_cell_preactivation", preactivation)
-        net = build_network(ORACLE_CELLS[:1], self.MACRO)
         batch = np.random.default_rng(0).random((5, 3, 8, 8), dtype=np.float32)
+        real = snn._simulate
+
+        def simulate(net, weights, x, *args, **kwargs):
+            if (x == batch[3]).all(axis=(1, 2, 3)).any():  # the tile holding sample 3
+                raise RuntimeError("shard failed")
+            return real(net, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(snn, "_simulate", simulate)
+        net = build_network(ORACLE_CELLS[:1], self.MACRO)
         with pytest.raises(RuntimeError, match="shard failed"):
             forward_collect_codes(net, init_weights(net, 0), batch, self.LIF, shards=2)
         assert sets == [1, 4] and count[0] == 4
+
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("input_coding", ["direct", "rate"])
+    @pytest.mark.parametrize("samples, tile", [(5, 2), (7, 3)])
+    def test_uneven_tiles_equal_one_run(self, monkeypatch, samples, tile, input_coding,
+                                        code_mode):
+        net = build_network(ORACLE_CELLS[:2], self.MACRO)
+        weights = init_weights(net, 4)
+        batch = np.random.default_rng(samples).random((samples, 3, 8, 8), dtype=np.float32)
+        modes = dict(code_mode=code_mode, input_coding=input_coding, coding_seed=3)
+        whole = forward_collect_codes(net, weights, batch, self.LIF, **modes)
+        sizes, real = [], snn.conv2d_same
+
+        def conv(x, w):
+            out = real(x, w)
+            assert out.flags.c_contiguous and out.shape == (len(x), len(w), *x.shape[2:])
+            sizes.append(len(x))
+            return out
+
+        monkeypatch.setattr(snn, "conv2d_same", conv)
+        monkeypatch.setattr(snn, "TILE_MACS", tile * 8 * 8 * 9 * 4**2)
+        tiled = forward_collect_codes(net, weights, batch, self.LIF, shards=2, **modes)
+        _assert_same_codes(tiled, whole)
+        assert set(sizes) == {len(t) for t in np.array_split(batch, -(-samples // tile))}
+        assert len(set(sizes)) > 1 and any(0 < m.mean() < 1 for m in whole.values())
 
 
 EDGES = ("con01", "con02", "con03", "con12", "con13", "con23")
