@@ -17,12 +17,14 @@ behaves the same are identical:
     python3 scripts/cli_snapshot.py /tmp/after
     diff -r /tmp/before /tmp/after
 
-The matrix holds ten working commands (search with a report, candidate log
-and table; random-search with `--jobs 2`; random-search with 300 draws over
-64 cells, so most draws repeat; a memory-aware and a random ablate; score
-with a kernel dump; score with `--no-bias`; memcalc; score over two
-10-class files; search over one 100-class file) and fifteen bad inputs, two
-of them a bad label byte and a truncated 10-class file.
+The matrix holds thirteen working commands (search with a report, candidate
+log and table; random-search with `--jobs 2`; random-search with 300 draws
+over 64 cells, so most draws repeat; a memory-aware and a random ablate;
+score with a kernel dump; score with `--no-bias`; score with
+`--code-mode concat`; memcalc; enumerate; score over two 10-class files;
+a `_M` search on them under the preset budget; search over one 100-class
+file) and fifteen bad inputs, two of them a bad label byte and a truncated
+10-class file.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def _cifar10(edit=lambda raw: raw) -> dict[str, bytes]:
 # Command name -> {path in the working directory: file bytes}.
 DATA_FILES = {
     "score_cifar10": _cifar10(),
+    "search_preset_budget": _cifar10(),
     "search_cifar100": {"data/train.bin": _records(100, 16, 3)},
     # the label byte of the second record is 10
     "err_cifar10_label": _cifar10(lambda raw: raw[:3073] + bytes([10]) + raw[3074:]),
@@ -95,9 +98,15 @@ COMMANDS = [
                "--seed", "3", "--dump-kernels", "kernels.txt", *TINY], None),
     ("score_no_bias", ["score", "--opset", "3O", "--indices", "100", "--dataset", "synth",
                        "--no-bias", *TINY], LOW_THRESHOLD),
+    ("score_concat", ["score", "--opset", "3O", "--indices", "100,200", "--dataset",
+                      "synth", "--code-mode", "concat", *TINY], LOW_THRESHOLD),
     ("memcalc", ["memcalc", "--opset", "3O", "--indices", "100,200", "--bits", "8",
                  "--stem-channels", "16"], None),
+    ("enumerate", ["enumerate", "--opset", "2O"], None),
     ("score_cifar10", CIFAR_SCORE, LOW_THRESHOLD),
+    ("search_preset_budget", ["search", "--scenario", "1C2O_M", "--dataset", "cifar10",
+                              "--data-dir", "data", "--report-out", "report.json", *TINY],
+     LOW_THRESHOLD),
     ("search_cifar100", ["search", "--scenario", "1C2O", "--dataset", "cifar100",
                          "--data-dir", "data", "--seed", "7", *TINY], LOW_THRESHOLD),
     ("err_scenario_cells", ["search", "--scenario", "4C9O", "--dataset", "synth"], None),

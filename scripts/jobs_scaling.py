@@ -9,11 +9,11 @@ a fixed synth scenario: 1C2O at 16 stem channels, batch 16, 5 timesteps,
 rate coding, so every candidate is dominated by 3x3 convolutions large
 enough to split.  `<cores>` is the number of CPUs in this process's
 affinity mask, the count a search itself uses.  Each phase runs on
-min(jobs, cores, candidates) workers, and one whose cell-1 conv3x3 edge is
-at or above `search.SPLIT_MACS` (here 16*32*32*9*16**2 multiply-adds) and
-has one worker splits each candidate's batch into one shard per core.  So
-the `--jobs 1` runs shard each batch and the `--jobs <cores>` runs score
-one candidate per worker.  Every thread uses one BLAS thread.  Runs
+min(jobs, cores, candidates) workers.  A phase with one worker offers each
+forward pass one thread per core, and a pass whose cell-1 conv3x3 is at or
+above `snn.SPLIT_MACS` (here 16*32*32*9*16**2 multiply-adds) splits its
+batch over them.  So the `--jobs 1` runs split each batch and the
+`--jobs <cores>` runs score one candidate per worker.  Every thread uses one BLAS thread.  Runs
 alternate between the two job counts.  `wall_s` is the whole process
 (start-up, import, dataset, search, report); `cands_per_s` is candidates
 visited over the search wall time the report records.

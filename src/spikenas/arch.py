@@ -94,9 +94,12 @@ class OpSet:
             ) from None
 
     def without(self, op: Operation) -> "OpSet":
-        """Same set minus one operation (used by the ablation runner)."""
+        """Same set minus one operation, refused if fewer than 2 remain to search."""
         if op not in self.ops:
             raise SpikeNasError(f"{op.label} is not in operation set {self.name!r}")
+        if len(self) <= 2:
+            raise SpikeNasError(f"removing {op.label} leaves {len(self) - 1} operation(s); "
+                                "need at least 2 to search")
         return OpSet(
             name=f"{self.name}-{op.label}",
             ops=tuple(o for o in self.ops if o is not op),

@@ -40,7 +40,6 @@ from .search import (
     SearchConfig,
     SearchReport,
     ablate_operation,
-    ablated_opset,
     search_memory_aware,
     search_random,
 )
@@ -269,7 +268,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     s = _settings_from_args(args)
     removed = Operation.from_label(args.remove)
-    ablated_opset(get_opset(args.opset), removed)  # refuse it before loading data
+    get_opset(args.opset).without(removed)  # refuse it before loading data
     if args.cells not in (1, 2, 3):  # refuse it before loading data, too
         raise SpikeNasError(f"num_cells must be 1..3, got {args.cells}")
     cfg = _search_config(args.dataset, args.opset, args.cells, s, args.strategy)
@@ -291,8 +290,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     s = _settings_from_args(args)
     net = _net_from_args(args, s)
     dataset = load_dataset(args.dataset, s["data_dir"], seed=s["seed"])
-    batch = sample_batch(dataset, s["batch_size"], s["seed"])
-    result = score_candidate(net, batch.pixels, s["lif"], s["seed"], s["alpha"],
+    pixels = sample_batch(dataset, s["batch_size"], s["seed"])
+    result = score_candidate(net, pixels, s["lif"], s["seed"], s["alpha"],
                              code_mode=s["code_mode"], input_coding=s["input_coding"])
     if args.dump_kernels:
         write_kernel_dump(args.dump_kernels, result.codes, s["alpha"])

@@ -9,7 +9,7 @@ labels; pixels are read back by position, record by record, when a batch
 is drawn, so memory stays about one chunk whatever the dataset's size.
 A draw first checks that each file it reads still has the size and
 modification time the load saw.
-Handles keep raw uint8 pixels and scale to [0, 1] on access.  A seeded
+Handles keep raw uint8 pixels; a drawn batch is float32 in [0, 1].  A seeded
 synthetic generator with class-dependent mean shifts backs fast tests.
 """
 
@@ -60,7 +60,7 @@ class _RecordFiles:
             if not rows.size:
                 continue
             first = ends[f] - size // self.record
-            with _reading(path) as fh:
+            with opened(path) as fh:
                 now = os.fstat(fh.fileno())
                 if now.st_size != size:
                     raise SpikeNasError(f"{path} is {now.st_size} bytes, not the {size} it "
@@ -90,22 +90,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def pixels(self) -> np.ndarray:
-        """Every record's uint8 pixels, (n, 3, 32, 32)."""
-        return self.records[np.arange(len(self))]
-
-    def scaled(self, indices: np.ndarray | None = None) -> np.ndarray:
-        """Float pixels in [0, 1] for the given records (all by default)."""
-        raw = self.pixels if indices is None else self.records[indices]
-        return raw.astype(np.float32) / 255.0
-
-
-@dataclass(frozen=True, eq=False)
-class ImageBatch:
-    pixels: np.ndarray  # (s, 3, 32, 32) float32 in [0, 1]
-    labels: np.ndarray  # (s,) int64
-
 
 def load_cifar10(path: str | os.PathLike) -> Dataset:
     """Parse one 10-class binary file into a dataset handle."""
@@ -118,13 +102,15 @@ def load_cifar100(path: str | os.PathLike) -> Dataset:
 
 
 @contextmanager
-def _reading(path: Path):
-    """`path` open for binary reads; an OS error becomes a `SpikeNasError` naming it."""
+def opened(path, mode: str = "rb", **kwargs):
+    """`open(path, mode, **kwargs)`; an OS error, at the open, a read or write, or the
+    close, becomes a `SpikeNasError` that names `path`."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, mode, **kwargs) as fh:
             yield fh
     except OSError as exc:
-        raise SpikeNasError(f"cannot read {path}: {exc}") from exc
+        verb = "read" if mode.startswith("r") else "write"
+        raise SpikeNasError(f"cannot {verb} {path}: {exc}") from exc
 
 
 def _load_records(paths: list[Path], classes: int) -> Dataset:
@@ -142,7 +128,7 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
         if size % record:
             raise SpikeNasError(f"{path} is {size} bytes, not a multiple of {record}")
         got = 0
-        with _reading(path) as fh:
+        with opened(path) as fh:
             mtimes.append(os.fstat(fh.fileno()).st_mtime_ns)
             while got < size and (n := fh.readinto(chunk[:size - got].data)):
                 first = start + got // record
@@ -159,8 +145,9 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
                    labels=labels, num_classes=classes)
 
 
-def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
-    """Seeded draw of `num_samples` distinct records, order included."""
+def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> np.ndarray:
+    """Seeded draw of `num_samples` distinct records, order included: their
+    (S, 3, 32, 32) float32 pixels in [0, 1]."""
     if not is_int(num_samples) or num_samples < 1:
         raise SpikeNasError(f"batch size must be a positive integer, got {num_samples}")
     if num_samples > len(dataset):
@@ -168,22 +155,25 @@ def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> ImageBatch:
             f"requested {num_samples} samples from {len(dataset)} records"
         )
     indices = np.random.default_rng(seed).permutation(len(dataset))[:num_samples]
-    return ImageBatch(pixels=dataset.scaled(indices), labels=dataset.labels[indices])
+    return dataset.records[indices].astype(np.float32) / 255.0
+
+
+# Synthetic class k's pixels: uniform in _SYNTH_BASE + k * class_shift ± _SYNTH_NOISE.
+_SYNTH_BASE = 0.25
+_SYNTH_NOISE = 0.25
 
 
 def synth_dataset(num_records: int, classes: int, seed: int,
-                  class_shift: float = 0.03, noise: float = 0.25,
-                  base_level: float = 0.25) -> Dataset:
+                  class_shift: float = 0.03) -> Dataset:
     """Seeded pseudo-random dataset with class-dependent mean pixel levels.
 
-    Class k images are uniform noise around `base_level + k * class_shift`,
-    quantized to uint8 so files written from the handle round-trip exactly.
+    Pixels are quantized to uint8, so files written from the handle round-trip exactly.
     """
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=num_records, dtype=np.int64)
-    means = base_level + labels.astype(np.float64) * class_shift
+    means = _SYNTH_BASE + labels.astype(np.float64) * class_shift
     values = means[:, None, None, None] + rng.uniform(
-        -noise, noise, size=(num_records, *IMAGE_SHAPE)
+        -_SYNTH_NOISE, _SYNTH_NOISE, size=(num_records, *IMAGE_SHAPE)
     )
     pixels = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
     return Dataset(records=pixels, labels=labels, num_classes=classes)

@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
+from .data import opened
 from .score import NEG_INF
 from .search import RANDOM, CandidateRecord, SearchReport
 
@@ -79,7 +80,8 @@ def to_json(doc: dict) -> str:
 
 
 def write_report(path, doc: dict) -> None:
-    Path(path).write_text(to_json(doc) + "\n", encoding="utf-8")
+    with opened(path, "w", encoding="utf-8") as fh:
+        fh.write(to_json(doc) + "\n")
 
 
 def append_table_row(path, doc: dict) -> None:
@@ -90,7 +92,7 @@ def append_table_row(path, doc: dict) -> None:
     row["scenario"] = doc["scenario"] or ""
     row["budget_params"] = doc["budget"]["max_params"] if doc["budget"] else ""
     row["best_score"] = "" if doc["best_score"] is None else repr(doc["best_score"])
-    with path.open("a", newline="", encoding="utf-8") as fh:
+    with opened(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
         if fresh:
             writer.writeheader()
@@ -99,7 +101,7 @@ def append_table_row(path, doc: dict) -> None:
 
 def write_candidate_log(path, records: Iterable[CandidateRecord]) -> None:
     """One JSON object per visited candidate, in visit order."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with opened(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps({
                 "phase": rec.phase,

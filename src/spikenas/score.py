@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import NetworkArch
+from .data import opened
 from .errors import SpikeNasError
 from .snn import BinaryCodes, LIFParams, forward_collect_codes, init_weights
 
@@ -114,7 +115,7 @@ def score_candidate(net: NetworkArch, batch: np.ndarray, lif: LIFParams,
 def write_kernel_dump(path, codes: BinaryCodes, alpha: float) -> None:
     """Write each stage's kernel and their sum as space-separated matrices."""
     kernels, total = _kernels(codes, alpha)
-    with open(path, "w", encoding="utf-8") as fh:
+    with opened(path, "w", encoding="utf-8") as fh:
         for (name, bits), kernel in zip(codes.items(), kernels):
             fh.write(f"# layer {name} neurons={bits.shape[1]} alpha={alpha}\n")
             _write_matrix(fh, kernel)

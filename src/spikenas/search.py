@@ -59,11 +59,6 @@ CARRY_LITERAL = "literal"
 
 ScoreFn = Callable[..., score_mod.ScoreResult]
 
-# A phase scored by one worker whose cell-1 conv3x3 edge (batch*H*W*9*C**2 multiply-adds)
-# is at or above this maps each batch's sample tiles (`snn.TILE_MACS`) over one thread
-# per core: at batch 16, 0.82x as fast at 4 channels, even at 6, 1.26x at 8 (BENCH_19.json).
-SPLIT_MACS = 2**23
-
 
 @dataclass(frozen=True, eq=False)
 class SearchConfig:
@@ -208,9 +203,7 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
     else:
         phases = [range(space)] * cfg.num_cells
         none_fit = f"all {space} shared-cell candidates exceed"
-    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
-    _, h, w = cfg.macro.input_shape
-    big = cfg.batch_size * h * w * 9 * cfg.macro.stem_channels ** 2 >= SPLIT_MACS
+    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
 
@@ -227,7 +220,7 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
                 base = best_cells
             distinct = list(dict.fromkeys(indices))
             workers = min(cfg.jobs, cores, len(distinct))
-            shards = min(cores, cfg.batch_size) if workers == 1 and big else 1
+            shards = cores if workers == 1 else 1  # the most threads a pass may use
             visit = partial(_visit, cfg, pixels, score_fn, shards, base, phase)
             by_index = dict(zip(distinct, thread_map(visit, distinct, workers)))
             records = [by_index[i] for i in indices]
@@ -270,20 +263,9 @@ def search_random(cfg: SearchConfig, iterations: int, *,
     return _search(replace(cfg, strategy=RANDOM), score_fn, iterations)
 
 
-def ablated_opset(opset: OpSet, removed: Operation) -> OpSet:
-    """`opset` without `removed`, refused if fewer than 2 operations remain."""
-    sub = opset.without(removed)
-    if len(sub) < 2:
-        raise SpikeNasError(
-            f"removing {removed.label} leaves {len(sub)} operation(s); "
-            "need at least 2 to search"
-        )
-    return sub
-
-
 def ablate_operation(cfg: SearchConfig, removed: Operation, *,
                      iterations: int = 5000,
                      score_fn: ScoreFn | None = None) -> SearchReport:
     """Re-run the search `cfg.strategy` names with one operation removed."""
-    sub = replace(cfg, opset=ablated_opset(cfg.opset, removed))
+    sub = replace(cfg, opset=cfg.opset.without(removed))
     return replace(_search(sub, score_fn, iterations), removed_op=removed)

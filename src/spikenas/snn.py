@@ -44,13 +44,14 @@ decays through `lif_step` as usual, so spike codes stay exactly the same.
 
 Every kernel works per sample and the silent test is exact per sample
 too, so a batch can be split into contiguous tiles that run one after
-another or on `shards` threads through `blas.thread_map`, each on one
-BLAS thread: each stage's codes are the tiles' codes in sample order, the
-same bits as one run over the whole batch.  Tiles keep a pass's working
-set near the size of a core's cache; `TILE_MACS` sizes them from the
-macro, and a batch is cut into at least `shards` tiles.  A search asks for
-threads only in a phase it scores with one worker, one per core, and only
-above `search.SPLIT_MACS`.
+another or on threads through `blas.thread_map`, each on one BLAS
+thread: each stage's codes are the tiles' codes in sample order, the same
+bits as one run over the whole batch.  The pass owns that plan, from one
+sample's cell-1 conv3x3 multiply-adds: `TILE_MACS` sizes the tiles to keep
+a tile's working set near the size of a core's cache, and a batch whose
+conv3x3 work reaches `SPLIT_MACS` runs on up to `shards` threads, in at
+least as many tiles.  A search offers one thread per core to a phase it
+scores with one worker, and one thread to a pooled phase.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ BinaryCodes = dict[str, np.ndarray]
 # 124, 72, 51 and 40 ms at 64, 32, 16 and 8 channels with one-sample tiles, and 120, 59,
 # 32 and 15 ms with this.
 TILE_MACS = 9 * 2**22
+# A batch whose cell-1 conv3x3 (S*H*W*9*C**2 multiply-adds) is at or above this runs on
+# up to `shards` threads, else on one: at batch 16, two threads ran 0.82x as fast at 4
+# channels, even at 6 and 1.26x at 8 (BENCH_19.json).
+SPLIT_MACS = 2**23
 
 CODE_MODES = ("any", "concat")
 INPUT_CODINGS = ("direct", "rate")
@@ -355,10 +360,11 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     the per-step spike trains concatenated (`code_mode="concat"`): per
     sample, step-major, each step's bits in (C, H, W) order.
     `input_coding="rate"` replaces direct coding with seeded Bernoulli
-    spike trains whose rates are the pixel values.  The samples run in
-    contiguous tiles, as many as `TILE_MACS` asks for but at least
-    `shards` and at most one per sample; `shards` > 1 maps them over that
-    many threads.  Codes are joined in sample order.
+    spike trains whose rates are the pixel values.  `shards` is the most
+    threads the pass may use: min(shards, samples) at or above `SPLIT_MACS`,
+    else one.  The samples run in contiguous tiles, as many as `TILE_MACS`
+    asks for but at least one per thread and at most one per sample.  Codes
+    are joined in sample order.
     """
     if code_mode not in CODE_MODES:
         raise SpikeNasError(f"unknown code_mode {code_mode!r}")
@@ -373,8 +379,9 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     _check_weights(net, weights)
 
     _, h, w = expected
-    tile = max(1, TILE_MACS // (h * w * 9 * net.macro.stem_channels ** 2))
-    n = min(len(x), max(shards, -(-len(x) // tile)))
+    macs = h * w * 9 * net.macro.stem_channels ** 2  # one sample's cell-1 conv3x3
+    threads = min(shards, len(x)) if len(x) * macs >= SPLIT_MACS else 1
+    n = min(len(x), max(threads, -(-len(x) // max(1, TILE_MACS // macs))))
     rate = input_coding == "rate"
     if rate:  # all T steps' spikes in one draw: the stream of T draws of one step
         rng = np.random.default_rng(coding_seed)
@@ -382,5 +389,5 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     run = partial(_simulate, net, weights, p=p, code_mode=code_mode, rate=rate)
     if n <= 1:
         return run(x)
-    parts = thread_map(run, np.array_split(x, n, axis=int(rate)), shards)
+    parts = thread_map(run, np.array_split(x, n, axis=int(rate)), threads)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

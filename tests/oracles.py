@@ -80,7 +80,7 @@ def exhaustive_best_shared(cfg, score_fn):
     Sequential ascending scan with strict improvement, so ties resolve
     to the lowest index.  Returns (index, score, n_scored).
     """
-    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
+    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
     best_idx = None
     best_val = None
     scored = 0
@@ -105,7 +105,7 @@ def reference_memory_aware(cfg, score_fn):
     Strict `>` improvement in ascending order reproduces the
     lowest-(phase, index) tie-break.  Returns a plain dict.
     """
-    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
+    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
     space = search_space_size(cfg.opset)
     best_val = None
     best_cells = None
@@ -148,7 +148,7 @@ def reference_literal_carryover(cfg, score_fn):
     After any phase every non-searched cell holds the last candidate of
     the space, so phases >= 2 vary one cell against that background.
     """
-    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
+    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
     space = search_space_size(cfg.opset)
     last = decode_cell(space - 1, cfg.opset)
     best_val = None
@@ -370,12 +370,17 @@ def straight_cell_preactivation(cell, x_spikes, weights, prefix):
             + _straight_edge(cell.con23, n2, w("con23")))
 
 
+def all_pixels(dataset) -> np.ndarray:
+    """Every record's uint8 pixels, (n, 3, 32, 32), read the one way the engine reads them."""
+    return dataset.records[np.arange(len(dataset))]
+
+
 def write_cifar10(path, dataset) -> None:
     """Serialize a dataset into the 10-class binary record layout."""
     n = len(dataset)
     out = np.empty((n, RECORD_BYTES_10), dtype=np.uint8)
     out[:, 0] = dataset.labels.astype(np.uint8)
-    out[:, 1:] = dataset.pixels.reshape(n, -1)
+    out[:, 1:] = all_pixels(dataset).reshape(n, -1)
     Path(path).write_bytes(out.tobytes())
 
 
@@ -384,5 +389,5 @@ def write_cifar100(path, dataset) -> None:
     n = len(dataset)
     out = np.zeros((n, RECORD_BYTES_100), dtype=np.uint8)
     out[:, 1] = dataset.labels.astype(np.uint8)
-    out[:, 2:] = dataset.pixels.reshape(n, -1)
+    out[:, 2:] = all_pixels(dataset).reshape(n, -1)
     Path(path).write_bytes(out.tobytes())

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +256,13 @@ class TestFlagsFromTable:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_readme_config_table_lists_every_setting(self):
+        # the rows of README's table of config-file keys, in the table's order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("It accepts exactly these keys:", 1)[1].split("\n\n")[1]
+        keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        assert keys == [row[0] for row in cli_mod.SETTINGS]
+
     def test_any_config_key_is_accepted_by_memcalc(self, tmp_path, capsys):
         # one file can serve both a search and a memcalc run
         cfg = tmp_path / "cfg.json"
@@ -505,6 +514,21 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and str(batch) in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["search", "--scenario", "1C2O", "--dataset", "synth", "--report-out"],
+        ["search", "--scenario", "1C2O", "--dataset", "synth", "--candidate-log"],
+        ["search", "--scenario", "1C2O", "--dataset", "synth", "--table-out"],
+        ["score", "--opset", "2O", "--indices", "4", "--dataset", "synth",
+         "--dump-kernels"],
+    ], ids=["report-out", "candidate-log", "table-out", "dump-kernels"])
+    def test_output_write_fails_after_the_work(self, capsys, argv):
+        # /dev/full passes the up-front path check, then refuses every write
+        assert main(argv + ["/dev/full"] + TINY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "/dev/full" in err
 
     @pytest.mark.parametrize("message, printed", [
         ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),

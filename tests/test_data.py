@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import write_cifar10, write_cifar100
+from oracles import all_pixels, write_cifar10, write_cifar100
 from spikenas import data as data_mod
 from spikenas.data import (
     DATA_DIR_ENV,
@@ -45,17 +45,16 @@ class TestLoadCifar10:
     def test_zero_pixels_scale_to_zero(self, tmp_path):
         f = tmp_path / "batch.bin"
         _make_file_10(f, [(0, 0)])
-        ds = load_cifar10(f)
-        assert not ds.scaled().any()
+        assert not sample_batch(load_cifar10(f), 1, seed=0).any()
 
     def test_channel_major_layout(self, tmp_path):
         f = tmp_path / "batch.bin"
         payload = bytes([3]) + bytes([10]) * 1024 + bytes([20]) * 1024 + bytes([30]) * 1024
         f.write_bytes(payload)
-        ds = load_cifar10(f)
-        assert ds.pixels[0, 0, 0, 0] == 10  # red plane first
-        assert ds.pixels[0, 1, 16, 16] == 20
-        assert ds.pixels[0, 2, 31, 31] == 30
+        pixels = all_pixels(load_cifar10(f))
+        assert pixels[0, 0, 0, 0] == 10  # red plane first
+        assert pixels[0, 1, 16, 16] == 20
+        assert pixels[0, 2, 31, 31] == 30
 
     def test_bad_length(self, tmp_path):
         f = tmp_path / "batch.bin"
@@ -96,7 +95,7 @@ class TestRoundTrip:
         f = tmp_path / "synth.bin"
         write_cifar10(f, ds)
         back = load_cifar10(f)
-        np.testing.assert_array_equal(back.pixels, ds.pixels)
+        np.testing.assert_array_equal(all_pixels(back), all_pixels(ds))
         np.testing.assert_array_equal(back.labels, ds.labels)
         f2 = tmp_path / "again.bin"
         write_cifar10(f2, back)
@@ -107,7 +106,7 @@ class TestRoundTrip:
         f = tmp_path / "synth100.bin"
         write_cifar100(f, ds)
         back = load_cifar100(f)
-        np.testing.assert_array_equal(back.pixels, ds.pixels)
+        np.testing.assert_array_equal(all_pixels(back), all_pixels(ds))
         np.testing.assert_array_equal(back.labels, ds.labels)
         f2 = tmp_path / "again.bin"
         write_cifar100(f2, back)
@@ -118,46 +117,46 @@ class TestNormalization:
     def test_endpoints(self):
         ds = Dataset(records=np.array([0, 255], dtype=np.uint8).reshape(2, 1, 1, 1),
                      labels=np.zeros(2, dtype=np.int64), num_classes=1)
-        scaled = ds.scaled()
-        assert scaled[0, 0, 0, 0] == 0.0
-        assert scaled[1, 0, 0, 0] == 1.0
+        assert sorted(sample_batch(ds, 2, seed=0).ravel().tolist()) == [0.0, 1.0]
 
     def test_order_preserving(self):
         raw = np.arange(256, dtype=np.uint8).reshape(-1, 1, 1, 1)
         ds = Dataset(records=raw, labels=np.zeros(256, dtype=np.int64), num_classes=1)
-        scaled = ds.scaled().ravel()
-        assert (np.diff(scaled) > 0).all()
+        scaled = sample_batch(ds, 256, seed=0).ravel()
+        assert (np.diff(scaled[np.argsort(np.rint(scaled * 255))]) > 0).all()
 
 
 def _indexed_dataset(n):
-    """Labels double as record identities for distinctness checks."""
-    return Dataset(records=np.zeros((n, 3, 32, 32), dtype=np.uint8),
-                   labels=np.arange(n, dtype=np.int64), num_classes=n)
+    """Each record's first two pixels hold its index, low byte first, as its identity."""
+    records = np.zeros((n, 3, 32, 32), dtype=np.uint8)
+    records[:, 0, 0, 0], records[:, 0, 0, 1] = np.arange(n) % 256, np.arange(n) // 256
+    return Dataset(records=records, labels=np.arange(n, dtype=np.int64), num_classes=n)
+
+
+def _ids(batch):
+    """The record indices `_indexed_dataset` wrote into a drawn batch."""
+    return (np.rint(batch[:, 0, 0, :2] * 255).astype(int) @ [1, 256]).tolist()
 
 
 class TestSampleBatch:
     def test_whole_set_in_seeded_order(self):
         ds = _indexed_dataset(10)
         batch = sample_batch(ds, 10, seed=5)
-        assert sorted(batch.labels.tolist()) == list(range(10))
-        again = sample_batch(ds, 10, seed=5)
-        np.testing.assert_array_equal(batch.labels, again.labels)
+        assert sorted(_ids(batch)) == list(range(10))
+        assert _ids(sample_batch(ds, 10, seed=5)) == _ids(batch)
 
     def test_same_seed_same_batch(self):
         ds = synth_dataset(50, 10, seed=0)
         a = sample_batch(ds, 8, seed=9)
         b = sample_batch(ds, 8, seed=9)
-        np.testing.assert_array_equal(a.pixels, b.pixels)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a, b)
 
     def test_sixteen_distinct_reproducible(self):
         ds = _indexed_dataset(10_000)
-        a = sample_batch(ds, 16, seed=1)
-        assert len(set(a.labels.tolist())) == 16
-        b = sample_batch(ds, 16, seed=1)
-        np.testing.assert_array_equal(a.labels, b.labels)
-        c = sample_batch(ds, 16, seed=2)
-        assert a.labels.tolist() != c.labels.tolist()
+        a = _ids(sample_batch(ds, 16, seed=1))
+        assert len(set(a)) == 16
+        assert _ids(sample_batch(ds, 16, seed=1)) == a
+        assert _ids(sample_batch(ds, 16, seed=2)) != a
 
     def test_insufficient_data(self):
         with pytest.raises(SpikeNasError, match="requested 5 samples from 4 records"):
@@ -173,34 +172,34 @@ class TestSampleBatch:
             sample_batch(_indexed_dataset(4), size, seed=0)
 
     def test_numpy_size_accepted(self):
-        assert len(sample_batch(_indexed_dataset(4), np.int64(3), seed=0).labels) == 3
+        assert len(sample_batch(_indexed_dataset(4), np.int64(3), seed=0)) == 3
 
     def test_pixels_live_in_unit_interval(self):
         batch = sample_batch(synth_dataset(30, 10, 0), 10, seed=0)
-        assert batch.pixels.dtype == np.float32
-        assert batch.pixels.min() >= 0.0
-        assert batch.pixels.max() <= 1.0
+        assert batch.dtype == np.float32
+        assert batch.min() >= 0.0
+        assert batch.max() <= 1.0
 
 
 class TestSynthDataset:
     def test_shape_and_label_range(self):
         ds = synth_dataset(100, 10, seed=42)
         assert len(ds) == 100
-        assert ds.pixels.shape == (100, 3, 32, 32)
+        assert all_pixels(ds).shape == (100, 3, 32, 32)
         assert ds.labels.min() >= 0
         assert ds.labels.max() <= 9
 
     def test_same_seed_identical_bytes(self):
         a = synth_dataset(40, 10, seed=7)
         b = synth_dataset(40, 10, seed=7)
-        np.testing.assert_array_equal(a.pixels, b.pixels)
+        np.testing.assert_array_equal(all_pixels(a), all_pixels(b))
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_class_means_shift_as_configured(self):
         shift = 0.03
         ds = synth_dataset(4000, 2, seed=0, class_shift=shift)
-        m0 = ds.scaled(np.where(ds.labels == 0)[0]).mean()
-        m1 = ds.scaled(np.where(ds.labels == 1)[0]).mean()
+        m0 = ds.records[np.where(ds.labels == 0)[0]].mean() / 255
+        m1 = ds.records[np.where(ds.labels == 1)[0]].mean() / 255
         assert abs((m1 - m0) - shift) < 0.05 * shift
 
 
@@ -261,8 +260,8 @@ class TestMultiFileLoad:
     def test_files_stack_in_order(self, tmp_path, records):
         parts = [load_cifar10(f) for f in _batch_dir(tmp_path, records)]
         loaded = load_dataset("cifar10", data_dir=tmp_path)
-        np.testing.assert_array_equal(loaded.pixels,
-                                      np.concatenate([p.pixels for p in parts]))
+        np.testing.assert_array_equal(all_pixels(loaded),
+                                      np.concatenate([all_pixels(p) for p in parts]))
         np.testing.assert_array_equal(loaded.labels,
                                       np.concatenate([p.labels for p in parts]))
         assert loaded.num_classes == 10
@@ -321,22 +320,21 @@ class TestStreamedRecords:
         for path, part in zip(files, parts):
             write(path, part)
         loaded = data_mod._load_records(files, classes)
-        memory = Dataset(records=np.concatenate([p.pixels for p in parts]),
+        memory = Dataset(records=np.concatenate([all_pixels(p) for p in parts]),
                          labels=np.concatenate([p.labels for p in parts]),
                          num_classes=classes)
         np.testing.assert_array_equal(loaded.labels, memory.labels)
-        np.testing.assert_array_equal(loaded.pixels, memory.pixels)
+        np.testing.assert_array_equal(all_pixels(loaded), all_pixels(memory))
         for seed in range(3):
-            a, b = sample_batch(loaded, 64, seed), sample_batch(memory, 64, seed)
-            np.testing.assert_array_equal(a.pixels, b.pixels)
-            np.testing.assert_array_equal(a.labels, b.labels)
+            np.testing.assert_array_equal(sample_batch(loaded, 64, seed),
+                                          sample_batch(memory, 64, seed))
 
     def test_record_index_out_of_range(self, tmp_path):
         _batch_dir(tmp_path, (3, 2))
         loaded = load_dataset("cifar10", data_dir=tmp_path)
         for bad in ([5], [0, 7], [-1]):
             with pytest.raises(IndexError, match=r"must lie in 0\.\.4"):
-                loaded.scaled(np.array(bad))
+                loaded.records[np.array(bad)]
 
     @pytest.mark.parametrize("records", [64, 2048])
     def test_load_and_draw_stay_within_a_chunk(self, tmp_path, records):
@@ -348,7 +346,7 @@ class TestStreamedRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(loaded) == 2 * records and batch.pixels.shape == (16, 3, 32, 32)
+        assert len(loaded) == 2 * records and batch.shape == (16, 3, 32, 32)
         assert peak < 2 << 20, peak
 
     @pytest.mark.parametrize("change, message", [

@@ -70,7 +70,7 @@ def test_candidate_score_and_params(case, dataset):
     opset, indices, code_mode, input_coding, no_bias, want_score, want_params = case
     macro = MACRO.without_bias() if no_bias else MACRO
     net = build_network([decode_cell(i, OPSETS[opset]) for i in indices], macro)
-    pixels = sample_batch(dataset, 4, 0).pixels
+    pixels = sample_batch(dataset, 4, 0)
     result = score_candidate(net, pixels, LIF, WEIGHT_SEED, 1.0,
                              code_mode=code_mode, input_coding=input_coding)
     assert repr(result.value) == want_score

@@ -156,7 +156,7 @@ class TestScoreCandidate:
     def test_deterministic(self, tiny_macro, tiny_lif, small_dataset):
         from spikenas.data import sample_batch
         net = build_network([decode_cell(40, TWO_OPS)], tiny_macro)
-        batch = sample_batch(small_dataset, 4, 0).pixels
+        batch = sample_batch(small_dataset, 4, 0)
         a = score_candidate(net, batch, tiny_lif, seed=3)
         b = score_candidate(net, batch, tiny_lif, seed=3)
         assert a.value == b.value
@@ -166,7 +166,7 @@ class TestScoreCandidate:
     def test_unreachable_threshold_yields_sentinel(self, tiny_macro, small_dataset):
         from spikenas.data import sample_batch
         net = build_network([decode_cell(40, TWO_OPS)], tiny_macro)
-        batch = sample_batch(small_dataset, 4, 0).pixels
+        batch = sample_batch(small_dataset, 4, 0)
         lif = LIFParams(v_threshold=1e9, timesteps=2)
         result = score_candidate(net, batch, lif, seed=0)
         assert result.singular

@@ -13,16 +13,17 @@ from oracles import (
     reference_literal_carryover,
     reference_memory_aware,
 )
-from spikenas import blas
+from spikenas import blas, snn
 from spikenas.arch import (
     FIVE_OPS, MacroConfig, Operation, THREE_OPS, TWO_OPS, decode_cell, encode_cell,
 )
-from spikenas.data import sample_batch
+from spikenas.data import sample_batch, synth_dataset
 from spikenas.errors import SpikeNasError
 from spikenas.memmodel import MemoryBudget
 from spikenas.report import from_search_report, to_json
 from spikenas.score import NEG_INF, ScoreResult, score_candidate
 from spikenas import search as search_mod
+from spikenas.snn import LIFParams
 from spikenas.search import (
     CARRY_LITERAL,
     MEMORY_AWARE,
@@ -373,12 +374,45 @@ class TestReplay:
         cfg, best = report.config, report.best
         assert (cfg.strategy, best.phase) == (strategy, phase)
         assert report.best_arch.cells[phase - 1] == decode_cell(best.index, cfg.opset)
-        pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed).pixels
+        pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
         replayed = score_candidate(report.best_arch, pixels, cfg.lif,
                                    candidate_seed(cfg.seed, best.phase, best.index),
                                    cfg.alpha, code_mode=cfg.code_mode,
                                    input_coding=cfg.input_coding)
         assert replayed.value == report.best_score
+
+
+class TestForwardPlan:
+    """The tiles and threads a search's forward passes run on, at the perfbench shapes
+    and around `snn.SPLIT_MACS`."""
+
+    @pytest.mark.parametrize("stem, samples, cores, plan", [
+        (4, 4, 2, (1, 1)),      # tiny_2c3o_m
+        (64, 16, 2, (16, 2)),   # paper_5o_random
+        (16, 16, 1, (1, 1)),    # mid_2c2o_rate_jobs: each pooled worker gets one thread
+        (8, 16, 2, (2, 2)),     # the narrowest stem at or above SPLIT_MACS at batch 16
+        (16, 16, 2, (2, 2)),
+    ])
+    def test_plan(self, monkeypatch, stem, samples, cores, plan):
+        _set_cores(monkeypatch, cores)
+        tiles, threads = [], []
+        simulate, thread_map = snn._simulate, snn.thread_map
+
+        def count_tile(*args, **kwargs):
+            tiles.append(1)
+            return simulate(*args, **kwargs)
+
+        def record_threads(fn, items, workers):
+            threads.append(min(workers, len(items)))
+            return thread_map(fn, items, workers)
+
+        monkeypatch.setattr(snn, "_simulate", count_tile)
+        monkeypatch.setattr(snn, "thread_map", record_threads)
+        cfg = SearchConfig(dataset=synth_dataset(samples, 10, 0), opset=TWO_OPS,
+                           num_cells=1, macro=MacroConfig(stem_channels=stem),
+                           batch_size=samples, lif=LIFParams(timesteps=1))
+        search_random(cfg, 1)
+        assert (len(tiles), max(threads, default=1)) == plan
 
 
 class _RecordingPool:
@@ -556,15 +590,20 @@ class TestBlasPin:
         _set_cores(monkeypatch, cores)
         # 16*32*32*9*64**2 multiply-adds per cell-1 conv3x3 edge
         cfg = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=jobs)
-        assert 16 * 32 * 32 * 9 * 64 ** 2 >= search_mod.SPLIT_MACS
+        assert 16 * 32 * 32 * 9 * 64 ** 2 >= snn.SPLIT_MACS
         seen = []
         search_random(cfg, 5, score_fn=self._recording(fake, seen))
         assert fake.sets == [1, 4]
-        assert set(seen) == {(1, min(cores, 16))}
+        assert set(seen) == {(1, cores)}
 
-    def test_small_serial_and_pooled_searches_do_not_shard(self, fake, base_cfg):
+    def test_serial_phases_offer_the_cores_and_pooled_phases_one(self, fake, base_cfg,
+                                                                 monkeypatch):
+        # the forward pass decides whether a small batch uses what it is offered
+        _set_cores(monkeypatch, 2)
         seen = []
         search_random(base_cfg, 5, score_fn=self._recording(fake, seen))
+        assert {shards for _, shards in seen} == {2}
+        seen.clear()
         paper = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=2)
         search_random(paper, 5, score_fn=self._recording(fake, seen))
         assert {shards for _, shards in seen} == {1}
@@ -577,7 +616,7 @@ class TestBlasPin:
         seen = []
         search_random(paper, 1, score_fn=self._recording(fake, seen))
         assert fake.sets == [1, 4]
-        assert seen == [(1, min(cores, 16))]
+        assert seen == [(1, cores)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mask_of_one_cpu_scores_unsharded(self, fake, base_cfg, monkeypatch, jobs):
@@ -643,7 +682,7 @@ class TestBlasPin:
         # SPLIT_MACS 0 makes jobs=1 split each batch into two shards, while
         # jobs=2 scores whole batches on two workers
         _set_cores(monkeypatch, 2)
-        monkeypatch.setattr(search_mod, "SPLIT_MACS", 0)
+        monkeypatch.setattr(snn, "SPLIT_MACS", 0)
         cfg = SearchConfig(dataset=small_dataset, opset=TWO_OPS, num_cells=1,
                            macro=MacroConfig(stem_channels=16, num_classes=4),
                            seed=3, batch_size=4, lif=tiny_lif,

@@ -644,6 +644,11 @@ class TestShards:
     MACRO = MacroConfig(stem_channels=4, num_classes=4, input_shape=(3, 8, 8))
     LIF = LIFParams(v_threshold=0.3, timesteps=3)
 
+    @pytest.fixture(autouse=True)
+    def split_every_batch(self, monkeypatch):
+        # 8x8 batches are far below SPLIT_MACS, which would keep them on one thread
+        monkeypatch.setattr(snn, "SPLIT_MACS", 0)
+
     def _both(self, net, weights, batch, lif, shards, **modes):
         whole = forward_collect_codes(net, weights, batch, lif, **modes)
         split = forward_collect_codes(net, weights, batch, lif, shards=shards, **modes)
