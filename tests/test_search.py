@@ -22,6 +22,7 @@ from spikenas.errors import SpikeNasError
 from spikenas.memmodel import MemoryBudget
 from spikenas.report import from_search_report, to_json
 from spikenas.score import NEG_INF, ScoreResult, score_candidate
+from spikenas import score as score_mod
 from spikenas import search as search_mod
 from spikenas.snn import LIFParams
 from spikenas.search import (
@@ -386,17 +387,23 @@ class TestForwardPlan:
     """The tiles and threads a search's forward passes run on, at the perfbench shapes
     and around `snn.SPLIT_MACS`."""
 
-    @pytest.mark.parametrize("stem, samples, cores, plan", [
-        (4, 4, 2, (1, 1)),      # tiny_2c3o_m
-        (64, 16, 2, (16, 2)),   # paper_5o_random
-        (16, 16, 1, (1, 1)),    # mid_2c2o_rate_jobs: each pooled worker gets one thread
-        (8, 16, 2, (2, 2)),     # the narrowest stem at or above SPLIT_MACS at batch 16
-        (16, 16, 2, (2, 2)),
+    @pytest.mark.parametrize("stem, samples, cores, jobs, coding, plan", [
+        (4, 4, 2, 1, "direct", (1, 1)),     # tiny_2c3o_m
+        (64, 16, 2, 1, "direct", (16, 2)),  # paper_5o_random
+        (16, 16, 2, 2, "rate", (1, 1)),     # mid_2c2o_rate_jobs: a pooled phase
+        (16, 16, 1, 1, "direct", (1, 1)),   # a one-worker phase on one core
+        (8, 16, 2, 1, "direct", (2, 2)),    # the narrowest stem at or above SPLIT_MACS at batch 16
+        (16, 16, 2, 1, "direct", (2, 2)),
     ])
-    def test_plan(self, monkeypatch, stem, samples, cores, plan):
+    def test_plan(self, monkeypatch, stem, samples, cores, jobs, coding, plan):
         _set_cores(monkeypatch, cores)
-        tiles, threads = [], []
-        simulate, thread_map = snn._simulate, snn.thread_map
+        passes, tiles, threads, pools = [], [], [], []
+        collect, simulate = score_mod.forward_collect_codes, snn._simulate
+        pass_map, pool_map = snn.thread_map, search_mod.thread_map
+
+        def count_pass(*args, **kwargs):
+            passes.append(1)
+            return collect(*args, **kwargs)
 
         def count_tile(*args, **kwargs):
             tiles.append(1)
@@ -404,15 +411,25 @@ class TestForwardPlan:
 
         def record_threads(fn, items, workers):
             threads.append(min(workers, len(items)))
-            return thread_map(fn, items, workers)
+            return pass_map(fn, items, workers)
 
+        def record_pool(fn, items, workers):
+            pools.append(min(workers, len(items)))
+            return pool_map(fn, items, workers)
+
+        monkeypatch.setattr(score_mod, "forward_collect_codes", count_pass)
         monkeypatch.setattr(snn, "_simulate", count_tile)
         monkeypatch.setattr(snn, "thread_map", record_threads)
+        monkeypatch.setattr(search_mod, "thread_map", record_pool)
         cfg = SearchConfig(dataset=synth_dataset(samples, 10, 0), opset=TWO_OPS,
                            num_cells=1, macro=MacroConfig(stem_channels=stem),
-                           batch_size=samples, lif=LIFParams(timesteps=1))
-        search_random(cfg, 1)
-        assert (len(tiles), max(threads, default=1)) == plan
+                           batch_size=samples, lif=LIFParams(timesteps=1),
+                           jobs=jobs, input_coding=coding)
+        search_random(cfg, 2)  # two distinct draws, so jobs=2 pools them
+        assert pools == [jobs]
+        assert len(passes) == 2
+        assert (len(tiles) // len(passes), max(threads, default=1)) == plan
+        assert len(tiles) == len(passes) * plan[0]
 
 
 class _RecordingPool:
