@@ -145,12 +145,6 @@ class CellArch:
                 self.con12, self.con13, self.con23)
 
     @classmethod
-    def from_edges(cls, edges: tuple[Operation, ...]) -> "CellArch":
-        if len(edges) != NUM_CELL_EDGES:
-            raise SpikeNasError(f"a cell has {NUM_CELL_EDGES} edges, got {len(edges)}")
-        return cls(*edges)
-
-    @classmethod
     def uniform(cls, op: Operation) -> "CellArch":
         return cls(*([op] * NUM_CELL_EDGES))
 
@@ -182,7 +176,7 @@ def decode_cell(index: int, ops: OpSet) -> CellArch:
     for _ in range(NUM_CELL_EDGES):
         edges.append(ops.ops[rem % base])
         rem //= base
-    return CellArch.from_edges(tuple(edges))
+    return CellArch(*edges)
 
 
 @dataclass(frozen=True)
@@ -190,21 +184,17 @@ class MacroConfig:
     """Fixed skeleton parameters around the searched cells.
 
     Channel width doubles (by `width_mult`) at each downsampling stage;
-    bias flags control which layer kinds carry bias parameters.
+    `bias` decides whether every parameterized layer carries biases.
     """
 
     stem_channels: int = 64
     width_mult: int = 2
     num_classes: int = 10
     input_shape: tuple[int, int, int] = (3, 32, 32)
-    stem_bias: bool = True
-    cell_bias: bool = True
-    down_bias: bool = True
-    fc_bias: bool = True
+    bias: bool = True
 
     def without_bias(self) -> "MacroConfig":
-        return replace(self, stem_bias=False, cell_bias=False,
-                       down_bias=False, fc_bias=False)
+        return replace(self, bias=False)
 
 
 @dataclass(frozen=True)
@@ -270,15 +260,14 @@ def network_layers(net: NetworkArch) -> tuple[LayerSpec, ...]:
     """
     m = net.macro
     ch = m.stem_channels
-    layers = [LayerSpec("stem.conv", (ch, m.input_shape[0], 3, 3), m.stem_bias)]
+    layers = [LayerSpec("stem.conv", (ch, m.input_shape[0], 3, 3), m.bias)]
     for i, cell in enumerate(net.cells, start=1):
         for edge_name, op in zip(EDGE_NAMES, cell.edges()):
             if op in CONV_OPS:
                 layers.append(LayerSpec(f"cell{i}.{edge_name}",
-                                        (ch, ch, *_EDGE_KERNELS[op]), m.cell_bias))
+                                        (ch, ch, *_EDGE_KERNELS[op]), m.bias))
         if i < len(net.cells):
-            layers.append(LayerSpec(f"down{i}.conv", (ch * m.width_mult, ch, 1, 1),
-                                    m.down_bias))
+            layers.append(LayerSpec(f"down{i}.conv", (ch * m.width_mult, ch, 1, 1), m.bias))
             ch *= m.width_mult
-    layers.append(LayerSpec("classifier.fc", (m.num_classes, ch), m.fc_bias))
+    layers.append(LayerSpec("classifier.fc", (m.num_classes, ch), m.bias))
     return tuple(layers)

@@ -48,7 +48,7 @@ from .snn import CODE_MODES, INPUT_CODINGS, LIFParams
 PRESET_BUDGET_PARAMS = {"cifar10": 1_200_000, "cifar100": 2_000_000}
 
 _SCENARIO_RE = re.compile(r"^(\d+)C(\d+)O(_M)?$")
-_OPSET_BY_SIZE = {2: "2O", 3: "3O", 5: "5O"}
+_OPSET_BY_SIZE = {len(ops): name for name, ops in OPSETS.items()}
 
 
 @dataclass(frozen=True)
@@ -105,32 +105,34 @@ _BOOL = _cast("true or false", lambda v: type(v) is bool, action="store_true",
               default=None)
 _STR = _cast("a string", lambda v: type(v) is str)
 
-# Every run setting as (key, cast, default, flag help).  The key names
-# both the config-file key and the destination of the flag `--<key>`
-# (underscores as dashes); a key with no help has no flag.  A value from
-# a flag or the file must pass the cast.
+# Every run setting as (key, cast, default, flag help).  The key names the config-file
+# key and the destination of the flag `--<key>` (underscores as dashes); a key with no
+# help has no flag.  A value from a flag or the file must pass the cast.  A default that
+# a record field holds is read from that field.
 SETTINGS = (
     ("data_dir", _STR, None, f"dataset root (default: ${DATA_DIR_ENV})"),
-    ("seed", _int(0), 0, "seed of the weights, the batch and synthetic data"),
-    ("alpha", _FLOAT, 1.0, "sparsity normalization factor"),
-    ("batch_size", _int(2), 16, "samples scored per candidate"),
-    ("jobs", _int(1), 1, "worker threads per phase, capped at the usable cores and the "
-                         "candidates, each on one BLAS thread; one worker with large GEMMs "
-                         "splits each batch across the cores"),
-    ("bits", _int(1, 64), 32, "bit precision per parameter"),
+    ("seed", _int(0), SearchConfig.seed, "seed of the weights, the batch and synthetic data"),
+    ("alpha", _FLOAT, SearchConfig.alpha, "sparsity normalization factor"),
+    ("batch_size", _int(2), SearchConfig.batch_size, "samples scored per candidate"),
+    ("jobs", _int(1), SearchConfig.jobs,
+     "worker threads per phase, capped at the usable cores and the candidates, each on one "
+     "BLAS thread; one worker with large GEMMs splits each batch across the cores"),
+    ("bits", _int(1, 64), MemoryBudget.bit_precision, "bit precision per parameter"),
     ("budget", _int(1), None, "max parameter count"),
     ("iterations", _int(1), 5000, "number of draws (default 5000)"),
-    ("stem_channels", _int(1), 64, "stem conv channels"),
-    ("width_mult", _int(1), 2, "width factor at each downsample"),
+    ("stem_channels", _int(1), MacroConfig.stem_channels, "stem conv channels"),
+    ("width_mult", _int(1), MacroConfig.width_mult, "width factor at each downsample"),
     ("classes", _int(1), None, "number of classes (default: the dataset's, else 10)"),
     ("no_bias", _BOOL, False, "count no bias parameters"),
-    ("tau_leak", _FLOAT, 2.0, None),
-    ("v_threshold", _FLOAT, 1.0, None),
-    ("v_reset", _FLOAT, 0.0, None),
-    ("timesteps", _int(1), 5, "simulation horizon"),
-    ("code_mode", _choice(*CODE_MODES), "any", "stage code: any spike, or every step"),
-    ("input_coding", _choice(*INPUT_CODINGS), "direct", "image as input, or as spikes"),
-    ("carryover", _choice(CARRY_BEST, CARRY_LITERAL), CARRY_BEST,
+    ("tau_leak", _FLOAT, LIFParams.tau_leak, None),
+    ("v_threshold", _FLOAT, LIFParams.v_threshold, None),
+    ("v_reset", _FLOAT, LIFParams.v_reset, None),
+    ("timesteps", _int(1), LIFParams.timesteps, "simulation horizon"),
+    ("code_mode", _choice(*CODE_MODES), SearchConfig.code_mode,
+     "stage code: any spike, or every step"),
+    ("input_coding", _choice(*INPUT_CODINGS), SearchConfig.input_coding,
+     "image as input, or as spikes"),
+    ("carryover", _choice(CARRY_BEST, CARRY_LITERAL), SearchConfig.carryover,
      "earlier cells in later phases: best so far, or last tried"),
 )
 _SEARCH_FIELDS = {f.name for f in fields(SearchConfig)}
@@ -179,7 +181,8 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
         except ValueError as exc:
             raise SpikeNasError(
                 f"bad value for {key!r}: {value!r}; expected {exc}") from None
-    classes = s.pop("classes") or DATASETS.get(getattr(args, "dataset", None), 10)
+    classes = s.pop("classes") or DATASETS.get(getattr(args, "dataset", None),
+                                               MacroConfig.num_classes)
     macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), classes)
     s["macro"] = macro.without_bias() if s.pop("no_bias") else macro
     s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
@@ -238,21 +241,21 @@ def _check_output_paths(args: argparse.Namespace) -> None:
 
 
 def _emit(args: argparse.Namespace, result: SearchReport, scenario: str | None,
-          s: dict) -> None:
-    """Print or write the report, then write the candidate log and table row."""
+          s: dict) -> str:
+    """Write the report, candidate log and table row that were asked for; the report, or
+    where it went, is the standard output."""
     doc = report_mod.from_search_report(result, scenario, args.dataset, s["bits"])
     if args.report_out:
         report_mod.write_report(args.report_out, doc)
-        print(f"report written to {args.report_out}")
-    else:
-        print(report_mod.to_json(doc))
     if args.candidate_log and result.candidate_log is not None:
         report_mod.write_candidate_log(args.candidate_log, result.candidate_log)
     if args.table_out:
         report_mod.append_table_row(args.table_out, doc)
+    return (f"report written to {args.report_out}" if args.report_out
+            else report_mod.to_json(doc))
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> str:
     """Both `search` and `random-search`; the subcommand sets the strategy."""
     s = _settings_from_args(args)
     scenario = parse_scenario(args.scenario)
@@ -261,11 +264,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
                          scenario.cells, s, args.strategy)
     result = (search_random(cfg, s["iterations"]) if args.strategy == RANDOM
               else search_memory_aware(cfg))
-    _emit(args, result, scenario.name, s)
-    return 0
+    return _emit(args, result, scenario.name, s)
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
+def _cmd_ablate(args: argparse.Namespace) -> str:
     s = _settings_from_args(args)
     removed = Operation.from_label(args.remove)
     get_opset(args.opset).without(removed)  # refuse it before loading data
@@ -273,8 +275,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         raise SpikeNasError(f"num_cells must be 1..3, got {args.cells}")
     cfg = _search_config(args.dataset, args.opset, args.cells, s, args.strategy)
     result = ablate_operation(cfg, removed, iterations=s["iterations"])
-    _emit(args, result, None, s)
-    return 0
+    return _emit(args, result, None, s)
 
 
 def _net_from_args(args: argparse.Namespace, s: dict):
@@ -286,7 +287,7 @@ def _net_from_args(args: argparse.Namespace, s: dict):
     return build_network([decode_cell(i, opset) for i in indices], s["macro"])
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> str:
     s = _settings_from_args(args)
     net = _net_from_args(args, s)
     dataset = load_dataset(args.dataset, s["data_dir"], seed=s["seed"])
@@ -295,29 +296,26 @@ def _cmd_score(args: argparse.Namespace) -> int:
                              code_mode=s["code_mode"], input_coding=s["input_coding"])
     if args.dump_kernels:
         write_kernel_dump(args.dump_kernels, result.codes, s["alpha"])
-    print(json.dumps({
+    return json.dumps({
         **report_mod.score_fields(result.value),
         "n_param": count_network_params(net),
         "seed": s["seed"],
-    }, allow_nan=False))
-    return 0
+    }, allow_nan=False)
 
 
-def _cmd_memcalc(args: argparse.Namespace) -> int:
+def _cmd_memcalc(args: argparse.Namespace) -> str:
     s = _settings_from_args(args)
     net = _net_from_args(args, s)
     n_param = count_network_params(net)
     fp = footprint(n_param, s["bits"])
-    print(f"n_param={n_param} mem_bits={fp.bits} mem_bytes={fp.bytes}")
-    return 0
+    return f"n_param={n_param} mem_bits={fp.bits} mem_bytes={fp.bytes}"
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> str:
     opset = get_opset(args.opset)
-    for index in range(search_space_size(opset)):
-        edges = decode_cell(index, opset).edges()
-        print(f"{index}\t{','.join(op.label for op in edges)}")
-    return 0
+    lines = (f"{i}\t{','.join(op.label for op in decode_cell(i, opset).edges())}"
+             for i in range(search_space_size(opset)))
+    return "\n".join(lines)
 
 
 def _add_common(parser: argparse.ArgumentParser, keys: tuple[str, ...], *,
@@ -388,14 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its handler returns the text for standard output, written here."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_output_paths(args)
-        return args.handler(args)
+        text = args.handler(args)
     except (SpikeNasError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # what stays buffered goes where the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

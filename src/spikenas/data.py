@@ -85,7 +85,6 @@ class Dataset:
 
     records: np.ndarray | _RecordFiles
     labels: np.ndarray  # (n,) int64
-    num_classes: int
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -141,8 +140,7 @@ def _load_records(paths: list[Path], classes: int) -> Dataset:
             raise SpikeNasError(
                 f"{'fine ' if offset else ''}label {top} exceeds {classes - 1} in {path}")
         start += size // record
-    return Dataset(records=_RecordFiles(tuple(paths), tuple(sizes), tuple(mtimes), record),
-                   labels=labels, num_classes=classes)
+    return Dataset(_RecordFiles(tuple(paths), tuple(sizes), tuple(mtimes), record), labels)
 
 
 def sample_batch(dataset: Dataset, num_samples: int, seed: int) -> np.ndarray:
@@ -176,7 +174,7 @@ def synth_dataset(num_records: int, classes: int, seed: int,
         -_SYNTH_NOISE, _SYNTH_NOISE, size=(num_records, *IMAGE_SHAPE)
     )
     pixels = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
-    return Dataset(records=pixels, labels=labels, num_classes=classes)
+    return Dataset(records=pixels, labels=labels)
 
 
 # Conventional file names inside a data directory.

@@ -3,9 +3,10 @@
 `from_search_report` owns the report schema: it reads the settings from
 a search result's `config` and writes the report's JSON object, a flat
 field set with the best architecture nested under `best_arch` as
-(opset name, per-cell candidate indices, macro).  `score_fields` writes every
-score, in reports, candidate logs and `score` output: a singular score
-is JSON null with `singular` set, since strict JSON has no -inf.
+(opset name, per-cell candidate indices, macro); the macro's `bias`
+switch fills all four of the schema's bias keys.  `score_fields` writes
+every score, in reports, candidate logs and `score` output: a singular
+score is JSON null with `singular` set, since strict JSON has no -inf.
 Reports also export as one-row-per-run CSV for plotting, and candidate
 logs stream as line-delimited JSON records.
 """
@@ -30,6 +31,7 @@ TABLE_COLUMNS = (
     "n_param", "mem_bits", "evaluations_total", "evaluations_skipped",
     "seed", "wall_time_ms",
 )
+_BIAS_KEYS = ("stem_bias", "cell_bias", "down_bias", "fc_bias")
 
 
 def score_fields(score: float | None, key: str = "score") -> dict:
@@ -43,6 +45,8 @@ def from_search_report(result: SearchReport, scenario: str | None,
                        dataset: str, bit_precision: int) -> dict:
     """The report's JSON object for one search."""
     cfg = result.config
+    macro = asdict(result.best_arch.macro)
+    macro.update(dict.fromkeys(_BIAS_KEYS, macro.pop("bias")))
     return _plain({
         "scenario": scenario,
         "dataset": dataset,
@@ -51,7 +55,7 @@ def from_search_report(result: SearchReport, scenario: str | None,
         "budget": None if cfg.budget is None else asdict(cfg.budget),
         "best_arch": {"cell_indices": list(result.per_cell_best_indices),
                       "opset": cfg.opset.name,
-                      "macro": asdict(result.best_arch.macro)},
+                      "macro": macro},
         **score_fields(result.best_score, "best_score"),
         "n_param": result.n_param,
         "mem_bits": result.n_param * bit_precision,

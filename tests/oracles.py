@@ -32,16 +32,13 @@ def walk_count_elements(weights, macro) -> int:
     """Count weight scalars one element at a time, plus the biases.
 
     A weight set holds no biases, so one bias per output unit is added
-    for each layer whose kind (the layer-name prefix) carries biases
-    under `macro`'s flags.
+    for every layer when `macro.bias` is set.
     """
-    biased = {"stem": macro.stem_bias, "cell": macro.cell_bias,
-              "down": macro.down_bias, "classifier": macro.fc_bias}
     n = 0
-    for name, w in weights.items():
+    for w in weights.values():
         for _ in w.flat:
             n += 1
-        if biased[name.split(".")[0].rstrip("0123456789")]:
+        if macro.bias:
             for _ in range(w.shape[0]):
                 n += 1
     return n

@@ -227,13 +227,13 @@ class TestBuildNetwork:
         assert a == b
 
     def test_layers_follow_weight_draw_order(self):
-        macro = MacroConfig(stem_channels=8, down_bias=False)
+        macro = MacroConfig(stem_channels=8, bias=False)
         net = build_network([decode_cell(63, TWO_OPS)] * 2, macro)
         layers = network_layers(net)
         assert [l.name for l in layers] == (
             ["stem.conv"] + [f"cell1.{e}" for e in EDGE_NAMES] + ["down1.conv"]
             + [f"cell2.{e}" for e in EDGE_NAMES] + ["classifier.fc"])
-        assert [l.has_bias for l in layers] == [True] * 7 + [False] + [True] * 7
+        assert [l.has_bias for l in layers] == [False] * 15
 
     def test_spiking_stage_follows_every_conv_block(self):
         macro = MacroConfig(stem_channels=8)

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,7 +130,7 @@ class TestSettingsPrecedence:
 
     def test_no_bias_flag(self):
         s = _settings_from_args(_args(no_bias=True))
-        assert not s["macro"].stem_bias and not s["macro"].fc_bias
+        assert not s["macro"].bias
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -257,11 +259,17 @@ class TestFlagsFromTable:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_readme_config_table_lists_every_setting(self):
-        # the rows of README's table of config-file keys, in the table's order
+        # the rows of README's table of config-file keys, in the table's order;
+        # a set default is written bare if a number, else as JSON in backticks
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("It accepts exactly these keys:", 1)[1].split("\n\n")[1]
-        keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
-        assert keys == [row[0] for row in cli_mod.SETTINGS]
+        rows = re.findall(r"^\| `(\w+)` \| .* \| (.*) \|$", table, flags=re.M)
+        assert [key for key, _ in rows] == [row[0] for row in cli_mod.SETTINGS]
+        for (key, cell), (_, _, default, _) in zip(rows, cli_mod.SETTINGS):
+            if default is not None:
+                want = (f"`{json.dumps(default)}`" if isinstance(default, (str, bool))
+                        else str(default))
+                assert cell == want, key
 
     def test_any_config_key_is_accepted_by_memcalc(self, tmp_path, capsys):
         # one file can serve both a search and a memcalc run
@@ -284,6 +292,42 @@ class TestEnumerate:
     def test_unknown_opset_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["enumerate", "--opset", "7O"])
+
+
+def _cli_process(argv, stdout):
+    """The CLI in a fresh interpreter on this package, its stderr piped."""
+    src = str(Path(spikenas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-m", "spikenas.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+def _assert_stdout_error(proc):
+    """Exit 1 after exactly one `error: cannot write standard output` stderr line."""
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1, err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: cannot write standard output: "), err
+
+
+class TestFailedStandardOutput:
+    def test_pipe_closed_after_one_line(self):
+        proc = _cli_process(["enumerate", "--opset", "5O"], subprocess.PIPE)
+        with proc.stderr:
+            assert proc.stdout.readline() == b"0\t" + b",".join([b"zeroize"] * 6) + b"\n"
+            proc.stdout.close()
+            _assert_stdout_error(proc)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [["enumerate", "--opset", "2O"],
+                                      ["memcalc", "--opset", "2O", "--indices", "0"]],
+                             ids=["enumerate", "memcalc"])
+    def test_full_device(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = _cli_process(argv, full)
+        with proc.stderr:
+            _assert_stdout_error(proc)
 
 
 class TestMemcalc:

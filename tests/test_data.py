@@ -116,7 +116,7 @@ class TestRoundTrip:
 class TestNormalization:
     def test_endpoints(self):
         ds = Dataset(records=np.array([0, 255], dtype=np.uint8).reshape(2, 1, 1, 1),
-                     labels=np.zeros(2, dtype=np.int64), num_classes=1)
+                     labels=np.zeros(2, dtype=np.int64))
         # the draw's own permutation puts the batch back in record order
         scaled = sample_batch(ds, 2, seed=0)[np.argsort(np.random.default_rng(0).permutation(2))]
         assert scaled[0, 0, 0, 0] == 0.0
@@ -124,7 +124,7 @@ class TestNormalization:
 
     def test_order_preserving(self):
         raw = np.arange(256, dtype=np.uint8).reshape(-1, 1, 1, 1)
-        ds = Dataset(records=raw, labels=np.zeros(256, dtype=np.int64), num_classes=1)
+        ds = Dataset(records=raw, labels=np.zeros(256, dtype=np.int64))
         order = np.random.default_rng(0).permutation(256)  # record i holds raw value i
         scaled = sample_batch(ds, 256, seed=0).ravel()
         assert (np.diff(scaled[np.argsort(order)]) > 0).all()
@@ -134,7 +134,7 @@ def _indexed_dataset(n):
     """Each record's first two pixels hold its index, low byte first, as its identity."""
     records = np.zeros((n, 3, 32, 32), dtype=np.uint8)
     records[:, 0, 0, 0], records[:, 0, 0, 1] = np.arange(n) % 256, np.arange(n) // 256
-    return Dataset(records=records, labels=np.arange(n, dtype=np.int64), num_classes=n)
+    return Dataset(records=records, labels=np.arange(n, dtype=np.int64))
 
 
 def _ids(batch):
@@ -211,7 +211,6 @@ class TestLoadDataset:
     def test_synth_by_name(self):
         ds = load_dataset("synth", seed=3)
         assert len(ds) == 512
-        assert ds.num_classes == 10
 
     def test_unknown_name(self):
         with pytest.raises(SpikeNasError, match="unknown dataset 'mnist'"):
@@ -249,7 +248,6 @@ class TestLoadDataset:
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
         loaded = load_dataset("cifar100")
         assert len(loaded) == 6
-        assert loaded.num_classes == 100
 
 
 def _batch_dir(tmp_path, records):
@@ -268,7 +266,6 @@ class TestMultiFileLoad:
                                       np.concatenate([all_pixels(p) for p in parts]))
         np.testing.assert_array_equal(loaded.labels,
                                       np.concatenate([p.labels for p in parts]))
-        assert loaded.num_classes == 10
 
     def test_bad_label_in_second_file_is_named(self, tmp_path):
         second = _batch_dir(tmp_path, (3, 4))[1]
@@ -325,8 +322,7 @@ class TestStreamedRecords:
             write(path, part)
         loaded = data_mod._load_records(files, classes)
         memory = Dataset(records=np.concatenate([all_pixels(p) for p in parts]),
-                         labels=np.concatenate([p.labels for p in parts]),
-                         num_classes=classes)
+                         labels=np.concatenate([p.labels for p in parts]))
         np.testing.assert_array_equal(loaded.labels, memory.labels)
         np.testing.assert_array_equal(all_pixels(loaded), all_pixels(memory))
         for seed in range(3):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import walk_count_elements
+from spikenas import report as report_mod
 from spikenas.arch import (
     CellArch,
     FIVE_OPS,
@@ -15,14 +16,22 @@ from spikenas.arch import (
     network_layers,
     search_space_size,
 )
+from spikenas.data import synth_dataset
 from spikenas.memmodel import (
     MemoryBudget,
     count_network_params,
     footprint,
 )
+from spikenas.score import ScoreResult
+from spikenas.search import SearchConfig, search_memory_aware
 from spikenas.snn import init_weights
 
 import numpy as np
+
+
+def _seed_score(net, batch, lif, seed, alpha, **kwargs):
+    """Cheap deterministic stand-in: value derived from the weight seed."""
+    return ScoreResult(value=(seed % 100003) / 100003.0)
 
 
 class TestCountLayerParams:
@@ -66,7 +75,7 @@ class TestCountNetworkParams:
         base = build_network([CellArch.uniform(Operation.SKIPCON)], macro)
         edges = list(CellArch.uniform(Operation.SKIPCON).edges())
         edges[3] = Operation.CONV3X3
-        swapped = build_network([CellArch.from_edges(tuple(edges))], macro)
+        swapped = build_network([CellArch(*edges)], macro)
         c = macro.stem_channels
         delta = count_network_params(swapped) - count_network_params(base)
         assert delta == 9 * c * c + c
@@ -89,6 +98,19 @@ class TestCountNetworkParams:
         net = build_network([decode_cell(63, TWO_OPS)] * 2, macro)
         assert count_network_params(net) == walk_count_elements(init_weights(net, 3), macro)
 
+    def test_report_bias_keys_follow_the_switch(self):
+        # the one switch fills all four of the report's bias keys
+        macro = MacroConfig(stem_channels=4, num_classes=4).without_bias()
+        cfg = SearchConfig(dataset=synth_dataset(64, 4, seed=11), opset=TWO_OPS,
+                           num_cells=2, macro=macro, batch_size=4)
+        result = search_memory_aware(cfg, score_fn=_seed_score)
+        doc = report_mod.from_search_report(result, "2C2O", "synth", 32)
+        keys = ("stem_bias", "cell_bias", "down_bias", "fc_bias")
+        assert {key: doc["best_arch"]["macro"][key] for key in keys} == dict.fromkeys(keys, False)
+        weights = init_weights(result.best_arch, seed=0)
+        assert "down1.conv" in weights
+        assert doc["n_param"] == walk_count_elements(weights, macro)
+
     def test_monotone_under_parameterizing_an_edge(self):
         # upgrading any parameter-free edge to a conv never lowers the count
         macro = MacroConfig(stem_channels=4)
@@ -102,7 +124,7 @@ class TestCountNetworkParams:
             if edges[slot] in (Operation.CONV1X1, Operation.CONV3X3):
                 continue
             edges[slot] = Operation.CONV3X3
-            upgraded = build_network([CellArch.from_edges(tuple(edges))], macro)
+            upgraded = build_network([CellArch(*edges)], macro)
             assert count_network_params(upgraded) > base
 
 
