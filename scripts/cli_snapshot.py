@@ -23,7 +23,7 @@ over 64 cells, so most draws repeat; a memory-aware and a random ablate;
 score with a kernel dump; score with `--no-bias`; score with
 `--code-mode concat`; memcalc; enumerate; score over two 10-class files;
 a `_M` search on them under the preset budget; search over one 100-class
-file) and fifteen bad inputs, two of them a bad label byte and a truncated
+file) and seventeen bad inputs, two of them a bad label byte and a truncated
 10-class file.
 """
 
@@ -132,6 +132,10 @@ COMMANDS = [
                                  "--jobs", "2"], None),
     ("err_config_value", ["score", "--opset", "2O", "--indices", "40", "--dataset", "synth",
                           *TINY], {"no_bias": "false"}),
+    ("err_config_seed", ["score", "--opset", "2O", "--indices", "40", "--dataset", "synth",
+                         *TINY], {"seed": -1}),
+    ("err_bits_no_budget", ["search", "--scenario", "1C2O", "--dataset", "synth",
+                            "--bits", "0", *TINY], None),
     ("err_output_dir", ["search", "--scenario", "1C2O", "--dataset", "synth",
                         "--report-out", "missing/report.json", *TINY], None),
 ]

@@ -193,6 +193,16 @@ class MacroConfig:
     input_shape: tuple[int, int, int] = (3, 32, 32)
     bias: bool = True
 
+    def __post_init__(self) -> None:
+        if not all(is_int(v) and v >= 1
+                   for v in (self.stem_channels, self.width_mult, self.num_classes)):
+            raise SpikeNasError(
+                f"widths and class count must be positive: stem={self.stem_channels}, "
+                f"mult={self.width_mult}, classes={self.num_classes}"
+            )
+        if not all(is_int(v) and v >= 1 for v in self.input_shape):
+            raise SpikeNasError(f"input shape must be positive, got {self.input_shape}")
+
     def without_bias(self) -> "MacroConfig":
         return replace(self, bias=False)
 
@@ -209,21 +219,18 @@ class NetworkArch:
         return len(self.cells)
 
 
+def check_num_cells(n) -> None:
+    """Refuse a cell count the macro skeleton cannot hold."""
+    if not (is_int(n) and 1 <= n <= 3):
+        raise SpikeNasError(f"cell count must be 1..3, got {n}")
+
+
 def build_network(cells: list[CellArch] | tuple[CellArch, ...],
                   macro: MacroConfig) -> NetworkArch:
-    """Validate macro parameters and assemble a network from cells."""
+    """Assemble a network from cells; `macro` has checked its own sizes."""
     n = len(cells)
-    if not 1 <= n <= 3:
-        raise SpikeNasError(f"cell count must be 1..3, got {n}")
-    if not all(is_int(v) and v >= 1
-               for v in (macro.stem_channels, macro.width_mult, macro.num_classes)):
-        raise SpikeNasError(
-            f"widths and class count must be positive: stem={macro.stem_channels}, "
-            f"mult={macro.width_mult}, classes={macro.num_classes}"
-        )
-    c, h, w = macro.input_shape
-    if not all(is_int(v) and v >= 1 for v in (c, h, w)):
-        raise SpikeNasError(f"input shape must be positive, got {macro.input_shape}")
+    check_num_cells(n)
+    _, h, w = macro.input_shape
     down = 2 ** (n - 1)
     if h % down or w % down:
         raise SpikeNasError(

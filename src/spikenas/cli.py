@@ -1,40 +1,42 @@
 """Command-line entry point.
 
 Scenario names follow the ``pCqO`` / ``pCqO_M`` convention: p cells,
-q operation types, with ``_M`` marking a memory-constrained run.  The
-constrained presets are 1.2M parameters for cifar10 and 2M for
-cifar100.  Setting precedence is: command-line flags, then the JSON
-config file given by --config, then built-in defaults.  An unset
-`data_dir` leaves `data.load_dataset` to read SPIKENAS_DATA_DIR.
+q operation types, with ``_M`` marking a memory-constrained run, whose
+preset budget is 1.2M parameters for cifar10 and 2M for cifar100.  A
+setting comes from its flag, else the JSON file given by --config, else
+its default; an unset `data_dir` leaves `data.load_dataset` to read
+SPIKENAS_DATA_DIR.  The CLI checks a value's JSON type, and the record
+that holds the setting checks its range before any data file is opened:
+`SearchConfig`, `MacroConfig`, `LIFParams`, `MemoryBudget`, or
+`memmodel.footprint` for `bits`.  The search checks `iterations`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import report as report_mod
 from .arch import (
     MacroConfig,
     Operation,
+    OpSet,
     OPSETS,
     build_network,
     decode_cell,
     get_opset,
     search_space_size,
 )
-from .data import DATA_DIR_ENV, DATASETS, load_dataset, sample_batch
+from .data import DATA_DIR_ENV, DATASETS, load_dataset, sample_batch, synth_dataset
 from .errors import SpikeNasError
 from .memmodel import MemoryBudget, count_network_params, footprint
 from .score import score_candidate, write_kernel_dump
 from .search import (
-    CARRY_BEST,
-    CARRY_LITERAL,
+    CHOICES,
     MEMORY_AWARE,
     RANDOM,
     SearchConfig,
@@ -43,12 +45,11 @@ from .search import (
     search_memory_aware,
     search_random,
 )
-from .snn import CODE_MODES, INPUT_CODINGS, LIFParams
+from .snn import LIFParams
 
 PRESET_BUDGET_PARAMS = {"cifar10": 1_200_000, "cifar100": 2_000_000}
 
 _SCENARIO_RE = re.compile(r"^(\d+)C(\d+)O(_M)?$")
-_OPSET_BY_SIZE = {len(ops): name for name, ops in OPSETS.items()}
 
 
 @dataclass(frozen=True)
@@ -66,73 +67,60 @@ def parse_scenario(name: str) -> Scenario:
             f"malformed scenario {name!r}; expected pCqO or pCqO_M, e.g. 2C3O_M"
         )
     cells, opset_size = int(m.group(1)), int(m.group(2))
-    if cells not in (1, 2, 3):
-        raise SpikeNasError(f"scenario {name!r}: cell count must be 1..3, got {cells}")
-    if opset_size not in _OPSET_BY_SIZE:
-        raise SpikeNasError(
-            f"scenario {name!r}: no {opset_size}-operation preset "
-            f"(choose from {sorted(_OPSET_BY_SIZE)})"
-        )
+    get_opset(f"{opset_size}O")  # refuses a q with no operation set
     return Scenario(name.strip(), cells, opset_size, m.group(3) is not None)
 
 
-def _cast(expected: str, ok, convert=None, **flag):
-    """Setting cast: values failing `ok` are rejected as not `expected`.
+def _cast(expected: str, *types: type, **flag):
+    """Setting cast: a value of a type not in `types` is rejected as not `expected`.
 
-    `flag` holds the argparse options of the setting's flag.
+    `flag` holds the argparse options of the flag; a `type` there converts file values too.
     """
     def cast(value):
-        if not ok(value):
+        if type(value) not in types:
             raise ValueError(expected)
-        return convert(value) if convert else value
+        return flag["type"](value) if "type" in flag else value
     cast.flag = flag
     return cast
 
 
-def _int(lo: int, hi: float = math.inf):
-    """Integers, not booleans, in [lo, hi]."""
-    return _cast(f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
-                 lambda v: type(v) is int and lo <= v <= hi, type=int)
+def _choice(key: str):
+    return _cast("a string", str, choices=CHOICES[key])
 
 
-def _choice(*options: str):
-    return _cast("one of " + ", ".join(options), lambda v: v in options, choices=options)
-
-
-_FLOAT = _cast("a finite number",
-               lambda v: type(v) in (int, float) and math.isfinite(v), float, type=float)
-_BOOL = _cast("true or false", lambda v: type(v) is bool, action="store_true",
-              default=None)
-_STR = _cast("a string", lambda v: type(v) is str)
+_INT = _cast("an integer", int, type=int)  # a bool is not one
+_FLOAT = _cast("a number", int, float, type=float)
+_BOOL = _cast("true or false", bool, action="store_true", default=None)
+_STR = _cast("a string", str)
 
 # Every run setting as (key, cast, default, flag help).  The key names the config-file
 # key and the destination of the flag `--<key>` (underscores as dashes); a key with no
-# help has no flag.  A value from a flag or the file must pass the cast.  A default that
-# a record field holds is read from that field.
+# help has no flag.  A cast checks a value's JSON type, and the record that holds the
+# setting its range.  A default that a record field holds is read from that field.
 SETTINGS = (
     ("data_dir", _STR, None, f"dataset root (default: ${DATA_DIR_ENV})"),
-    ("seed", _int(0), SearchConfig.seed, "seed of the weights, the batch and synthetic data"),
+    ("seed", _INT, SearchConfig.seed, "seed of the weights, the batch and synthetic data"),
     ("alpha", _FLOAT, SearchConfig.alpha, "sparsity normalization factor"),
-    ("batch_size", _int(2), SearchConfig.batch_size, "samples scored per candidate"),
-    ("jobs", _int(1), SearchConfig.jobs,
+    ("batch_size", _INT, SearchConfig.batch_size, "samples scored per candidate"),
+    ("jobs", _INT, SearchConfig.jobs,
      "worker threads per phase, capped at the usable cores and the candidates, each on one "
      "BLAS thread; one worker with large GEMMs splits each batch across the cores"),
-    ("bits", _int(1, 64), MemoryBudget.bit_precision, "bit precision per parameter"),
-    ("budget", _int(1), None, "max parameter count"),
-    ("iterations", _int(1), 5000, "number of draws (default 5000)"),
-    ("stem_channels", _int(1), MacroConfig.stem_channels, "stem conv channels"),
-    ("width_mult", _int(1), MacroConfig.width_mult, "width factor at each downsample"),
-    ("classes", _int(1), None, "number of classes (default: the dataset's, else 10)"),
+    ("bits", _INT, MemoryBudget.bit_precision, "bit precision per parameter"),
+    ("budget", _INT, None, "max parameter count"),
+    ("iterations", _INT, 5000, "number of draws (default 5000)"),
+    ("stem_channels", _INT, MacroConfig.stem_channels, "stem conv channels"),
+    ("width_mult", _INT, MacroConfig.width_mult, "width factor at each downsample"),
+    ("classes", _INT, None, "number of classes (default: the dataset's, else 10)"),
     ("no_bias", _BOOL, False, "count no bias parameters"),
     ("tau_leak", _FLOAT, LIFParams.tau_leak, None),
     ("v_threshold", _FLOAT, LIFParams.v_threshold, None),
     ("v_reset", _FLOAT, LIFParams.v_reset, None),
-    ("timesteps", _int(1), LIFParams.timesteps, "simulation horizon"),
-    ("code_mode", _choice(*CODE_MODES), SearchConfig.code_mode,
+    ("timesteps", _INT, LIFParams.timesteps, "simulation horizon"),
+    ("code_mode", _choice("code_mode"), SearchConfig.code_mode,
      "stage code: any spike, or every step"),
-    ("input_coding", _choice(*INPUT_CODINGS), SearchConfig.input_coding,
+    ("input_coding", _choice("input_coding"), SearchConfig.input_coding,
      "image as input, or as spikes"),
-    ("carryover", _choice(CARRY_BEST, CARRY_LITERAL), SearchConfig.carryover,
+    ("carryover", _choice("carryover"), SearchConfig.carryover,
      "earlier cells in later phases: best so far, or last tried"),
 )
 _SEARCH_FIELDS = {f.name for f in fields(SearchConfig)}
@@ -163,8 +151,8 @@ def _load_config_file(path: str | None) -> dict:
 def _settings_from_args(args: argparse.Namespace) -> dict:
     """Resolve SETTINGS by flag > config file > default.
 
-    The macro and LIF keys are folded into `macro` and `lif`, and
-    `budget` becomes an explicit MemoryBudget or None, so that every key
+    The macro and LIF keys are folded into the checked records `macro` and
+    `lif`, and `budget` becomes a MemoryBudget or None, so that every key
     that names a SearchConfig field holds that field's value.
     """
     cfg = _load_config_file(getattr(args, "config", None))
@@ -181,12 +169,13 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
         except ValueError as exc:
             raise SpikeNasError(
                 f"bad value for {key!r}: {value!r}; expected {exc}") from None
-    classes = s.pop("classes") or DATASETS.get(getattr(args, "dataset", None),
-                                               MacroConfig.num_classes)
-    macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), classes)
+    if s["classes"] is None:
+        s["classes"] = DATASETS.get(getattr(args, "dataset", None), MacroConfig.num_classes)
+    macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), s.pop("classes"))
     s["macro"] = macro.without_bias() if s.pop("no_bias") else macro
     s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
                          s.pop("v_reset"), s.pop("timesteps"))
+    footprint(0, s["bits"])  # with no budget to hold it, checked here
     if s["budget"] is not None:
         s["budget"] = MemoryBudget(s["budget"], s["bits"])
     s["keep_candidate_log"] = bool(getattr(args, "candidate_log", None))
@@ -207,12 +196,15 @@ def _resolve_budget(scenario: Scenario | None, dataset: str,
     return MemoryBudget(preset, s["bits"])
 
 
-def _search_config(dataset_name: str, opset_name: str, cells: int,
-                   s: dict, strategy: str) -> SearchConfig:
-    dataset = load_dataset(dataset_name, s["data_dir"], seed=s["seed"])
-    return SearchConfig(dataset=dataset, opset=get_opset(opset_name),
-                        num_cells=cells, strategy=strategy,
-                        **{k: v for k, v in s.items() if k in _SEARCH_FIELDS})
+def _search_config(args: argparse.Namespace, s: dict, opset: OpSet, cells: int,
+                   strategy: str = MEMORY_AWARE) -> SearchConfig:
+    """The run's SearchConfig, checked over no records, then over `--dataset` if any."""
+    cfg = SearchConfig(dataset=synth_dataset(0, 1, 0), opset=opset, num_cells=cells,
+                       strategy=strategy,
+                       **{k: v for k, v in s.items() if k in _SEARCH_FIELDS})
+    if "dataset" not in args:
+        return cfg
+    return replace(cfg, dataset=load_dataset(args.dataset, s["data_dir"], seed=cfg.seed))
 
 
 # Output-file flags as (destination, flag), checked before any work runs.
@@ -260,8 +252,8 @@ def _cmd_search(args: argparse.Namespace) -> str:
     s = _settings_from_args(args)
     scenario = parse_scenario(args.scenario)
     s["budget"] = _resolve_budget(scenario, args.dataset, s)
-    cfg = _search_config(args.dataset, _OPSET_BY_SIZE[scenario.opset_size],
-                         scenario.cells, s, args.strategy)
+    cfg = _search_config(args, s, get_opset(f"{scenario.opset_size}O"), scenario.cells,
+                         args.strategy)
     result = (search_random(cfg, s["iterations"]) if args.strategy == RANDOM
               else search_memory_aware(cfg))
     return _emit(args, result, scenario.name, s)
@@ -271,41 +263,39 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
     s = _settings_from_args(args)
     removed = Operation.from_label(args.remove)
     get_opset(args.opset).without(removed)  # refuse it before loading data
-    if args.cells not in (1, 2, 3):  # refuse it before loading data, too
-        raise SpikeNasError(f"num_cells must be 1..3, got {args.cells}")
-    cfg = _search_config(args.dataset, args.opset, args.cells, s, args.strategy)
+    cfg = _search_config(args, s, get_opset(args.opset), args.cells, args.strategy)
     result = ablate_operation(cfg, removed, iterations=s["iterations"])
     return _emit(args, result, None, s)
 
 
-def _net_from_args(args: argparse.Namespace, s: dict):
+def _net_from_args(args: argparse.Namespace):
+    """The settings, SearchConfig and network of `--opset` and `--indices`."""
+    s = _settings_from_args(args)
     opset = get_opset(args.opset)
     try:
         indices = [int(tok) for tok in args.indices.split(",")]
     except ValueError as exc:
         raise SpikeNasError(f"bad --indices {args.indices!r}: {exc}") from exc
-    return build_network([decode_cell(i, opset) for i in indices], s["macro"])
+    cfg = _search_config(args, s, opset, len(indices))
+    return s, cfg, build_network([decode_cell(i, opset) for i in indices], cfg.macro)
 
 
 def _cmd_score(args: argparse.Namespace) -> str:
-    s = _settings_from_args(args)
-    net = _net_from_args(args, s)
-    dataset = load_dataset(args.dataset, s["data_dir"], seed=s["seed"])
-    pixels = sample_batch(dataset, s["batch_size"], s["seed"])
-    result = score_candidate(net, pixels, s["lif"], s["seed"], s["alpha"],
-                             code_mode=s["code_mode"], input_coding=s["input_coding"])
+    _, cfg, net = _net_from_args(args)
+    pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
+    result = score_candidate(net, pixels, cfg.lif, cfg.seed, cfg.alpha,
+                             code_mode=cfg.code_mode, input_coding=cfg.input_coding)
     if args.dump_kernels:
-        write_kernel_dump(args.dump_kernels, result.codes, s["alpha"])
+        write_kernel_dump(args.dump_kernels, result.codes, cfg.alpha)
     return json.dumps({
         **report_mod.score_fields(result.value),
         "n_param": count_network_params(net),
-        "seed": s["seed"],
+        "seed": cfg.seed,
     }, allow_nan=False)
 
 
 def _cmd_memcalc(args: argparse.Namespace) -> str:
-    s = _settings_from_args(args)
-    net = _net_from_args(args, s)
+    s, _, net = _net_from_args(args)
     n_param = count_network_params(net)
     fp = footprint(n_param, s["bits"])
     return f"n_param={n_param} mem_bits={fp.bits} mem_bytes={fp.bytes}"
@@ -326,39 +316,39 @@ def _add_common(parser: argparse.ArgumentParser, keys: tuple[str, ...], *,
         if help_text and key in keys:
             parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text,
                                 **cast.flag)
-    if with_outputs:
-        parser.add_argument("--report-out", dest="report_out")
-        parser.add_argument("--candidate-log", dest="candidate_log")
-        parser.add_argument("--table-out", dest="table_out")
+    for dest, flag in _OUTPUT_FLAGS[:3] if with_outputs else ():
+        parser.add_argument(flag, dest=dest)
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # written as `main` writes; the help action exits next
+        self.exit(_write_stdout(self.format_help().rstrip("\n")))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spikenas",
         description="Training-free, memory-aware architecture search for "
                     "spiking neural networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("search", help="memory-aware per-cell search")
-    p.add_argument("--scenario", required=True, help="pCqO or pCqO_M")
-    p.add_argument("--dataset", required=True, choices=DATASETS)
-    _add_common(p, _SEARCH_KEYS)
-    p.set_defaults(handler=_cmd_search, strategy=MEMORY_AWARE)
-
-    p = sub.add_parser("random-search", help="random baseline search")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--dataset", required=True, choices=DATASETS)
-    _add_common(p, (*_SEARCH_KEYS, "iterations"))
-    p.set_defaults(handler=_cmd_search, strategy=RANDOM)
+    for name, help_text, strategy, keys in (
+            ("search", "memory-aware per-cell search", MEMORY_AWARE, _SEARCH_KEYS),
+            ("random-search", "random baseline search", RANDOM,
+             (*_SEARCH_KEYS, "iterations"))):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--scenario", required=True, help="pCqO or pCqO_M")
+        p.add_argument("--dataset", required=True, choices=DATASETS)
+        _add_common(p, keys)
+        p.set_defaults(handler=_cmd_search, strategy=strategy)
 
     p = sub.add_parser("ablate", help="search with one operation removed")
     p.add_argument("--opset", default="5O", choices=sorted(OPSETS))
     p.add_argument("--cells", type=int, default=2)
     p.add_argument("--remove", required=True, help="operation label to drop")
     p.add_argument("--dataset", required=True, choices=DATASETS)
-    p.add_argument("--strategy", default=MEMORY_AWARE,
-                   choices=(MEMORY_AWARE, RANDOM))
+    p.add_argument("--strategy", default=MEMORY_AWARE, choices=CHOICES["strategy"])
     _add_common(p, (*_SEARCH_KEYS, "iterations"))
     p.set_defaults(handler=_cmd_ablate)
 
@@ -385,16 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one command; its handler returns the text for standard output, written here."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        _check_output_paths(args)
-        text = args.handler(args)
-    except (SpikeNasError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+def _write_stdout(text: str) -> int:
+    """Print `text`; 1, after one error line, if standard output cannot take it, else 0."""
     try:
         print(text, flush=True)
     except OSError as exc:  # what stays buffered goes where the flush at exit cannot fail
@@ -402,6 +384,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; its handler returns the text for standard output, written here."""
+    args = build_parser().parse_args(argv)
+    try:
+        _check_output_paths(args)
+        text = args.handler(args)
+    except (SpikeNasError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    return _write_stdout(text)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ class MemoryBudget:
     def __post_init__(self) -> None:
         if not arch.is_int(self.max_params) or self.max_params < 1:
             raise SpikeNasError(f"max_params must be >= 1, got {self.max_params}")
-        if not (arch.is_int(self.bit_precision) and 1 <= self.bit_precision <= 64):
-            raise SpikeNasError(f"bit_precision must be in 1..64, got {self.bit_precision}")
+        footprint(self.max_params, self.bit_precision)  # checks the precision
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,8 @@ def count_network_params(net: NetworkArch) -> int:
 
 
 def footprint(n_param: int, bit_precision: int) -> MemoryFootprint:
-    """Bits and (rounded-up) bytes held by `n_param` parameters."""
+    """Bits and (rounded-up) bytes of `n_param` parameters; owns the precision check."""
+    if not (arch.is_int(bit_precision) and 1 <= bit_precision <= 64):
+        raise SpikeNasError(f"bit_precision must be in 1..64, got {bit_precision}")
     bits = n_param * bit_precision
     return MemoryFootprint(bits=bits, bytes=-(-bits // 8))
-
-
-def within_budget(n_param: int, budget: MemoryBudget | None) -> bool:
-    return budget is None or n_param <= budget.max_params

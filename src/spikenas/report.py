@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .data import opened
+from .memmodel import footprint
 from .score import NEG_INF
 from .search import RANDOM, CandidateRecord, SearchReport
 
@@ -58,7 +59,7 @@ def from_search_report(result: SearchReport, scenario: str | None,
                       "macro": macro},
         **score_fields(result.best_score, "best_score"),
         "n_param": result.n_param,
-        "mem_bits": result.n_param * bit_precision,
+        "mem_bits": footprint(result.n_param, bit_precision).bits,
         "evaluations_total": result.evaluations_total,
         "evaluations_skipped": result.evaluations_skipped_by_budget,
         "seed": cfg.seed,

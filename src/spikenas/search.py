@@ -37,6 +37,7 @@ from .arch import (
     Operation,
     OpSet,
     build_network,
+    check_num_cells,
     decode_cell,
     encode_cell,
     is_int,
@@ -45,7 +46,7 @@ from .arch import (
 from .blas import single_blas_thread, thread_map
 from .data import Dataset, sample_batch
 from .errors import SpikeNasError
-from .memmodel import MemoryBudget, count_network_params, within_budget
+from .memmodel import MemoryBudget, count_network_params
 from .snn import CODE_MODES, INPUT_CODINGS, LIFParams
 
 MEMORY_AWARE = "memory_aware"
@@ -56,6 +57,10 @@ RANDOM = "random"
 # the way the in-place nested-loop formulation leaves them.
 CARRY_BEST = "best"
 CARRY_LITERAL = "literal"
+
+# The values each string setting of a SearchConfig may take.
+CHOICES = {"strategy": (MEMORY_AWARE, RANDOM), "carryover": (CARRY_BEST, CARRY_LITERAL),
+           "code_mode": CODE_MODES, "input_coding": INPUT_CODINGS}
 
 ScoreFn = Callable[..., score_mod.ScoreResult]
 
@@ -84,24 +89,18 @@ class SearchConfig:
                            ("keep_candidate_log", bool), ("alpha", Real)):
             if not isinstance(value := getattr(self, name), kind):
                 raise SpikeNasError(f"{name} has the wrong type {type(value).__name__}")
-        if not is_int(self.num_cells) or self.num_cells not in (1, 2, 3):
-            raise SpikeNasError(f"num_cells must be 1..3, got {self.num_cells}")
+        check_num_cells(self.num_cells)
         if not is_int(self.jobs) or self.jobs < 1:
             raise SpikeNasError(f"jobs must be >= 1, got {self.jobs}")
         if not is_int(self.batch_size) or self.batch_size < 2:
             raise SpikeNasError(f"batch_size must be >= 2, got {self.batch_size}")
         if not is_int(self.seed) or self.seed < 0:
             raise SpikeNasError(f"seed must be non-negative, got {self.seed}")
-        if self.strategy not in (MEMORY_AWARE, RANDOM):
-            raise SpikeNasError(f"unknown strategy {self.strategy!r}")
-        if self.carryover not in (CARRY_BEST, CARRY_LITERAL):
-            raise SpikeNasError(f"unknown carryover policy {self.carryover!r}")
+        for name, options in CHOICES.items():
+            if (value := getattr(self, name)) not in options:
+                raise SpikeNasError(f"unknown {name} {value!r}")
         if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
             raise SpikeNasError(f"alpha must be a finite number, got {self.alpha}")
-        if self.code_mode not in CODE_MODES:
-            raise SpikeNasError(f"unknown code_mode {self.code_mode!r}")
-        if self.input_coding not in INPUT_CODINGS:
-            raise SpikeNasError(f"unknown input_coding {self.input_coding!r}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn, shards: int
            index: int) -> CandidateRecord:
     net = build_network(_cells(cfg, base, phase, index), cfg.macro)
     n_param = count_network_params(net)
-    if not within_budget(n_param, cfg.budget):
+    if cfg.budget is not None and n_param > cfg.budget.max_params:
         return CandidateRecord(phase, index, n_param, None)
     result = score_fn(net, pixels, cfg.lif,
                       candidate_seed(cfg.seed, phase, index), cfg.alpha,
@@ -194,9 +193,10 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
     score_fn = score_fn or score_mod.score_candidate
     start = time.perf_counter()
     space = search_space_size(cfg.opset)
+    if (cfg.strategy == RANDOM or iterations is not None) and not (
+            is_int(iterations) and iterations >= 1):
+        raise SpikeNasError(f"iterations must be >= 1, got {iterations}")
     if cfg.strategy == RANDOM:
-        if not is_int(iterations) or iterations < 1:
-            raise SpikeNasError(f"iterations must be >= 1, got {iterations}")
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         phases = [rng.integers(0, space, size=iterations).tolist()]
         none_fit = f"none of the {iterations} drawn candidates fit"

@@ -158,26 +158,27 @@ class TestBuildNetwork:
         with pytest.raises(SpikeNasError, match="cell count must be 1..3, got 4"):
             build_network([cell] * 4, MacroConfig())
 
-    @pytest.mark.parametrize("macro", [
-        MacroConfig(stem_channels=0),
-        MacroConfig(width_mult=0),
-        MacroConfig(num_classes=0),
-        MacroConfig(input_shape=(0, 32, 32)),
+    # MacroConfig checks its own sizes, so each bad one is built inside pytest.raises
+    @pytest.mark.parametrize("sizes", [
+        dict(stem_channels=0),
+        dict(width_mult=0),
+        dict(num_classes=0),
+        dict(input_shape=(0, 32, 32)),
     ])
-    def test_rejects_bad_widths(self, macro):
-        site = "input shape" if macro.input_shape[0] == 0 else "widths and class count"
+    def test_rejects_bad_widths(self, sizes):
+        site = "input shape" if "input_shape" in sizes else "widths and class count"
         with pytest.raises(SpikeNasError, match=site + " must be positive"):
-            build_network([decode_cell(0, TWO_OPS)], macro)
+            MacroConfig(**sizes)
 
-    @pytest.mark.parametrize("macro, site", [
-        (MacroConfig(stem_channels=2.5), "widths and class count"),
-        (MacroConfig(width_mult=True), "widths and class count"),
-        (MacroConfig(num_classes=10.0), "widths and class count"),
-        (MacroConfig(input_shape=(3, 32.0, 32)), "input shape"),
+    @pytest.mark.parametrize("sizes, site", [
+        (dict(stem_channels=2.5), "widths and class count"),
+        (dict(width_mult=True), "widths and class count"),
+        (dict(num_classes=10.0), "widths and class count"),
+        (dict(input_shape=(3, 32.0, 32)), "input shape"),
     ])
-    def test_rejects_non_integer_sizes(self, macro, site):
+    def test_rejects_non_integer_sizes(self, sizes, site):
         with pytest.raises(SpikeNasError, match=site + " must be positive"):
-            build_network([decode_cell(5, TWO_OPS)], macro)
+            MacroConfig(**sizes)
 
     def test_numpy_sizes_accepted(self):
         macro = MacroConfig(stem_channels=np.int64(4), input_shape=(3, np.int32(8), 8))

@@ -22,11 +22,13 @@ from spikenas.cli import (
 from spikenas.data import DATA_DIR_ENV, load_dataset, synth_dataset
 from spikenas.errors import SpikeNasError
 from spikenas.memmodel import MemoryBudget, count_network_params, footprint
+from spikenas.search import CHOICES
 from spikenas.snn import LIFParams
 import spikenas
 from spikenas import cli as cli_mod
 from spikenas import data as data_mod
 from spikenas import report as report_mod
+from spikenas import score as score_mod
 
 TINY = ["--stem-channels", "4", "--classes", "4", "--batch-size", "4",
         "--timesteps", "2"]
@@ -48,15 +50,15 @@ class TestScenarioParsing:
         ("2C3O_M", 2, 3, True),
         ("3C5O", 3, 5, False),
         ("2C2O_M", 2, 2, True),
+        ("4C2O", 4, 2, False),  # SearchConfig refuses the cell count
     ])
     def test_valid(self, name, cells, q, constrained):
         s = parse_scenario(name)
         assert s == Scenario(name, cells, q, constrained)
 
     MALFORMED = {
-        "4C9O": "'4C9O': cell count must be 1..3, got 4",
-        "0C2O": "'0C2O': cell count must be 1..3, got 0",
-        "2C4O": r"'2C4O': no 4-operation preset \(choose from \[2, 3, 5\]\)",
+        "4C9O": r"unknown operation set '9O'; expected one of \['2O', '3O', '5O'\]",
+        "2C4O": r"unknown operation set '4O'; expected one of \['2O', '3O', '5O'\]",
         "2C3O_X": "malformed scenario '2C3O_X'",
         "cells2": "malformed scenario 'cells2'",
         "2C3O_M_M": "malformed scenario '2C3O_M_M'",
@@ -69,9 +71,11 @@ class TestScenarioParsing:
             parse_scenario(name)
 
     def test_cli_exit_code_on_parse_error(self, capsys):
-        rc = main(["search", "--scenario", "4C9O", "--dataset", "synth"])
-        assert rc == 1
-        assert "cell count must be 1..3" in capsys.readouterr().err
+        for name, cells in (("4C2O", 4), ("0C2O", 0)):
+            rc = main(["search", "--scenario", name, "--dataset", "synth"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == f"error: cell count must be 1..3, got {cells}\n"
         rc = main(["search", "--scenario", "bogus", "--dataset", "synth"])
         assert rc == 1
         assert "malformed scenario" in capsys.readouterr().err
@@ -147,29 +151,34 @@ SCORE = ["score", "--opset", "2O", "--indices", "40", "--dataset", "synth"] + TI
 
 class TestStrictSettings:
     @pytest.mark.parametrize("file_cfg,argv,message", [
-        ({"code_mode": "sum"}, SCORE, "'code_mode': 'sum'"),
-        ({"input_coding": "ttfs"}, SCORE, "'input_coding': 'ttfs'"),
-        ({"carryover": "worst"}, SCORE, "'carryover'"),
+        ({"code_mode": "sum"}, SCORE, "unknown code_mode 'sum'"),
+        ({"input_coding": "ttfs"}, SCORE, "unknown input_coding 'ttfs'"),
+        ({"carryover": "worst"}, SCORE, "unknown carryover 'worst'"),
+        ({"code_mode": 1}, SCORE, "'code_mode': 1; expected a string"),
         ({"timestep": 1}, SCORE, "unknown key(s) in config file"),
         ({"no_bias": "false"}, SCORE, "'no_bias': 'false'; expected true or false"),
         ({"no_bias": 1}, SCORE, "'no_bias'"),
-        ({"seed": 1.9}, SCORE, "'seed': 1.9; expected an integer >= 0"),
+        ({"seed": 1.9}, SCORE, "'seed': 1.9; expected an integer"),
+        ({"seed": -1}, ["memcalc", "--opset", "2O", "--indices", "1"],
+         "seed must be non-negative, got -1"),
         ({"seed": True}, SCORE, "'seed': True"),
         ({"alpha": "0.5"}, SCORE, "'alpha'"),
         ({"data_dir": None}, SCORE, "'data_dir'"),
         ({"iterations": 0}, ["random-search", "--scenario", "1C2O",
-                             "--dataset", "synth"] + TINY, "'iterations'"),
-        (None, SCORE + ["--seed", "-1"], "'seed': -1"),
-        (None, SCORE + ["--batch-size", "0"], "'batch_size': 0"),
-        (None, SCORE + ["--alpha", "nan"], "'alpha': nan; expected a finite number"),
+                             "--dataset", "synth"] + TINY,
+         "iterations must be >= 1, got 0"),
+        (None, SCORE + ["--seed", "-1"], "seed must be non-negative, got -1"),
+        (None, SCORE + ["--batch-size", "0"], "batch_size must be >= 2, got 0"),
+        (None, SCORE + ["--alpha", "nan"], "alpha must be a finite number, got nan"),
         (None, ["search", "--scenario", "1C2O", "--dataset", "synth",
-                "--alpha", "inf"] + TINY, "'alpha': inf"),
+                "--alpha", "inf"] + TINY, "alpha must be a finite number, got inf"),
         (None, ["random-search", "--scenario", "1C2O", "--dataset", "synth",
-                "--iterations", "0"] + TINY, "'iterations': 0"),
-        (None, ["ablate", "--opset", "3O", "--cells", "1", "--remove", "zeroize",
-                "--dataset", "synth", "--iterations", "0"] + TINY, "'iterations': 0"),
+                "--iterations", "0"] + TINY, "iterations must be >= 1, got 0"),
+        (None, ["ablate", "--opset", "3O", "--cells", "1", "--remove", "avgpool3x3",
+                "--dataset", "synth", "--iterations", "0"] + TINY,
+         "iterations must be >= 1, got 0"),
         (None, ["memcalc", "--opset", "2O", "--indices", "1", "--bits", "65"],
-         "'bits': 65; expected an integer in 1..64"),
+         "bit_precision must be in 1..64, got 65"),
         # refused before the (absent) cifar10 data is looked for
         (None, ["ablate", "--opset", "2O", "--cells", "1", "--remove", "zeroize",
                 "--dataset", "cifar10"] + TINY, "zeroize is not in operation set '2O'"),
@@ -177,7 +186,7 @@ class TestStrictSettings:
                 "--dataset", "cifar10"] + TINY,
          "removing conv3x3 leaves 1 operation(s); need at least 2 to search"),
         (None, ["ablate", "--opset", "3O", "--remove", "skipcon", "--cells", "4",
-                "--dataset", "cifar10"] + TINY, "num_cells must be 1..3, got 4"),
+                "--dataset", "cifar10"] + TINY, "cell count must be 1..3, got 4"),
     ])
     def test_bad_setting_is_a_clean_error(self, tmp_path, capsys, file_cfg, argv,
                                           message):
@@ -209,6 +218,88 @@ class TestStrictSettings:
             "concat", "rate", "literal")
 
 
+# One out-of-range value of each ranged setting, and the start of the message of the
+# record that checks it: SearchConfig, MacroConfig, LIFParams, MemoryBudget, or
+# memmodel.footprint for `bits`.  `iterations` is checked by the search.
+OUT_OF_RANGE = [
+    ("seed", -1, "seed must be non-negative, got -1"),
+    ("alpha", float("inf"), "alpha must be a finite number, got inf"),
+    ("batch_size", 1, "batch_size must be >= 2, got 1"),
+    ("jobs", 0, "jobs must be >= 1, got 0"),
+    ("bits", 0, "bit_precision must be in 1..64, got 0"),
+    ("budget", 0, "max_params must be >= 1, got 0"),
+    ("stem_channels", 0, "widths and class count must be positive: stem=0,"),
+    ("width_mult", 0, "widths and class count must be positive: stem=64, mult=0,"),
+    ("classes", 0, "widths and class count must be positive: stem=64, mult=2, classes=0"),
+    ("tau_leak", 0.5, "tau_leak must be >= 1, got 0.5"),
+    ("v_threshold", -1.0, "v_threshold (-1.0) must exceed v_reset (0.0)"),
+    ("v_reset", 1.0, "v_threshold (1.0) must exceed v_reset (1.0)"),
+    ("timesteps", 0, "timesteps must be >= 1, got 0"),
+    ("code_mode", "sum", "unknown code_mode 'sum'"),
+    ("input_coding", "ttfs", "unknown input_coding 'ttfs'"),
+    ("carryover", "worst", "unknown carryover 'worst'"),
+]
+# Every row by file, and by flag where the key has one; a choice flag takes only its
+# choices, so its value is given by file alone.
+_BY_FLAG = {row[0] for row in cli_mod.SETTINGS if row[3]} - set(CHOICES)
+REFUSALS = [pytest.param(via, *row, id=f"{row[0]}-{via}") for row in OUT_OF_RANGE
+            for via in ("flag", "file") if via == "file" or row[0] in _BY_FLAG]
+
+
+class TestRangesCheckedByRecords:
+    """Each out-of-range setting is one `error:` line from the record that holds its
+    range, before any data file is opened."""
+
+    @pytest.fixture
+    def no_data(self, monkeypatch):
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a data file was opened despite a bad setting")
+        monkeypatch.setattr(cli_mod, "load_dataset", fail)
+
+    def test_table_names_every_ranged_setting(self):
+        ranged = {row[0] for row in cli_mod.SETTINGS} - {"data_dir", "no_bias",
+                                                          "iterations"}
+        assert [key for key, _, _ in OUT_OF_RANGE] == [
+            row[0] for row in cli_mod.SETTINGS if row[0] in ranged]
+
+    @pytest.mark.parametrize("via, key, value, message", REFUSALS)
+    def test_refused_before_the_data(self, tmp_path, capsys, no_data, via, key, value,
+                                     message):
+        # `search` without --budget, so a bad `bits` has no MemoryBudget to check it
+        argv = ["search", "--scenario", "1C2O", "--dataset", "cifar10"]
+        if via == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("command", [
+        ["random-search", "--scenario", "1C2O"],
+        ["ablate", "--opset", "3O", "--cells", "1", "--remove", "avgpool3x3"],
+    ], ids=["random-search", "ablate"])
+    def test_iterations_refused_before_any_candidate(self, tmp_path, monkeypatch,
+                                                     capsys, via, command):
+        def fail(*args, **kwargs):
+            raise AssertionError("a candidate was scored despite a bad iterations")
+        monkeypatch.setattr(score_mod, "score_candidate", fail)
+        argv = command + ["--dataset", "synth"] + TINY
+        if via == "flag":
+            argv += ["--iterations", "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"iterations": 0}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: iterations must be >= 1, got 0\n"
+
+
 MACRO_FLAGS = {"--config", "--stem-channels", "--width-mult", "--classes", "--no-bias"}
 SCORE_FLAGS = MACRO_FLAGS | {"--data-dir", "--seed", "--alpha", "--batch-size",
                              "--timesteps", "--code-mode", "--input-coding"}
@@ -232,6 +323,15 @@ class TestFlagsFromTable:
         # the LIF constants are config-file keys only; each command takes
         # only the flags it reads
         assert flags - {"--help"} == extra
+
+    def test_search_and_random_search_share_their_flags(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+
+        def helps(command):
+            return {a.dest: a.help for a in sub.choices[command]._actions
+                    if a.dest != "iterations"}
+        assert helps("random-search") == helps("search")
+        assert helps("search")["scenario"] == "pCqO or pCqO_M"
 
     def test_flag_values_pass_the_table_casts(self):
         args = build_parser().parse_args(
@@ -321,8 +421,9 @@ class TestFailedStandardOutput:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     @pytest.mark.parametrize("argv", [["enumerate", "--opset", "2O"],
-                                      ["memcalc", "--opset", "2O", "--indices", "0"]],
-                             ids=["enumerate", "memcalc"])
+                                      ["memcalc", "--opset", "2O", "--indices", "0"],
+                                      ["--help"], ["search", "--help"]],
+                             ids=["enumerate", "memcalc", "help", "search-help"])
     def test_full_device(self, argv):
         with open("/dev/full", "wb") as full:
             proc = _cli_process(argv, full)
