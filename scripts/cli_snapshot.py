@@ -23,7 +23,7 @@ over 64 cells, so most draws repeat; a memory-aware and a random ablate;
 score with a kernel dump; score with `--no-bias`; score with
 `--code-mode concat`; memcalc; enumerate; score over two 10-class files;
 a `_M` search on them under the preset budget; search over one 100-class
-file) and seventeen bad inputs, two of them a bad label byte and a truncated
+file) and eighteen bad inputs, two of them a bad label byte and a truncated
 10-class file.
 """
 
@@ -109,7 +109,8 @@ COMMANDS = [
      LOW_THRESHOLD),
     ("search_cifar100", ["search", "--scenario", "1C2O", "--dataset", "cifar100",
                          "--data-dir", "data", "--seed", "7", *TINY], LOW_THRESHOLD),
-    ("err_scenario_cells", ["search", "--scenario", "4C9O", "--dataset", "synth"], None),
+    ("err_scenario_opset", ["search", "--scenario", "4C9O", "--dataset", "synth"], None),
+    ("err_scenario_cells", ["search", "--scenario", "4C2O", "--dataset", "synth"], None),
     ("err_scenario_malformed", ["search", "--scenario", "bogus", "--dataset", "synth"], None),
     ("err_preset_budget", ["search", "--scenario", "1C2O_M", "--dataset", "synth", *TINY],
      None),

@@ -7,14 +7,15 @@ Usage (from the repository root):
 Each run is a fresh interpreter running `python -m spikenas.cli search` on
 a fixed synth scenario: 1C2O at 16 stem channels, batch 16, 5 timesteps,
 rate coding, so every candidate is dominated by 3x3 convolutions large
-enough to split.  `<cores>` is the number of CPUs in this process's
-affinity mask, the count a search itself uses.  Each phase runs on
-min(jobs, cores, candidates) workers.  A phase with one worker offers each
-forward pass one thread per core, and a pass whose cell-1 conv3x3 is at or
-above `snn.SPLIT_MACS` (here 16*32*32*9*16**2 multiply-adds) splits its
-batch over them.  So the `--jobs 1` runs split each batch and the
-`--jobs <cores>` runs score one candidate per worker.  Every thread uses one BLAS thread.  Runs
-alternate between the two job counts.  `wall_s` is the whole process
+enough to split.  `<cores>` is `spikenas.blas.free_cores()`, the CPUs in
+this process's affinity mask, the count a search itself uses.
+`blas.thread_map` runs each phase on min(jobs, cores, candidates) workers.
+A forward pass scored inline may use every core, one on a pooled worker
+uses one, and a pass whose cell-1 conv3x3 is at or above `snn.SPLIT_MACS`
+(here 16*32*32*9*16**2 multiply-adds) splits its batch over what it may
+use.  So the `--jobs 1` runs split each batch and the `--jobs <cores>`
+runs score one candidate per worker.  Every thread uses one BLAS thread.
+Runs alternate between the two job counts.  `wall_s` is the whole process
 (start-up, import, dataset, search, report); `cands_per_s` is candidates
 visited over the search wall time the report records.
 Prints one JSON object with every run, the medians and the speed-up of
@@ -34,6 +35,10 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from spikenas.blas import free_cores  # noqa: E402
+
 SCENARIO = ["search", "--scenario", "1C2O", "--dataset", "synth", "--seed", "7",
             "--stem-channels", "16", "--batch-size", "16", "--timesteps", "5",
             "--input-coding", "rate"]
@@ -61,8 +66,7 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    cores = free_cores()
     runs: dict[int, list[dict]] = {1: [], cores: []}
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"

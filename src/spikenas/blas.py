@@ -1,22 +1,22 @@
 """One way onto the cores: `thread_map`, each thread on one OpenBLAS thread.
 
 OpenBLAS starts a thread team for every large GEMM, which would compete
-with a search's workers and a sharded forward pass's threads.  So
-`thread_map` is the one place that starts threads, and a search holds
-`single_blas_thread` (OpenBLAS count 1, restored at exit) for its whole
-run: per phase it maps its candidates over min(jobs, cores, candidates)
-workers, and one worker whose GEMMs are large maps each batch's sample tiles
-over the cores.  The count is process-wide (`openblas_set_num_threads_local`
-also changes it for every thread in this build), so it is set around threads.
-The library is the OpenBLAS numpy has loaded, found through the process's
-memory map on first use; without it (another BLAS, or no `/proc`), BLAS
-threading is left as it is.
+with a search's workers and a forward pass's tile threads.  So this module
+owns the thread plan: `thread_map` is the one place that starts threads,
+on at most `free_cores()` of them (one on its own workers, so a nested map
+runs inline), and it holds `single_blas_thread` (OpenBLAS count 1,
+restored at exit) inline or pooled.  The count is process-wide
+(`openblas_set_num_threads_local` also changes it for every thread in this
+build), so it is set around threads.  The library is the OpenBLAS numpy
+has loaded, found through the process's memory map on first use; without
+it (another BLAS, or no `/proc`), BLAS threading is left as it is.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -36,6 +36,7 @@ Controls = tuple[Callable[[], int], Callable[[int], None]]
 _lock = threading.Lock()
 _depth = 0
 _saved = 0
+_worker = threading.local()  # `pooled` is set on thread_map's workers
 
 
 @functools.cache
@@ -92,11 +93,23 @@ def single_blas_thread() -> Iterator[None]:
                 set_(_saved)
 
 
+def free_cores() -> int:
+    """The threads a caller may fill: 1 on a `thread_map` worker, else the
+    CPUs in the affinity mask (so `taskset` is respected), else the machine's."""
+    if getattr(_worker, "pooled", False):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def thread_map(fn: Callable[[Any], Any], items: Sequence, workers: int) -> list:
-    """`[fn(x) for x in items]`: inline when one thread would do, else on
-    min(workers, len(items)) pooled threads inside `single_blas_thread`."""
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """`[fn(x) for x in items]` inside `single_blas_thread`, on
+    min(workers, len(items), free_cores()) pooled threads, or inline if one."""
+    workers = min(workers, len(items), free_cores())
+    with single_blas_thread():
+        if workers <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(workers, initializer=setattr,
+                                initargs=(_worker, "pooled", True)) as pool:
+            return list(pool.map(fn, items))

@@ -56,7 +56,7 @@ _SCENARIO_RE = re.compile(r"^(\d+)C(\d+)O(_M)?$")
 class Scenario:
     name: str
     cells: int
-    opset_size: int
+    opset: OpSet
     constrained: bool
 
 
@@ -66,9 +66,8 @@ def parse_scenario(name: str) -> Scenario:
         raise SpikeNasError(
             f"malformed scenario {name!r}; expected pCqO or pCqO_M, e.g. 2C3O_M"
         )
-    cells, opset_size = int(m.group(1)), int(m.group(2))
-    get_opset(f"{opset_size}O")  # refuses a q with no operation set
-    return Scenario(name.strip(), cells, opset_size, m.group(3) is not None)
+    opset = get_opset(f"{m.group(2)}O")  # refuses a q with no operation set
+    return Scenario(name.strip(), int(m.group(1)), opset, m.group(3) is not None)
 
 
 def _cast(expected: str, *types: type, **flag):
@@ -252,8 +251,7 @@ def _cmd_search(args: argparse.Namespace) -> str:
     s = _settings_from_args(args)
     scenario = parse_scenario(args.scenario)
     s["budget"] = _resolve_budget(scenario, args.dataset, s)
-    cfg = _search_config(args, s, get_opset(f"{scenario.opset_size}O"), scenario.cells,
-                         args.strategy)
+    cfg = _search_config(args, s, scenario.opset, scenario.cells, args.strategy)
     result = (search_random(cfg, s["iterations"]) if args.strategy == RANDOM
               else search_memory_aware(cfg))
     return _emit(args, result, scenario.name, s)

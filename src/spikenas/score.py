@@ -103,12 +103,11 @@ def network_score(all_codes: BinaryCodes, alpha: float = 1.0) -> ScoreResult:
 
 def score_candidate(net: NetworkArch, batch: np.ndarray, lif: LIFParams,
                     seed: int, alpha: float = 1.0, *, code_mode: str = "any",
-                    input_coding: str = "direct", shards: int = 1) -> ScoreResult:
-    """Initialize, simulate (in `shards` sample shards), and score one candidate."""
+                    input_coding: str = "direct") -> ScoreResult:
+    """Initialize, simulate (on the threads the pass plans), and score one candidate."""
     weights = init_weights(net, seed)
     codes = forward_collect_codes(net, weights, batch, lif, code_mode=code_mode,
-                                  input_coding=input_coding, coding_seed=seed,
-                                  shards=shards)
+                                  input_coding=input_coding, coding_seed=seed)
     return network_score(codes, alpha)
 
 

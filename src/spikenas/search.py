@@ -9,7 +9,8 @@ best so far, ``num_cells * len(opset) ** 6`` visits in all.  The random
 baseline is one shared-cell phase over seeded draws with replacement.  A
 phase scores each distinct index once and keeps one record per visit, in
 visit order, so a repeated draw is counted and logged at every draw.
-Over-budget candidates are skipped without scoring.
+Over-budget candidates are skipped without scoring.  A phase maps its
+distinct candidates over `cfg.jobs` workers through `blas.thread_map`.
 
 Every candidate's weights are seeded from (run seed, phase, index), and
 ties go to the lowest (phase, index), so reports do not depend on the
@@ -20,7 +21,6 @@ the winning `CandidateRecord`, whose phase and index replay its score.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -43,7 +43,7 @@ from .arch import (
     is_int,
     search_space_size,
 )
-from .blas import single_blas_thread, thread_map
+from .blas import thread_map
 from .data import Dataset, sample_batch
 from .errors import SpikeNasError
 from .memmodel import MemoryBudget, count_network_params
@@ -173,17 +173,15 @@ def _cells(cfg: SearchConfig, base: tuple[CellArch, ...] | None, phase: int,
     return tuple(cells)
 
 
-def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn, shards: int,
-           base: tuple[CellArch, ...] | None, phase: int,
-           index: int) -> CandidateRecord:
+def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
+           base: tuple[CellArch, ...] | None, phase: int, index: int) -> CandidateRecord:
     net = build_network(_cells(cfg, base, phase, index), cfg.macro)
     n_param = count_network_params(net)
     if cfg.budget is not None and n_param > cfg.budget.max_params:
         return CandidateRecord(phase, index, n_param, None)
     result = score_fn(net, pixels, cfg.lif,
                       candidate_seed(cfg.seed, phase, index), cfg.alpha,
-                      code_mode=cfg.code_mode, input_coding=cfg.input_coding,
-                      shards=shards)
+                      code_mode=cfg.code_mode, input_coding=cfg.input_coding)
     return CandidateRecord(phase, index, n_param, result.value)
 
 
@@ -204,36 +202,31 @@ def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
         phases = [range(space)] * cfg.num_cells
         none_fit = f"all {space} shared-cell candidates exceed"
     pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
-    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
 
     best: CandidateRecord | None = None
     total = skipped = 0
     log: list[CandidateRecord] = []
-    with single_blas_thread():
-        for phase, indices in enumerate(phases, 1):
-            if phase == 1:
-                base = None
-            elif cfg.carryover == CARRY_LITERAL:
-                base = (decode_cell(space - 1, cfg.opset),) * cfg.num_cells
-            else:
-                base = best_cells
-            distinct = list(dict.fromkeys(indices))
-            workers = min(cfg.jobs, cores, len(distinct))
-            shards = cores if workers == 1 else 1  # the most threads a pass may use
-            visit = partial(_visit, cfg, pixels, score_fn, shards, base, phase)
-            by_index = dict(zip(distinct, thread_map(visit, distinct, workers)))
-            records = [by_index[i] for i in indices]
-            feasible = [rec for rec in records if rec.feasible]
-            total += len(feasible)
-            skipped += len(records) - len(feasible)
-            if cfg.keep_candidate_log:
-                log.extend(records)
-            best = max(feasible + ([best] if best else []), key=_rank, default=None)
-            if best is None:
-                raise SpikeNasError(f"{none_fit} the budget of {cfg.budget.max_params} parameters")
-            if best.phase == phase:  # decode the phase's winner once
-                best_cells = _cells(cfg, base, phase, best.index)
+    for phase, indices in enumerate(phases, 1):
+        if phase == 1:
+            base = None
+        elif cfg.carryover == CARRY_LITERAL:
+            base = (decode_cell(space - 1, cfg.opset),) * cfg.num_cells
+        else:
+            base = best_cells
+        distinct = list(dict.fromkeys(indices))
+        visit = partial(_visit, cfg, pixels, score_fn, base, phase)
+        by_index = dict(zip(distinct, thread_map(visit, distinct, cfg.jobs)))
+        records = [by_index[i] for i in indices]
+        feasible = [rec for rec in records if rec.feasible]
+        total += len(feasible)
+        skipped += len(records) - len(feasible)
+        if cfg.keep_candidate_log:
+            log.extend(records)
+        best = max(feasible + ([best] if best else []), key=_rank, default=None)
+        if best is None:
+            raise SpikeNasError(f"{none_fit} the budget of {cfg.budget.max_params} parameters")
+        if best.phase == phase:  # decode the phase's winner once
+            best_cells = _cells(cfg, base, phase, best.index)
 
     return SearchReport(
         config=cfg,

@@ -49,9 +49,9 @@ thread: each stage's codes are the tiles' codes in sample order, the same
 bits as one run over the whole batch.  The pass owns that plan, from one
 sample's cell-1 conv3x3 multiply-adds: `TILE_MACS` sizes the tiles to keep
 a tile's working set near the size of a core's cache, and a batch whose
-conv3x3 work reaches `SPLIT_MACS` runs on up to `shards` threads, in at
-least as many tiles.  A search offers one thread per core to a phase it
-scores with one worker, and one thread to a pooled phase.
+conv3x3 work reaches `SPLIT_MACS` runs on up to `blas.free_cores()`
+threads, in at least as many tiles: every usable core, or one on a pooled
+search worker.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import arch
 from .arch import NetworkArch, Operation
-from .blas import thread_map
+from .blas import free_cores, thread_map
 from .errors import SpikeNasError
 
 WeightSet = dict[str, np.ndarray]
@@ -80,7 +80,7 @@ BinaryCodes = dict[str, np.ndarray]
 # 32 and 15 ms with this.
 TILE_MACS = 9 * 2**22
 # A batch whose cell-1 conv3x3 (S*H*W*9*C**2 multiply-adds) is at or above this runs on
-# up to `shards` threads, else on one: at batch 16, two threads ran 0.82x as fast at 4
+# `blas.free_cores()` threads, else on one: at batch 16, two threads ran 0.82x as fast at 4
 # channels, even at 6 and 1.26x at 8 (BENCH_19.json).
 SPLIT_MACS = 2**23
 
@@ -350,9 +350,8 @@ def _simulate(net: NetworkArch, weights: WeightSet, x: np.ndarray, p: LIFParams,
 
 
 def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarray,
-                          p: LIFParams, *, code_mode: str = "any",
-                          input_coding: str = "direct", coding_seed: int = 0,
-                          shards: int = 1) -> BinaryCodes:
+                          p: LIFParams, *, code_mode: str = "any", input_coding: str = "direct",
+                          coding_seed: int = 0) -> BinaryCodes:
     """Simulate the network over `p.timesteps` steps and collect codes.
 
     Every sample starts from the reset potential; a neuron's code bit is
@@ -360,18 +359,16 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     the per-step spike trains concatenated (`code_mode="concat"`): per
     sample, step-major, each step's bits in (C, H, W) order.
     `input_coding="rate"` replaces direct coding with seeded Bernoulli
-    spike trains whose rates are the pixel values.  `shards` is the most
-    threads the pass may use: min(shards, samples) at or above `SPLIT_MACS`,
-    else one.  The samples run in contiguous tiles, as many as `TILE_MACS`
-    asks for but at least one per thread and at most one per sample.  Codes
-    are joined in sample order.
+    spike trains whose rates are the pixel values.  At or above `SPLIT_MACS`
+    the pass runs on min(`blas.free_cores()`, samples) threads, else on one.
+    The samples run in contiguous tiles, as many as `TILE_MACS` asks for but
+    at least one per thread and at most one per sample.  Codes are joined in
+    sample order.
     """
     if code_mode not in CODE_MODES:
         raise SpikeNasError(f"unknown code_mode {code_mode!r}")
     if input_coding not in INPUT_CODINGS:
         raise SpikeNasError(f"unknown input_coding {input_coding!r}")
-    if not arch.is_int(shards) or shards < 1:
-        raise SpikeNasError(f"shards must be >= 1, got {shards}")
     x = np.asarray(batch, dtype=np.float32)
     expected = net.macro.input_shape
     if x.ndim != 4 or x.shape[1:] != expected:
@@ -380,7 +377,7 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
 
     _, h, w = expected
     macs = h * w * 9 * net.macro.stem_channels ** 2  # one sample's cell-1 conv3x3
-    threads = min(shards, len(x)) if len(x) * macs >= SPLIT_MACS else 1
+    threads = min(free_cores(), len(x)) if len(x) * macs >= SPLIT_MACS else 1
     n = min(len(x), max(threads, -(-len(x) // max(1, TILE_MACS // macs))))
     rate = input_coding == "rate"
     if rate:  # all T steps' spikes in one draw: the stream of T draws of one step

@@ -54,7 +54,7 @@ class TestScenarioParsing:
     ])
     def test_valid(self, name, cells, q, constrained):
         s = parse_scenario(name)
-        assert s == Scenario(name, cells, q, constrained)
+        assert s == Scenario(name, cells, get_opset(f"{q}O"), constrained)
 
     MALFORMED = {
         "4C9O": r"unknown operation set '9O'; expected one of \['2O', '3O', '5O'\]",

@@ -43,8 +43,8 @@ def test_cli_snapshot_matrix(tmp_path):
     assert proc.returncode == 0, proc.stderr
     cases = {case.name: (int((case / "exit_code.txt").read_text()),
                          (case / "stderr.txt").read_text()) for case in out.iterdir()}
-    assert len(cases) == 30
-    assert sum(name.startswith("err_") for name in cases) == 17
+    assert len(cases) == 31
+    assert sum(name.startswith("err_") for name in cases) == 18
     for name, (code, stderr) in cases.items():
         assert "Traceback" not in stderr, name
         if not name.startswith("err_"):

@@ -437,7 +437,7 @@ class _RecordingPool:
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -457,11 +457,11 @@ def _set_cores(monkeypatch, cores, machine=None):
     host's count defaults to the mask's.
     """
     if cores is None:
-        monkeypatch.delattr(search_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(blas.os, "sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr(search_mod.os, "sched_getaffinity",
+        monkeypatch.setattr(blas.os, "sched_getaffinity",
                             lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: machine or cores)
+    monkeypatch.setattr(blas.os, "cpu_count", lambda: machine or cores)
 
 
 class TestWorkerBound:
@@ -470,14 +470,17 @@ class TestWorkerBound:
         monkeypatch.setattr(blas, "ThreadPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
 
-    @pytest.mark.parametrize("workers,n,pool", [
-        (2, 15625, 2),
-        (3, 100, 3),
-        (8, 2, 2),              # never more workers than items
-        (4, 1, None),           # one item runs inline
-        (1, 100, None),         # so does one worker
+    @pytest.mark.parametrize("workers,n,cores,pool", [
+        (2, 15625, 8, 2),
+        (3, 100, 8, 3),
+        (8, 2, 8, 2),           # never more workers than items
+        (8, 100, 3, 3),         # nor than free cores
+        (4, 1, 8, None),        # one item runs inline
+        (1, 100, 8, None),      # so does one worker
+        (4, 100, 1, None),      # and one core
     ])
-    def test_thread_map_bounds_workers(self, workers, n, pool):
+    def test_thread_map_bounds_workers(self, monkeypatch, workers, n, cores, pool):
+        _set_cores(monkeypatch, cores)
         out = blas.thread_map(lambda i: 2 * i, range(n), workers)
         assert out == [2 * i for i in range(n)]
         assert _RecordingPool.sizes == ([] if pool is None else [pool])
@@ -501,6 +504,31 @@ class TestWorkerBound:
                                      score_fn=stub_score)
         assert report.per_cell_best_indices == narrow.per_cell_best_indices
         assert report.best_score == narrow.best_score
+
+
+class TestNestedMap:
+    def test_a_map_inside_a_pooled_worker_runs_inline(self, monkeypatch):
+        _set_cores(monkeypatch, 4)
+        pools, real_pool = [], blas.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(threading.get_ident())
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(blas, "ThreadPoolExecutor", counting_pool)
+
+        def inner(j):
+            return threading.get_ident(), blas.free_cores()
+
+        def outer(i):
+            return threading.get_ident(), blas.thread_map(inner, range(3), 4)
+
+        results = blas.thread_map(outer, range(8), 2)
+        assert pools == [threading.get_ident()]
+        for worker, inner_runs in results:
+            assert worker != threading.get_ident()
+            assert inner_runs == [(worker, 1)] * 3
+        assert blas.free_cores() == 4
 
 
 def _numpy_uses_openblas() -> bool:
@@ -574,14 +602,18 @@ class TestBlasPin:
             blas.thread_map(visit, range(20), 2)
         assert real() == before
 
-    def test_one_thread_runs_inline_and_sets_nothing(self, fake):
-        assert blas.thread_map(lambda i: i, range(10), 1) == list(range(10))
-        assert blas.thread_map(lambda i: i, range(1), 2) == [0]
-        assert fake.sets == []
-        blas.thread_map(lambda i: i, range(10), 2)
-        assert fake.sets == [1, 4]
+    def test_one_thread_runs_inline_and_pins(self, fake):
+        def visit(i):
+            return threading.get_ident(), fake.count
 
-    def test_small_serial_search_pins_once(self, fake, base_cfg):
+        main = threading.get_ident()
+        assert blas.thread_map(visit, range(10), 1) == [(main, 1)] * 10
+        assert blas.thread_map(visit, range(1), 2) == [(main, 1)]
+        assert fake.sets == [1, 4, 1, 4]
+        blas.thread_map(lambda i: i, range(10), 2)
+        assert fake.sets == [1, 4] * 3
+
+    def test_small_serial_search_pins_once_per_phase(self, fake, base_cfg):
         seen = []
 
         def score(*args, **kwargs):
@@ -592,12 +624,12 @@ class TestBlasPin:
         report = search_memory_aware(replace(base_cfg, num_cells=2), score_fn=score)
         assert report.candidates_visited == 128
         assert set(seen) == {1}
-        assert fake.sets == [1, 4]
+        assert fake.sets == [1, 4, 1, 4]
 
     @staticmethod
     def _recording(fake, seen):
-        def score(*args, shards, **kwargs):
-            seen.append((fake.count, shards))
+        def score(*args, **kwargs):
+            seen.append((fake.count, blas.free_cores()))
             return stub_score(*args, **kwargs)
         return score
 
@@ -619,11 +651,11 @@ class TestBlasPin:
         _set_cores(monkeypatch, 2)
         seen = []
         search_random(base_cfg, 5, score_fn=self._recording(fake, seen))
-        assert {shards for _, shards in seen} == {2}
+        assert {cores for _, cores in seen} == {2}
         seen.clear()
         paper = replace(base_cfg, macro=MacroConfig(), batch_size=16, jobs=2)
         search_random(paper, 5, score_fn=self._recording(fake, seen))
-        assert {shards for _, shards in seen} == {1}
+        assert {cores for _, cores in seen} == {1}
 
     @pytest.mark.parametrize("cores", [2, 3, 32])
     def test_pooled_search_with_one_distinct_draw_pins_and_shards(self, fake, base_cfg,
@@ -643,9 +675,9 @@ class TestBlasPin:
         search_random(paper, 5, score_fn=self._recording(fake, seen))
         assert set(seen) == {(1, 1)}
 
-    def test_pooled_search_pins_once(self, fake, base_cfg):
+    def test_pooled_search_pins_once_per_phase(self, fake, base_cfg):
         search_memory_aware(replace(base_cfg, num_cells=2, jobs=2), score_fn=stub_score)
-        assert fake.sets == [1, 4]
+        assert fake.sets == [1, 4, 1, 4]
 
     def test_serial_pin_is_restored_when_a_visit_raises(self, fake, base_cfg):
         def score(*args, **kwargs):
@@ -740,7 +772,7 @@ def _names(tree: ast.AST) -> set[str]:
 
 
 class TestOneWayOntoTheCores:
-    """Only `blas.thread_map` starts threads; only it and `_search` pin BLAS."""
+    """Only `blas.thread_map` starts threads and pins BLAS; only `blas` counts cores."""
 
     def _trees(self):
         return {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -751,10 +783,15 @@ class TestOneWayOntoTheCores:
                   if "ThreadPoolExecutor" in _names(tree)]
         assert naming == ["blas"]
 
-    def test_only_search_and_thread_map_enter_the_pin(self):
+    def test_only_thread_map_enters_the_pin(self):
         entries = sorted((mod, func) for mod, tree in self._trees().items()
                          for func in _calls(tree, "single_blas_thread"))
-        assert entries == [("blas", "thread_map"), ("search", "_search")]
+        assert entries == [("blas", "thread_map")]
+
+    @pytest.mark.parametrize("name", ["sched_getaffinity", "cpu_count"])
+    def test_only_blas_counts_cores(self, name):
+        naming = [mod for mod, tree in self._trees().items() if name in _names(tree)]
+        assert naming == ["blas"]
 
     def test_scan_sees_calls_by_function(self):
         tree = ast.parse("def f():\n    with g():\n        x.g()\n"

@@ -448,13 +448,6 @@ class TestForwardCollectCodes:
         assert got.any() == ("1" in pattern)
         assert all(np.array_equal(m, d) for m, d in zip(stage.masks, dense))
 
-    def test_shards_validated(self, tiny_macro, tiny_lif):
-        net = self._net(tiny_macro)
-        for shards in (0, -1, 1.5, True):
-            with pytest.raises(SpikeNasError, match="shards must be >= 1"):
-                forward_collect_codes(net, init_weights(net, 0), self._batch(2), tiny_lif,
-                                      shards=shards)
-
 
 O = Operation
 # Each op appears on at least one edge reading node 0 and one reading a
@@ -638,6 +631,12 @@ def _assert_same_codes(got, want):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def _set_cores(monkeypatch, cores):
+    """Give the process an affinity mask of `cores` CPUs."""
+    monkeypatch.setattr(blas.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
 class TestShards:
     """Sharded forward passes against one run over the whole batch."""
 
@@ -649,41 +648,54 @@ class TestShards:
         # 8x8 batches are far below SPLIT_MACS, which would keep them on one thread
         monkeypatch.setattr(snn, "SPLIT_MACS", 0)
 
-    def _both(self, net, weights, batch, lif, shards, **modes):
+    def _both(self, monkeypatch, net, weights, batch, lif, cores, **modes):
+        """Codes on one core, checked against those on `cores` threads."""
+        _set_cores(monkeypatch, 1)
         whole = forward_collect_codes(net, weights, batch, lif, **modes)
-        split = forward_collect_codes(net, weights, batch, lif, shards=shards, **modes)
+        _set_cores(monkeypatch, cores)
+        threads, real_map = [], snn.thread_map
+
+        def record(fn, items, workers):
+            threads.append(workers)
+            return real_map(fn, items, workers)
+
+        monkeypatch.setattr(snn, "thread_map", record)
+        split = forward_collect_codes(net, weights, batch, lif, **modes)
+        assert threads == [min(cores, len(batch))]
         _assert_same_codes(split, whole)
         return whole
 
     @pytest.mark.parametrize("code_mode", ["any", "concat"])
     @pytest.mark.parametrize("input_coding", ["direct", "rate"])
-    @pytest.mark.parametrize("samples, shards", [(5, 2), (4, 2), (6, 3), (3, 8)])
-    def test_sharded_codes_equal(self, samples, shards, input_coding, code_mode):
+    @pytest.mark.parametrize("samples, cores", [(5, 2), (4, 2), (6, 3), (3, 8)])
+    def test_sharded_codes_equal(self, monkeypatch, samples, cores, input_coding,
+                                 code_mode):
         net = build_network(ORACLE_CELLS[:2], self.MACRO)
         batch = np.random.default_rng(samples).random((samples, 3, 8, 8), dtype=np.float32)
-        whole = self._both(net, init_weights(net, 4), batch, self.LIF, shards,
+        whole = self._both(monkeypatch, net, init_weights(net, 4), batch, self.LIF, cores,
                            code_mode=code_mode, input_coding=input_coding, coding_seed=3)
         assert any(0 < m.mean() < 1 for m in whole.values())
 
     @pytest.mark.parametrize("code_mode", ["any", "concat"])
-    def test_one_shard_silent_while_the_other_fires(self, code_mode):
+    def test_one_shard_silent_while_the_other_fires(self, monkeypatch, code_mode):
         # a black image never drives the bias-free stem: the first shard's
         # stem, and every stage after it, stays at reset
         net = build_network(ORACLE_CELLS[:2], self.MACRO)
         batch = np.random.default_rng(1).random((5, 3, 8, 8), dtype=np.float32)
         batch[:3] = 0
-        whole = self._both(net, init_weights(net, 4), batch, self.LIF, 2,
+        whole = self._both(monkeypatch, net, init_weights(net, 4), batch, self.LIF, 2,
                            code_mode=code_mode)
         assert not any(m[:3].any() for m in whole.values())
         assert whole["stem"][3:].any() and whole["cell1"][3:].any()
 
     @pytest.mark.parametrize("cell", [ORACLE_CELLS[0], ORACLE_CELLS[1]],
                              ids=["conv3_conv1_pool_zero", "pool_conv1_conv3_zero"])
-    def test_paper_macro_codes_equal_under_one_blas_thread(self, cell):
+    def test_paper_macro_codes_equal_under_one_blas_thread(self, monkeypatch, cell):
         net = build_network([cell] * 2, MacroConfig())
         batch = np.random.default_rng(7).random((16, 3, 32, 32), dtype=np.float32)
         with blas.single_blas_thread():
-            whole = self._both(net, init_weights(net, 11), batch, LIFParams(), 2)
+            whole = self._both(monkeypatch, net, init_weights(net, 11), batch, LIFParams(),
+                               2)
         assert whole["stem"].any() and whole["cell1"].any()
 
     def test_raising_shard_surfaces_and_restores_blas_count(self, monkeypatch):
@@ -704,8 +716,9 @@ class TestShards:
 
         monkeypatch.setattr(snn, "_simulate", simulate)
         net = build_network(ORACLE_CELLS[:1], self.MACRO)
+        _set_cores(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="shard failed"):
-            forward_collect_codes(net, init_weights(net, 0), batch, self.LIF, shards=2)
+            forward_collect_codes(net, init_weights(net, 0), batch, self.LIF)
         assert sets == [1, 4] and count[0] == 4
 
     @pytest.mark.parametrize("code_mode", ["any", "concat"])
@@ -717,6 +730,7 @@ class TestShards:
         weights = init_weights(net, 4)
         batch = np.random.default_rng(samples).random((samples, 3, 8, 8), dtype=np.float32)
         modes = dict(code_mode=code_mode, input_coding=input_coding, coding_seed=3)
+        _set_cores(monkeypatch, 1)
         whole = forward_collect_codes(net, weights, batch, self.LIF, **modes)
         sizes, real = [], snn.conv2d_same
 
@@ -728,7 +742,8 @@ class TestShards:
 
         monkeypatch.setattr(snn, "conv2d_same", conv)
         monkeypatch.setattr(snn, "TILE_MACS", tile * 8 * 8 * 9 * 4**2)
-        tiled = forward_collect_codes(net, weights, batch, self.LIF, shards=2, **modes)
+        _set_cores(monkeypatch, 2)
+        tiled = forward_collect_codes(net, weights, batch, self.LIF, **modes)
         _assert_same_codes(tiled, whole)
         assert set(sizes) == {len(t) for t in np.array_split(batch, -(-samples // tile))}
         assert len(set(sizes)) > 1 and any(0 < m.mean() < 1 for m in whole.values())
