@@ -36,6 +36,12 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_choice(name: str, value, options: tuple) -> None:
+    """Refuse a string setting that is not one of its `options`."""
+    if value not in options:
+        raise SpikeNasError(f"unknown {name} {value!r}")
+
+
 class Operation(enum.IntEnum):
     """Edge operation vocabulary; enum values are the stable wire codes."""
 

@@ -8,7 +8,7 @@ its default; an unset `data_dir` leaves `data.load_dataset` to read
 SPIKENAS_DATA_DIR.  The CLI checks a value's JSON type, and the record
 that holds the setting checks its range before any data file is opened:
 `SearchConfig`, `MacroConfig`, `LIFParams`, `MemoryBudget`, or
-`memmodel.footprint` for `bits`.  The search checks `iterations`.
+`memmodel.footprint` for `bits`.
 """
 
 from __future__ import annotations
@@ -106,10 +106,12 @@ SETTINGS = (
      "BLAS thread; one worker with large GEMMs splits each batch across the cores"),
     ("bits", _INT, MemoryBudget.bit_precision, "bit precision per parameter"),
     ("budget", _INT, None, "max parameter count"),
-    ("iterations", _INT, 5000, "number of draws (default 5000)"),
+    ("iterations", _INT, SearchConfig.iterations,
+     f"number of draws (default {SearchConfig.iterations})"),
     ("stem_channels", _INT, MacroConfig.stem_channels, "stem conv channels"),
     ("width_mult", _INT, MacroConfig.width_mult, "width factor at each downsample"),
-    ("classes", _INT, None, "number of classes (default: the dataset's, else 10)"),
+    ("classes", _INT, None,
+     f"number of classes (default: the dataset's, else {MacroConfig.num_classes})"),
     ("no_bias", _BOOL, False, "count no bias parameters"),
     ("tau_leak", _FLOAT, LIFParams.tau_leak, None),
     ("v_threshold", _FLOAT, LIFParams.v_threshold, None),
@@ -181,10 +183,9 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     return s
 
 
-def _resolve_budget(scenario: Scenario | None, dataset: str,
-                    s: dict) -> MemoryBudget | None:
+def _resolve_budget(scenario: Scenario, dataset: str, s: dict) -> MemoryBudget | None:
     """The explicit budget, else the dataset preset for a constrained scenario."""
-    if s["budget"] is not None or scenario is None or not scenario.constrained:
+    if s["budget"] is not None or not scenario.constrained:
         return s["budget"]
     preset = PRESET_BUDGET_PARAMS.get(dataset)
     if preset is None:
@@ -252,7 +253,7 @@ def _cmd_search(args: argparse.Namespace) -> str:
     scenario = parse_scenario(args.scenario)
     s["budget"] = _resolve_budget(scenario, args.dataset, s)
     cfg = _search_config(args, s, scenario.opset, scenario.cells, args.strategy)
-    result = (search_random(cfg, s["iterations"]) if args.strategy == RANDOM
+    result = (search_random(cfg, cfg.iterations) if cfg.strategy == RANDOM
               else search_memory_aware(cfg))
     return _emit(args, result, scenario.name, s)
 
@@ -262,8 +263,7 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
     removed = Operation.from_label(args.remove)
     get_opset(args.opset).without(removed)  # refuse it before loading data
     cfg = _search_config(args, s, get_opset(args.opset), args.cells, args.strategy)
-    result = ablate_operation(cfg, removed, iterations=s["iterations"])
-    return _emit(args, result, None, s)
+    return _emit(args, ablate_operation(cfg, removed), None, s)
 
 
 def _net_from_args(args: argparse.Namespace):

@@ -66,7 +66,7 @@ def from_search_report(result: SearchReport, scenario: str | None,
         "wall_time_ms": result.wall_time_s * 1000.0,
         "engine_version": __version__,
         "strategy": cfg.strategy,
-        "iterations": result.candidates_visited if cfg.strategy == RANDOM else None,
+        "iterations": cfg.iterations if cfg.strategy == RANDOM else None,
         "removed_op": None if result.removed_op is None else result.removed_op.label,
     })
 

@@ -98,7 +98,11 @@ def _kernels(all_codes: BinaryCodes,
 
 def network_score(all_codes: BinaryCodes, alpha: float = 1.0) -> ScoreResult:
     """Score from per-stage codes: log|det| of the summed kernels."""
-    return ScoreResult(log_abs_det(_kernels(all_codes, alpha)[1]), all_codes)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return ScoreResult(log_abs_det(_kernels(all_codes, alpha)[1]), all_codes)
+    except FloatingPointError:
+        raise SpikeNasError(f"alpha {alpha} is too large: the score overflows") from None
 
 
 def score_candidate(net: NetworkArch, batch: np.ndarray, lif: LIFParams,

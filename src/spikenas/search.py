@@ -1,16 +1,16 @@
 """Memory-aware per-cell search, random baseline, and ablation runner.
 
-`SearchConfig.strategy` decides what a search visits; `search_memory_aware`
-and `search_random` set it, and `ablate_operation` follows it.  The
-memory-aware search runs one phase per cell: phase 1 fixes the best
-feasible architecture shared by all cells, and each later phase
-re-searches one cell over the full space while the earlier cells keep the
-best so far, ``num_cells * len(opset) ** 6`` visits in all.  The random
-baseline is one shared-cell phase over seeded draws with replacement.  A
-phase scores each distinct index once and keeps one record per visit, in
-visit order, so a repeated draw is counted and logged at every draw.
-Over-budget candidates are skipped without scoring.  A phase maps its
-distinct candidates over `cfg.jobs` workers through `blas.thread_map`.
+A `SearchConfig` holds every setting: `strategy` decides what a search
+visits and `iterations` sizes a random one; `search_random` sets both,
+`search_memory_aware` the strategy, and `ablate_operation` follows both.
+The memory-aware search runs one phase per cell: phase 1 fixes the best
+feasible architecture shared by all cells, and each later phase re-searches
+one cell over the full space while the earlier cells keep the best so far,
+``num_cells * len(opset) ** 6`` visits in all.  The random baseline is one
+shared-cell phase over seeded draws with replacement.  A phase scores each
+distinct index under the budget once, over `cfg.jobs` workers through
+`blas.thread_map`, and keeps one record per visit, in visit order, so a
+repeated draw is counted and logged at every draw.
 
 Every candidate's weights are seeded from (run seed, phase, index), and
 ties go to the lowest (phase, index), so reports do not depend on the
@@ -37,6 +37,7 @@ from .arch import (
     Operation,
     OpSet,
     build_network,
+    check_choice,
     check_num_cells,
     decode_cell,
     encode_cell,
@@ -78,6 +79,7 @@ class SearchConfig:
     alpha: float = 1.0
     jobs: int = 1
     strategy: str = MEMORY_AWARE
+    iterations: int = 5000
     carryover: str = CARRY_BEST
     code_mode: str = "any"
     input_coding: str = "direct"
@@ -90,15 +92,13 @@ class SearchConfig:
             if not isinstance(value := getattr(self, name), kind):
                 raise SpikeNasError(f"{name} has the wrong type {type(value).__name__}")
         check_num_cells(self.num_cells)
-        if not is_int(self.jobs) or self.jobs < 1:
-            raise SpikeNasError(f"jobs must be >= 1, got {self.jobs}")
-        if not is_int(self.batch_size) or self.batch_size < 2:
-            raise SpikeNasError(f"batch_size must be >= 2, got {self.batch_size}")
+        for name, low in (("jobs", 1), ("iterations", 1), ("batch_size", 2)):
+            if not is_int(value := getattr(self, name)) or value < low:
+                raise SpikeNasError(f"{name} must be >= {low}, got {value}")
         if not is_int(self.seed) or self.seed < 0:
             raise SpikeNasError(f"seed must be non-negative, got {self.seed}")
         for name, options in CHOICES.items():
-            if (value := getattr(self, name)) not in options:
-                raise SpikeNasError(f"unknown {name} {value!r}")
+            check_choice(name, getattr(self, name), options)
         if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
             raise SpikeNasError(f"alpha must be a finite number, got {self.alpha}")
 
@@ -185,19 +185,15 @@ def _visit(cfg: SearchConfig, pixels: np.ndarray, score_fn: ScoreFn,
     return CandidateRecord(phase, index, n_param, result.value)
 
 
-def _search(cfg: SearchConfig, score_fn: ScoreFn | None,
-            iterations: int | None = None) -> SearchReport:
+def _search(cfg: SearchConfig, score_fn: ScoreFn | None) -> SearchReport:
     """Run the phases `cfg.strategy` names; count, log and reduce to the best."""
     score_fn = score_fn or score_mod.score_candidate
     start = time.perf_counter()
     space = search_space_size(cfg.opset)
-    if (cfg.strategy == RANDOM or iterations is not None) and not (
-            is_int(iterations) and iterations >= 1):
-        raise SpikeNasError(f"iterations must be >= 1, got {iterations}")
     if cfg.strategy == RANDOM:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-        phases = [rng.integers(0, space, size=iterations).tolist()]
-        none_fit = f"none of the {iterations} drawn candidates fit"
+        phases = [rng.integers(0, space, size=cfg.iterations).tolist()]
+        none_fit = f"none of the {cfg.iterations} drawn candidates fit"
     else:
         phases = [range(space)] * cfg.num_cells
         none_fit = f"all {space} shared-cell candidates exceed"
@@ -247,18 +243,18 @@ def search_memory_aware(cfg: SearchConfig, *,
 
 def search_random(cfg: SearchConfig, iterations: int, *,
                   score_fn: ScoreFn | None = None) -> SearchReport:
-    """Baseline: seeded uniform draws of one shared cell architecture.
+    """Baseline: `iterations` seeded uniform draws of one shared cell architecture.
 
     Draws are with replacement; a repeated index is scored once, since it
     would reuse the same weight seed, and logged at every draw.  The budget
     filter applies exactly as in the memory-aware search.
     """
-    return _search(replace(cfg, strategy=RANDOM), score_fn, iterations)
+    return _search(replace(cfg, strategy=RANDOM, iterations=iterations), score_fn)
 
 
 def ablate_operation(cfg: SearchConfig, removed: Operation, *,
-                     iterations: int = 5000,
                      score_fn: ScoreFn | None = None) -> SearchReport:
-    """Re-run the search `cfg.strategy` names with one operation removed."""
+    """Re-run the search `cfg.strategy` names with one operation removed; a random
+    search makes `cfg.iterations` draws."""
     sub = replace(cfg, opset=cfg.opset.without(removed))
-    return replace(_search(sub, score_fn, iterations), removed_op=removed)
+    return replace(_search(sub, score_fn), removed_op=removed)

@@ -365,10 +365,8 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     at least one per thread and at most one per sample.  Codes are joined in
     sample order.
     """
-    if code_mode not in CODE_MODES:
-        raise SpikeNasError(f"unknown code_mode {code_mode!r}")
-    if input_coding not in INPUT_CODINGS:
-        raise SpikeNasError(f"unknown input_coding {input_coding!r}")
+    arch.check_choice("code_mode", code_mode, CODE_MODES)
+    arch.check_choice("input_coding", input_coding, INPUT_CODINGS)
     x = np.asarray(batch, dtype=np.float32)
     expected = net.macro.input_shape
     if x.ndim != 4 or x.shape[1:] != expected:

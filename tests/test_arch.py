@@ -1,5 +1,6 @@
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spikenas.arch import (
     THREE_OPS,
     TWO_OPS,
     build_network,
+    check_choice,
     decode_cell,
     encode_cell,
     get_opset,
@@ -32,6 +34,19 @@ def _code_widths(net):
     batch = np.random.default_rng(0).random((2, *net.macro.input_shape), dtype=np.float32)
     codes = forward_collect_codes(net, init_weights(net, 0), batch, LIFParams(timesteps=1))
     return {name: m.shape[1] for name, m in codes.items()}
+
+
+class TestCheckChoice:
+    def test_message_names_the_setting_and_value(self):
+        check_choice("carryover", "best", ("best", "literal"))
+        with pytest.raises(SpikeNasError, match="^unknown carryover 'worst'$"):
+            check_choice("carryover", "worst", ("best", "literal"))
+
+    def test_one_owner_of_the_rule(self):
+        # SearchConfig and forward_collect_codes refuse a choice through check_choice
+        src = Path(__file__).resolve().parent.parent / "src" / "spikenas"
+        owners = [f.name for f in sorted(src.glob("*.py")) if 'f"unknown {' in f.read_text()]
+        assert owners == ["arch.py"]
 
 
 class TestOperation:

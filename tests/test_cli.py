@@ -220,7 +220,7 @@ class TestStrictSettings:
 
 # One out-of-range value of each ranged setting, and the start of the message of the
 # record that checks it: SearchConfig, MacroConfig, LIFParams, MemoryBudget, or
-# memmodel.footprint for `bits`.  `iterations` is checked by the search.
+# memmodel.footprint for `bits`.
 OUT_OF_RANGE = [
     ("seed", -1, "seed must be non-negative, got -1"),
     ("alpha", float("inf"), "alpha must be a finite number, got inf"),
@@ -228,6 +228,7 @@ OUT_OF_RANGE = [
     ("jobs", 0, "jobs must be >= 1, got 0"),
     ("bits", 0, "bit_precision must be in 1..64, got 0"),
     ("budget", 0, "max_params must be >= 1, got 0"),
+    ("iterations", 0, "iterations must be >= 1, got 0"),
     ("stem_channels", 0, "widths and class count must be positive: stem=0,"),
     ("width_mult", 0, "widths and class count must be positive: stem=64, mult=0,"),
     ("classes", 0, "widths and class count must be positive: stem=64, mult=2, classes=0"),
@@ -239,9 +240,9 @@ OUT_OF_RANGE = [
     ("input_coding", "ttfs", "unknown input_coding 'ttfs'"),
     ("carryover", "worst", "unknown carryover 'worst'"),
 ]
-# Every row by file, and by flag where the key has one; a choice flag takes only its
+# Every row by file, and by flag where `search` has one; a choice flag takes only its
 # choices, so its value is given by file alone.
-_BY_FLAG = {row[0] for row in cli_mod.SETTINGS if row[3]} - set(CHOICES)
+_BY_FLAG = set(cli_mod._SEARCH_KEYS) - set(CHOICES)
 REFUSALS = [pytest.param(via, *row, id=f"{row[0]}-{via}") for row in OUT_OF_RANGE
             for via in ("flag", "file") if via == "file" or row[0] in _BY_FLAG]
 
@@ -259,8 +260,7 @@ class TestRangesCheckedByRecords:
         monkeypatch.setattr(cli_mod, "load_dataset", fail)
 
     def test_table_names_every_ranged_setting(self):
-        ranged = {row[0] for row in cli_mod.SETTINGS} - {"data_dir", "no_bias",
-                                                          "iterations"}
+        ranged = {row[0] for row in cli_mod.SETTINGS} - {"data_dir", "no_bias"}
         assert [key for key, _, _ in OUT_OF_RANGE] == [
             row[0] for row in cli_mod.SETTINGS if row[0] in ranged]
 
@@ -278,6 +278,25 @@ class TestRangesCheckedByRecords:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: " + message) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("value, message", [
+        (0, "iterations must be >= 1, got 0"),
+        (2.5, "bad value for 'iterations': 2.5; expected an integer"),
+        (True, "bad value for 'iterations': True; expected an integer"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["search", "--scenario", "1C2O", "--dataset", "cifar10"],
+        ["random-search", "--scenario", "1C2O", "--dataset", "cifar10"],
+        ["ablate", "--opset", "3O", "--remove", "avgpool3x3", "--dataset", "cifar10"],
+        ["score", "--opset", "2O", "--indices", "4", "--dataset", "cifar10"],
+        ["memcalc", "--opset", "2O", "--indices", "4"],
+    ], ids=["search", "random-search", "ablate", "score", "memcalc"])
+    def test_iterations_in_a_file_refused_by_every_command(self, tmp_path, capsys, no_data,
+                                                           command, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": value}))
+        assert main(command + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("via", ["flag", "file"])
     @pytest.mark.parametrize("command", [
@@ -674,6 +693,20 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "/dev/full" in err
+
+    @pytest.mark.parametrize("argv, alpha", [
+        (["random-search", "--scenario", "1C3O", "--iterations", "20", "--batch-size", "16",
+          "--alpha", "1e306"], "1e+306"),
+        (["score", "--opset", "2O", "--indices", "63", "--alpha", "1e308"], "1e+308"),
+    ], ids=["random-search", "score"])
+    def test_overflowing_alpha(self, capsys, recwarn, argv, alpha):
+        # a finite alpha whose kernel overflows is one error line, not a warning and
+        # a singular score
+        argv = argv + ["--dataset", "synth", "--stem-channels", "4", "--timesteps", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alpha {alpha} is too large: the score overflows\n"
+        assert captured.out == "" and not recwarn.list
 
     @pytest.mark.parametrize("message, printed", [
         ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ class TestNetworkScore:
     def test_result_keeps_stage_codes(self):
         codes = {"a": np.eye(3, 4, dtype=np.uint8), "b": np.eye(3, 2, dtype=np.uint8)}
         assert network_score(codes).codes is codes
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308, 5e307])
+    def test_overflowing_alpha_is_an_error(self, alpha):
+        # N - alpha * H leaves float64 at +-1e308; at 5e307 the kernel is finite
+        # but the elimination's row norm is not.  Either way the score would read
+        # singular, so it is refused, naming alpha.
+        codes = {"l": _codes([0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0])}
+        with pytest.raises(SpikeNasError, match=re.escape(f"alpha {alpha} is too large")):
+            network_score(codes, alpha)
+
+    def test_large_alpha_that_fits_still_scores(self):
+        codes = {"l": _codes([0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0])}
+        assert math.isfinite(network_score(codes, 1e300).value)
+        # no distance to scale: the largest alpha leaves the kernel alone
+        assert network_score({"l": np.zeros((2, 3), np.uint8)}, 1e308).singular
 
     def test_sentinel_flag_consistency_enforced(self):
         assert not ScoreResult(value=1.0).singular

@@ -15,11 +15,12 @@ from oracles import (
 )
 from spikenas import blas, snn
 from spikenas.arch import (
-    FIVE_OPS, MacroConfig, Operation, THREE_OPS, TWO_OPS, decode_cell, encode_cell,
+    FIVE_OPS, MacroConfig, Operation, THREE_OPS, TWO_OPS, build_network, decode_cell,
+    encode_cell,
 )
 from spikenas.data import sample_batch, synth_dataset
 from spikenas.errors import SpikeNasError
-from spikenas.memmodel import MemoryBudget
+from spikenas.memmodel import MemoryBudget, count_network_params
 from spikenas.report import from_search_report, to_json
 from spikenas.score import NEG_INF, ScoreResult, score_candidate
 from spikenas import score as score_mod
@@ -68,11 +69,12 @@ class TestConfigValidation:
                     dict(strategy="anneal"), dict(carryover="worst"),
                     dict(alpha=float("nan")), dict(alpha=float("inf")),
                     dict(alpha=-float("inf")), dict(code_mode="all"),
-                    dict(input_coding="poisson")):
+                    dict(input_coding="poisson"), dict(iterations=0),
+                    dict(iterations=2.5), dict(iterations=True)):
             with pytest.raises(ValueError):
                 cfg(**bad)
         cfg(num_cells=np.int64(2), jobs=np.int32(1), batch_size=np.uint8(4),
-            seed=np.int64(3), alpha=np.float32(0.5))
+            seed=np.int64(3), alpha=np.float32(0.5), iterations=np.int64(7))
 
     @pytest.mark.parametrize("setting", [
         dict(dataset=None), dict(opset="2O"), dict(macro=None), dict(budget=500),
@@ -341,7 +343,7 @@ class TestAblate:
 
     def test_random_strategy_respects_iterations(self, base_cfg):
         cfg = replace(base_cfg, opset=THREE_OPS, strategy=RANDOM)
-        report = ablate_operation(cfg, Operation.AVGPOOL3X3, iterations=30,
+        report = ablate_operation(replace(cfg, iterations=30), Operation.AVGPOOL3X3,
                                   score_fn=stub_score)
         assert report.candidates_visited == 30
         assert report.removed_op is Operation.AVGPOOL3X3
@@ -381,6 +383,34 @@ class TestReplay:
                                    cfg.alpha, code_mode=cfg.code_mode,
                                    input_coding=cfg.input_coding)
         assert replayed.value == report.best_score
+
+    @pytest.mark.parametrize("strategy", [MEMORY_AWARE, RANDOM])
+    @pytest.mark.parametrize("ablate", [False, True], ids=["search", "ablate"])
+    def test_config_reruns_its_search(self, base_cfg, strategy, ablate):
+        # the config holds every setting, `iterations` included, so it runs the same
+        # search again: same best, counts and candidate log.  Both searches run over
+        # skipcon and conv3x3, under a budget that half of the shared cells fit.
+        sizes = sorted(count_network_params(build_network([decode_cell(i, TWO_OPS)] * 2,
+                                                          base_cfg.macro))
+                       for i in range(64))
+        cfg = replace(base_cfg, opset=THREE_OPS if ablate else TWO_OPS, num_cells=2,
+                      strategy=strategy, iterations=40, keep_candidate_log=True,
+                      budget=MemoryBudget(sizes[32]))
+
+        def run(cfg):
+            if cfg.strategy == RANDOM:
+                return search_random(cfg, cfg.iterations, score_fn=stub_score)
+            return search_memory_aware(cfg, score_fn=stub_score)
+        report = (ablate_operation(cfg, Operation.AVGPOOL3X3, score_fn=stub_score)
+                  if ablate else run(cfg))
+        again = run(report.config)
+        for rerun in (report, again):
+            assert (rerun.config.strategy, rerun.config.iterations) == (strategy, 40)
+        assert report.evaluations_skipped_by_budget > 0
+        assert (again.best, again.best_arch, again.candidate_log) == (
+            report.best, report.best_arch, report.candidate_log)
+        assert (again.evaluations_total, again.evaluations_skipped_by_budget) == (
+            report.evaluations_total, report.evaluations_skipped_by_budget)
 
 
 class TestForwardPlan:

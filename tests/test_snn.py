@@ -400,10 +400,10 @@ class TestForwardCollectCodes:
     def test_bad_modes_rejected(self, tiny_macro, tiny_lif):
         net = self._net(tiny_macro)
         weights = init_weights(net, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpikeNasError, match="^unknown code_mode 'final'$"):
             forward_collect_codes(net, weights, self._batch(2), tiny_lif,
                                   code_mode="final")
-        with pytest.raises(ValueError):
+        with pytest.raises(SpikeNasError, match="^unknown input_coding 'ttfs'$"):
             forward_collect_codes(net, weights, self._batch(2), tiny_lif,
                                   input_coding="ttfs")
 
