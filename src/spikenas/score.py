@@ -85,24 +85,25 @@ def log_abs_det(matrix: np.ndarray) -> float:
 
 
 def _kernels(all_codes: BinaryCodes,
-             alpha: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each stage's kernel, and their sum in stage order."""
+             alpha: float) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """Stage kernels, their sum in stage order and its log|det|; refuses an overflowing alpha."""
     if not all_codes:
         raise SpikeNasError("at least one layer of codes required")
     counts = {bits.shape[0] for bits in all_codes.values()}
     if len(counts) != 1:
         raise SpikeNasError(f"inconsistent sample counts across layers: {counts}")
-    kernels = [hamming_kernel(bits, alpha) for bits in all_codes.values()]
-    return kernels, sum(kernels[1:], kernels[0])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            kernels = [hamming_kernel(bits, alpha) for bits in all_codes.values()]
+            total = sum(kernels[1:], kernels[0])
+            return kernels, total, log_abs_det(total)
+    except FloatingPointError:
+        raise SpikeNasError(f"alpha {alpha} is too large: the score overflows") from None
 
 
 def network_score(all_codes: BinaryCodes, alpha: float = 1.0) -> ScoreResult:
     """Score from per-stage codes: log|det| of the summed kernels."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return ScoreResult(log_abs_det(_kernels(all_codes, alpha)[1]), all_codes)
-    except FloatingPointError:
-        raise SpikeNasError(f"alpha {alpha} is too large: the score overflows") from None
+    return ScoreResult(_kernels(all_codes, alpha)[2], all_codes)
 
 
 def score_candidate(net: NetworkArch, batch: np.ndarray, lif: LIFParams,
@@ -117,7 +118,7 @@ def score_candidate(net: NetworkArch, batch: np.ndarray, lif: LIFParams,
 
 def write_kernel_dump(path, codes: BinaryCodes, alpha: float) -> None:
     """Write each stage's kernel and their sum as space-separated matrices."""
-    kernels, total = _kernels(codes, alpha)
+    kernels, total, _ = _kernels(codes, alpha)
     with opened(path, "w", encoding="utf-8") as fh:
         for (name, bits), kernel in zip(codes.items(), kernels):
             fh.write(f"# layer {name} neurons={bits.shape[1]} alpha={alpha}\n")

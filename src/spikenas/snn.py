@@ -3,8 +3,9 @@
 Untrained networks are run for a few timesteps on a mini-batch and each
 spiking stage records which neurons fired, producing the per-layer
 binary codes consumed by the scorer.  A stage keeps its membrane
-potential and one bool mask per step, and nothing else; the codes are
-built from the masks once, after the last step.  The neuron model
+potential and one bool mask per step, the spike map the next layer reads
+as numbers (bool `+` is a logical OR, and a bool mean is float64); the
+codes are built from the masks once, after the last step.  The neuron model
 integrates its input into a membrane potential that decays toward a
 reset value and fires (then resets) when it crosses a threshold:
 
@@ -112,22 +113,24 @@ class LIFParams:
 
 
 def lif_step(v_prev: np.ndarray, x: np.ndarray, p: LIFParams):
-    """One membrane update; returns (next potential, 0/1 spike map)."""
+    """One membrane update into a new buffer; returns (next potential, bool spike mask)."""
     v_prev = np.asarray(v_prev, dtype=np.result_type(v_prev, np.float32))
     x = np.asarray(x, dtype=v_prev.dtype)
     if v_prev.shape != x.shape:
         raise SpikeNasError(f"potential {v_prev.shape} vs input {x.shape}")
-    v_cand = v_prev + (-(v_prev - p.v_reset) + x) / p.tau_leak
-    fired = v_cand >= p.v_threshold
-    spikes = fired.astype(v_cand.dtype)
-    v_next = np.where(fired, p.v_reset, v_cand)
-    return v_next, spikes
+    v = np.subtract(v_prev, p.v_reset, out=np.empty_like(v_prev))  # an array even at 0-d
+    np.subtract(x, v, out=v)  # the same bits as -v + x
+    v /= p.tau_leak
+    v += v_prev
+    fired = v >= p.v_threshold
+    np.copyto(v, p.v_reset, where=fired)
+    return v, fired
 
 
-def _pad_hw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """`x` with `ph` zero rows and `pw` zero columns on each side."""
+def _pad_hw(x: np.ndarray, ph: int, pw: int, dtype) -> np.ndarray:
+    """`x` as `dtype`, with `ph` zero rows and `pw` zero columns on each side."""
     s, c, h, w = x.shape
-    out = np.zeros((s, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    out = np.zeros((s, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
     out[:, :, ph:ph + h, pw:pw + w] = x
     return out
 
@@ -145,15 +148,16 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise SpikeNasError(f"conv weights must be 4-D, got {weights.shape}")
     if x.ndim != 4 or x.shape[1] != weights.shape[1]:
         raise SpikeNasError(f"input {x.shape} incompatible with weights {weights.shape}")
-    out_ch, in_ch, kh, kw = weights.shape
+    out_ch, _, kh, kw = weights.shape
     ph, pw = kh // 2, kw // 2
+    dtype = np.result_type(x, weights)  # a bool map is cast by the pad, or a 1x1's copy
     if ph or pw:
-        x = _pad_hw(x, ph, pw)
+        x = _pad_hw(x, ph, pw, dtype)
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     s, _, h, w = win.shape[:4]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(s, in_ch * kh * kw, h * w)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).astype(dtype, order="C", copy=False)
     del x, win  # free the padded copy before the GEMM output is allocated
-    return (weights.reshape(out_ch, -1) @ cols).reshape(s, out_ch, h, w)
+    return (weights.reshape(out_ch, -1) @ cols.reshape(s, -1, h * w)).reshape(s, out_ch, h, w)
 
 
 def avgpool3x3_same(x: np.ndarray) -> np.ndarray:
@@ -163,14 +167,14 @@ def avgpool3x3_same(x: np.ndarray) -> np.ndarray:
     row-shifted row sums, then one division: keep this order, it matches
     numpy's windowed mean bit for bit on float maps at least 2 wide.
     """
-    xp = _pad_hw(x, 1, 1)
+    xp = _pad_hw(x, 1, 1, np.uint8 if x.dtype == bool else x.dtype)  # spikes sum as uint8
     rows = xp[..., :-2] + xp[..., 1:-1]
     rows += xp[..., 2:]
     del xp
     out = rows[:, :, :-2] + rows[:, :, 1:-1]
     out += rows[:, :, 2:]
-    out /= 9
-    return out
+    dtype = np.result_type(out, np.float32)  # a uint8 spike count divides into float32
+    return np.divide(out, 9, out=out if out.dtype == dtype else None, dtype=dtype)
 
 
 def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
@@ -182,10 +186,11 @@ def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
     s, c, h, w = x.shape
     if h % 2 or w % 2:
         raise SpikeNasError(f"cannot halve odd spatial size {h}x{w}")
+    x = x.view(np.uint8) if x.dtype == bool else x
     out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
     out += x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
-    out /= 4
-    return out
+    dtype = np.result_type(out, np.float32)
+    return np.divide(out, 4, out=out if out.dtype == dtype else None, dtype=dtype)
 
 
 def init_weights(net: NetworkArch, seed: int) -> WeightSet:
@@ -216,18 +221,17 @@ class _LifStage:
 
     def step(self, pre: np.ndarray | None,
              shape: tuple[int, ...] = ()) -> tuple[np.ndarray, bool]:
-        """One step on `pre` (None: all zero, of `shape`); returns (spikes, silent)."""
+        """One step on `pre` (None: all zero, of `shape`); returns (mask, silent)."""
         if pre is None:
-            pre = np.broadcast_to(np.float32(0), shape)  # read-only, holds no memory
             if self.potential is None:  # stays at reset, fires nothing
-                self.masks.append(np.broadcast_to(False, shape))
-                return pre, True
+                self.masks.append(np.broadcast_to(False, shape))  # read-only, no memory
+                return self.masks[-1], True
+            pre = np.broadcast_to(np.float32(0), shape)
         if self.potential is None:
-            self.potential = np.full_like(pre, self.params.v_reset)
-        self.potential, spikes = lif_step(self.potential, pre, self.params)
-        mask = spikes.astype(bool)
+            self.potential = np.full(pre.shape, self.params.v_reset, np.float32)
+        self.potential, mask = lif_step(self.potential, pre, self.params)
         self.masks.append(mask)
-        return spikes, not mask.any()
+        return mask, not mask.any()
 
     def codes(self, code_mode: str) -> np.ndarray:
         """(samples x neurons) uint8 bits: OR over steps, or the steps in order."""
@@ -312,7 +316,7 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
             nodes[dst], private[dst] = term, term_private
         else:
             out = term if term_private else nodes[dst] if private[dst] else None
-            nodes[dst], private[dst] = np.add(nodes[dst], term, out=out), True
+            nodes[dst], private[dst] = np.add(nodes[dst], term, out=out, dtype=np.float32), True
         del term
         if last_reader[src] == name:
             nodes[src] = None
@@ -332,7 +336,7 @@ def _simulate(net: NetworkArch, weights: WeightSet, x: np.ndarray, p: LIFParams,
     stem_pre = None if rate else conv2d_same(x, stem_w)
     for t in range(p.timesteps):
         if rate:
-            cur, silent = stages["stem"].step(conv2d_same(x[t].astype(np.float32), stem_w))
+            cur, silent = stages["stem"].step(conv2d_same(x[t], stem_w))
         else:
             cur, silent = stages["stem"].step(stem_pre)
         for i, cell in enumerate(net.cells, start=1):
@@ -343,7 +347,7 @@ def _simulate(net: NetworkArch, weights: WeightSet, x: np.ndarray, p: LIFParams,
                 s, _, h, wd = cur.shape
                 pre = None if silent else conv2d_same(avgpool2x2_down(cur), w)
                 cur, silent = stages[f"down{i}"].step(pre, (s, len(w), h // 2, wd // 2))
-        logits = None if silent else cur.mean(axis=(2, 3)) @ fc_w.T
+        logits = None if silent else cur.mean(axis=(2, 3), dtype=np.float32) @ fc_w.T
         stages["classifier"].step(logits, (len(cur), len(fc_w)))
 
     return {name: stage.codes(code_mode) for name, stage in stages.items()}

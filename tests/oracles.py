@@ -187,6 +187,19 @@ def min_shared_candidate_params(opset, num_cells, macro) -> int:
     return best
 
 
+def reference_lif_step(v_prev, x, p):
+    """The membrane update as the neuron model writes it.
+
+    `v + (-(v - v_reset) + x) / tau`, then fire at `v_threshold` and reset.
+    Returns (next potential, 0/1 spike map in the potential's float dtype).
+    """
+    v_prev = np.asarray(v_prev, dtype=np.result_type(v_prev, np.float32))
+    x = np.asarray(x, dtype=v_prev.dtype)
+    v_cand = v_prev + (-(v_prev - p.v_reset) + x) / p.tau_leak
+    fired = v_cand >= p.v_threshold
+    return np.where(fired, p.v_reset, v_cand), fired.astype(v_cand.dtype)
+
+
 def _naive_conv(x, w, b):
     """Same-padded stride-1 convolution, one output pixel at a time."""
     s, c_in, h, wd = x.shape

@@ -157,6 +157,28 @@ class TestNetworkScore:
         with pytest.raises(SpikeNasError, match=re.escape(f"alpha {alpha} is too large")):
             network_score(codes, alpha)
 
+    @pytest.mark.parametrize("entry", ["network_score", "write_kernel_dump"])
+    @pytest.mark.parametrize("rows, alpha", [
+        # the one stage's kernel overflows
+        ({"l": ([0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0])}, 1e308),
+        # each stage's kernel fits (-1e308 off the diagonal), their sum does not
+        ({"a": ([0, 1], [0, 0]), "b": ([1, 0], [0, 0])}, 1e308),
+        # the kernel and the sum fit, the elimination's row norm does not
+        ({"l": ([0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0])}, 5e307),
+    ], ids=["kernel", "sum", "elimination"])
+    def test_overflowing_alpha_refused_by_every_entry_point(self, tmp_path, entry, rows,
+                                                            alpha):
+        # a dump holds the kernels of one score, so it refuses the alphas the score does,
+        # before its file is opened
+        codes = {name: _codes(*bits) for name, bits in rows.items()}
+        path = tmp_path / "kernels.txt"
+        with pytest.raises(SpikeNasError, match=re.escape(f"alpha {alpha} is too large")):
+            if entry == "network_score":
+                network_score(codes, alpha)
+            else:
+                write_kernel_dump(path, codes, alpha)
+        assert not path.exists()
+
     def test_large_alpha_that_fits_still_scores(self):
         codes = {"l": _codes([0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0])}
         assert math.isfinite(network_score(codes, 1e300).value)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     naive_forward_codes,
+    reference_lif_step,
     reshape_mean_avgpool2x2,
     row_major_conv2d_same,
     straight_cell_preactivation,
@@ -59,6 +61,28 @@ def _benchmark_conv_shapes():
             for m in (1, 2, 3):
                 yield (s, stem, 32, 32), (m * stem, stem, k, k)
                 yield (s, 2 * stem, 16, 16), (2 * m * stem, 2 * stem, k, k)
+
+
+@st.composite
+def _lif_cases(draw):
+    """LIF constants and float32 (potential, input) vectors for one step.
+
+    Besides plain values, each vector draws signed zeros, subnormals, the
+    reset, and the threshold and the inputs that lift a potential at reset
+    onto it, each with its neighbours one ulp away.
+    """
+    p = LIFParams(tau_leak=draw(st.sampled_from([1.0, 2.0, 3.7])),
+                  v_threshold=draw(st.sampled_from([1.0, 0.7])),
+                  v_reset=draw(st.sampled_from([0.0, -0.5, 0.25])))
+    thr, reset = np.float32(p.v_threshold), np.float32(p.v_reset)
+    special = [0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, -1.1754942e-38, float(reset)]
+    for a in (thr, np.float32(p.tau_leak) * (thr - reset), thr - reset):
+        special += [float(np.nextafter(a, np.float32(d))) for d in (-np.inf, np.inf)]
+        special.append(float(a))
+    value = st.one_of(st.sampled_from(special), st.floats(-1e4, 1e4, width=32))
+    n = draw(st.integers(1, 24))
+    vectors = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(2)]
+    return p, *(np.array(v, dtype=np.float32) for v in vectors)
 
 
 class TestLIFParams:
@@ -141,6 +165,20 @@ class TestLifStep:
         assert set(np.unique(s)) <= {0.0, 1.0}
         # after a step the potential is either reset or below threshold
         assert np.all((v == p.v_reset) | (v < p.v_threshold))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lif_cases())
+    def test_fused_step_equals_the_formula(self, case):
+        p, v_prev, x = case
+        kept = v_prev.copy()
+        v, fired = lif_step(v_prev, x, p)
+        want_v, want_spikes = reference_lif_step(v_prev, x, p)
+        assert v.dtype == want_v.dtype == np.float32 and fired.dtype == bool
+        assert v.tobytes() == want_v.tobytes()
+        assert fired.tolist() == want_spikes.astype(bool).tolist()
+        assert v_prev.tobytes() == kept.tobytes()  # a new buffer: the input is left alone
+        v0, fired0 = lif_step(v_prev[0], x[0], p)  # 0-d inputs
+        assert v0.tobytes() == v[:1].tobytes() and bool(fired0) == fired[0]
 
 
 def _naive_avgpool3x3(x):
@@ -228,6 +266,22 @@ class TestFeatureOps:
             want = reshape_mean_avgpool2x2(x)
             assert got.dtype == want.dtype == np.float32
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.9])
+    @pytest.mark.parametrize("shape", [(16, 64, 32, 32), (3, 5, 6, 10), (2, 1, 2, 2)])
+    @pytest.mark.parametrize("kernel", ["avgpool3x3", "avgpool2x2", "conv3x3", "conv1x1"])
+    def test_bool_map_equals_its_float_copy(self, kernel, shape, rate):
+        # spike maps are bool masks: each kernel reads one as its float32 0/1 copy,
+        # never summing bools (a logical OR) or averaging them in float64
+        rng = np.random.default_rng(shape)
+        mask = rng.random(shape) < rate
+        k = int(kernel[-1])
+        w = rng.normal(0.0, 0.3, size=(2 * shape[1], shape[1], k, k)).astype(np.float32)
+        run = {"avgpool3x3": avgpool3x3_same, "avgpool2x2": avgpool2x2_down,
+               "conv3x3": lambda x: conv2d_same(x, w), "conv1x1": lambda x: conv2d_same(x, w)}
+        got, want = run[kernel](mask), run[kernel](mask.astype(np.float32))
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_downsample_pool_means(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -490,6 +544,17 @@ class TestForwardOracle:
 
     def test_two_cell_codes_equal(self):
         self._compare(ORACLE_CELLS[:2], seed=3)
+
+    def test_every_stage_integrates_float32(self, monkeypatch):
+        # spike maps are bool masks, and a bool mean is float64: the classifier
+        # must average in float32, as it did over float 0/1 maps
+        seen, real = [], snn.lif_step
+        monkeypatch.setattr(snn, "lif_step", lambda v, x, p: (
+            seen.append((v.dtype, x.dtype, x.shape)) or real(v, x, p)))
+        self._compare(ORACLE_CELLS[:2], seed=3)
+        assert {v for v, _, _ in seen} == {np.dtype(np.float32)}
+        logits = {x for _, x, shape in seen if shape == (3, self.MACRO.num_classes)}
+        assert logits == {np.dtype(np.float32)}
 
     # Settings whose deeper stages go silent.  Each pattern gives, per
     # stage, whether it fired at each of the four steps.
@@ -772,17 +837,22 @@ class TestCellPath:
                             lambda *a: shapes.append(a[1].shape) or real_conv(*a))
         return shapes
 
-    def _check_all(self, opset, monkeypatch):
+    def _check_all(self, opset, monkeypatch, spikes=np.float32):
+        """Every cell of `opset` on a 0/1 map of dtype `spikes`; returns the dead count.
+
+        The straight run reads the float32 copy: a bool map must give the same
+        numbers, in a float32 map unless the cell passes its input through.
+        """
         rng = np.random.default_rng(len(opset))
         bank = self._weights(rng)
-        x = (rng.random((3, self.C, 5, 7)) < 0.5).astype(np.float32)
+        x = (rng.random((3, self.C, 5, 7)) < 0.5).astype(spikes)
         calls = self._count_convs(monkeypatch)
         dead = 0
         for index in range(search_space_size(opset)):
             cell = decode_cell(index, opset)
             weights = {f"cell1.{e}": bank[op, e]
                        for e, op in zip(EDGES, cell.edges()) if op in CONV_OPS}
-            want = straight_cell_preactivation(cell, x, weights, "cell1")
+            want = straight_cell_preactivation(cell, x.astype(np.float32), weights, "cell1")
             calls.clear()
             got = snn._cell_preactivation(cell, x, weights, "cell1")
             if not want.any():
@@ -790,12 +860,25 @@ class TestCellPath:
                 assert got is None, f"dead cell {index} gave a map"
                 assert not calls, f"dead cell {index} ran {len(calls)} convs"
                 continue
-            assert got.shape == want.shape and got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want, err_msg=f"cell {index}")
+            assert got.shape == want.shape and (got.dtype == want.dtype or got is x)
+            assert got.astype(np.float32).tobytes() == want.tobytes(), f"cell {index}"
         return dead
 
     def test_three_op_cells_equal(self, monkeypatch):
         self._check_all(THREE_OPS, monkeypatch)
+
+    def test_three_op_cells_on_a_bool_map_equal(self, monkeypatch):
+        self._check_all(THREE_OPS, monkeypatch, spikes=bool)
+
+    def test_skipcon_terms_of_one_spike_map_add_as_numbers(self):
+        # node 3 = con03(node 0) + con13(node 1), node 1 = con01(node 0): both
+        # terms are the input's bool mask, and bool + bool is a logical OR
+        mask = np.random.default_rng(0).random((2, self.C, 4, 4)) < 0.5
+        cell = CellArch(con01=O.SKIPCON, con02=O.ZEROIZE, con03=O.SKIPCON,
+                        con12=O.ZEROIZE, con13=O.SKIPCON, con23=O.ZEROIZE)
+        got = snn._cell_preactivation(cell, mask, {}, "cell1")
+        assert got.dtype == np.float32 and mask.any()
+        assert got.tobytes() == (2 * mask.astype(np.float32)).tobytes()
 
     def test_five_op_cells_equal(self, monkeypatch):
         dead = self._check_all(FIVE_OPS, monkeypatch)
@@ -820,3 +903,43 @@ class TestCellPath:
         snn._cell_preactivation(CellArch.uniform(O.CONV3X3),
                                 np.ones((2, self.C, 4, 4), np.float32), weights, "cell1")
         assert [s[0] for s in shapes] == [3 * self.C, 2 * self.C, self.C]
+
+
+class TestCodeBytes:
+    """Spike codes pinned byte for byte, both code modes x both input codings.
+
+    Two 5O cells at 32 stem channels on 32x32 images run a 12-sample batch
+    as tiles of at most four samples.  At `v_threshold` 0.3 every stage
+    fires.  The digests (sha256 over each stage's name and code bytes, in
+    stage order) were recorded from the engine as it was before spike maps
+    became bool masks, with float32 0/1 maps and the unfused LIF step.  A
+    change that moves one must say why in CHANGES.md.
+    """
+
+    MACRO = MacroConfig(stem_channels=32, num_classes=10)
+    LIF = LIFParams(v_threshold=0.3, timesteps=3)
+    DIGESTS = {
+        ("direct", "any"): "f8500d84a0e827c9",
+        ("direct", "concat"): "208bc0fe4d3b3d01",
+        ("rate", "any"): "02611f26d00c7939",
+        ("rate", "concat"): "62d6598891198746",
+    }
+
+    @pytest.mark.parametrize("code_mode", ["any", "concat"])
+    @pytest.mark.parametrize("input_coding", ["direct", "rate"])
+    def test_codes_are_pinned(self, monkeypatch, input_coding, code_mode):
+        net = build_network(ORACLE_CELLS[:2], self.MACRO)
+        batch = np.random.default_rng(2).random((12, 3, 32, 32), dtype=np.float32)
+        sizes, real = [], snn.conv2d_same
+        monkeypatch.setattr(snn, "conv2d_same", lambda x, w: sizes.append(len(x)) or real(x, w))
+        codes = forward_collect_codes(net, init_weights(net, 5), batch, self.LIF,
+                                      code_mode=code_mode, input_coding=input_coding,
+                                      coding_seed=4)
+        assert max(sizes) <= snn.TILE_MACS // (32 * 32 * 9 * 32**2) == 4
+        assert list(codes) == ["stem", "cell1", "down1", "cell2", "classifier"]
+        assert all(bits.any() for bits in codes.values())
+        digest = hashlib.sha256()
+        for name, bits in codes.items():
+            digest.update(name.encode())
+            digest.update(bits.tobytes())
+        assert digest.hexdigest()[:16] == self.DIGESTS[input_coding, code_mode]
