@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Scenario names follow the ``pCqO`` / ``pCqO_M`` convention: p cells,
-q operation types, with ``_M`` marking a memory-constrained run, whose
-preset budget is 1.2M parameters for cifar10 and 2M for cifar100.  A
-setting comes from its flag, else the JSON file given by --config, else
-its default; an unset `data_dir` leaves `data.load_dataset` to read
-SPIKENAS_DATA_DIR.  The CLI checks a value's JSON type, and the record
-that holds the setting checks its range before any data file is opened:
-`SearchConfig`, `MacroConfig`, `LIFParams`, `MemoryBudget`, or
-`memmodel.footprint` for `bits`.
+q operation types, with ``_M`` marking a memory-constrained run.  A run's
+settings take two steps.  `_settings_from_args` resolves each one from its
+flag, else the JSON file given by --config, else its default, and checks
+its JSON type; an unset `data_dir` leaves `data.load_dataset` to read
+SPIKENAS_DATA_DIR.  `_run_config` then builds the records that check the
+ranges (`MacroConfig`, `LIFParams`, `memmodel.footprint` for `bits`,
+`MemoryBudget`, `SearchConfig`) before any data file is opened.  A
+constrained scenario's unset `budget` is its dataset's preset: 1.2M
+parameters for cifar10 and 2M for cifar100.
 """
 
 from __future__ import annotations
@@ -150,12 +151,8 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _settings_from_args(args: argparse.Namespace) -> dict:
-    """Resolve SETTINGS by flag > config file > default.
-
-    The macro and LIF keys are folded into the checked records `macro` and
-    `lif`, and `budget` becomes a MemoryBudget or None, so that every key
-    that names a SearchConfig field holds that field's value.
-    """
+    """Resolve SETTINGS by flag > config file > default, each value checked for its
+    JSON type; the values stay raw, for `_run_config` to build into records."""
     cfg = _load_config_file(getattr(args, "config", None))
     s = {}
     for key, cast, default, _ in SETTINGS:
@@ -172,39 +169,32 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
                 f"bad value for {key!r}: {value!r}; expected {exc}") from None
     if s["classes"] is None:
         s["classes"] = DATASETS.get(getattr(args, "dataset", None), MacroConfig.num_classes)
-    macro = MacroConfig(s.pop("stem_channels"), s.pop("width_mult"), s.pop("classes"))
-    s["macro"] = macro.without_bias() if s.pop("no_bias") else macro
-    s["lif"] = LIFParams(s.pop("tau_leak"), s.pop("v_threshold"),
-                         s.pop("v_reset"), s.pop("timesteps"))
-    footprint(0, s["bits"])  # with no budget to hold it, checked here
-    if s["budget"] is not None:
-        s["budget"] = MemoryBudget(s["budget"], s["bits"])
-    s["keep_candidate_log"] = bool(getattr(args, "candidate_log", None))
     return s
 
 
-def _resolve_budget(scenario: Scenario, dataset: str, s: dict) -> MemoryBudget | None:
-    """The explicit budget, else the dataset preset for a constrained scenario."""
-    if s["budget"] is not None or not scenario.constrained:
-        return s["budget"]
-    preset = PRESET_BUDGET_PARAMS.get(dataset)
-    if preset is None:
-        raise SpikeNasError(
-            f"scenario {scenario.name} is memory-constrained but dataset "
-            f"{dataset!r} has no preset budget; pass --budget"
-        )
-    return MemoryBudget(preset, s["bits"])
-
-
-def _search_config(args: argparse.Namespace, s: dict, opset: OpSet, cells: int,
-                   strategy: str = MEMORY_AWARE) -> SearchConfig:
-    """The run's SearchConfig, checked over no records, then over `--dataset` if any."""
-    cfg = SearchConfig(dataset=synth_dataset(0, 1, 0), opset=opset, num_cells=cells,
-                       strategy=strategy,
+def _run_config(args: argparse.Namespace, scenario: Scenario,
+                strategy: str = MEMORY_AWARE) -> tuple[SearchConfig, int]:
+    """The run's SearchConfig and bit precision, each record checked before the command's
+    `--dataset`, if any, is loaded; a constrained scenario's budget defaults to its preset."""
+    s = _settings_from_args(args)
+    macro = MacroConfig(s["stem_channels"], s["width_mult"], s["classes"],
+                        bias=not s["no_bias"])
+    lif = LIFParams(s["tau_leak"], s["v_threshold"], s["v_reset"], s["timesteps"])
+    footprint(0, s["bits"])  # with no budget to hold it, checked here
+    if s["budget"] is None and scenario.constrained:
+        if args.dataset not in PRESET_BUDGET_PARAMS:
+            raise SpikeNasError(f"scenario {scenario.name} is memory-constrained but dataset "
+                                f"{args.dataset!r} has no preset budget; pass --budget")
+        s["budget"] = PRESET_BUDGET_PARAMS[args.dataset]
+    if s["budget"] is not None:
+        s["budget"] = MemoryBudget(s["budget"], s["bits"])
+    cfg = SearchConfig(dataset=synth_dataset(0, 1, 0), opset=scenario.opset,
+                       num_cells=scenario.cells, macro=macro, lif=lif, strategy=strategy,
+                       keep_candidate_log=bool(getattr(args, "candidate_log", None)),
                        **{k: v for k, v in s.items() if k in _SEARCH_FIELDS})
-    if "dataset" not in args:
-        return cfg
-    return replace(cfg, dataset=load_dataset(args.dataset, s["data_dir"], seed=cfg.seed))
+    if "dataset" in args:
+        cfg = replace(cfg, dataset=load_dataset(args.dataset, s["data_dir"], seed=cfg.seed))
+    return cfg, s["bits"]
 
 
 # Output-file flags as (destination, flag), checked before any work runs.
@@ -233,10 +223,10 @@ def _check_output_paths(args: argparse.Namespace) -> None:
 
 
 def _emit(args: argparse.Namespace, result: SearchReport, scenario: str | None,
-          s: dict) -> str:
+          bits: int) -> str:
     """Write the report, candidate log and table row that were asked for; the report, or
     where it went, is the standard output."""
-    doc = report_mod.from_search_report(result, scenario, args.dataset, s["bits"])
+    doc = report_mod.from_search_report(result, scenario, args.dataset, bits)
     if args.report_out:
         report_mod.write_report(args.report_out, doc)
     if args.candidate_log and result.candidate_log is not None:
@@ -249,37 +239,34 @@ def _emit(args: argparse.Namespace, result: SearchReport, scenario: str | None,
 
 def _cmd_search(args: argparse.Namespace) -> str:
     """Both `search` and `random-search`; the subcommand sets the strategy."""
-    s = _settings_from_args(args)
     scenario = parse_scenario(args.scenario)
-    s["budget"] = _resolve_budget(scenario, args.dataset, s)
-    cfg = _search_config(args, s, scenario.opset, scenario.cells, args.strategy)
+    cfg, bits = _run_config(args, scenario, args.strategy)
     result = (search_random(cfg, cfg.iterations) if cfg.strategy == RANDOM
               else search_memory_aware(cfg))
-    return _emit(args, result, scenario.name, s)
+    return _emit(args, result, scenario.name, bits)
 
 
 def _cmd_ablate(args: argparse.Namespace) -> str:
-    s = _settings_from_args(args)
     removed = Operation.from_label(args.remove)
-    get_opset(args.opset).without(removed)  # refuse it before loading data
-    cfg = _search_config(args, s, get_opset(args.opset), args.cells, args.strategy)
-    return _emit(args, ablate_operation(cfg, removed), None, s)
+    opset = get_opset(args.opset)
+    opset.without(removed)  # refuse it before loading data
+    cfg, bits = _run_config(args, Scenario("", args.cells, opset, False), args.strategy)
+    return _emit(args, ablate_operation(cfg, removed), None, bits)
 
 
 def _net_from_args(args: argparse.Namespace):
-    """The settings, SearchConfig and network of `--opset` and `--indices`."""
-    s = _settings_from_args(args)
+    """The SearchConfig, bit precision and network of `--opset` and `--indices`."""
     opset = get_opset(args.opset)
     try:
         indices = [int(tok) for tok in args.indices.split(",")]
     except ValueError as exc:
         raise SpikeNasError(f"bad --indices {args.indices!r}: {exc}") from exc
-    cfg = _search_config(args, s, opset, len(indices))
-    return s, cfg, build_network([decode_cell(i, opset) for i in indices], cfg.macro)
+    cfg, bits = _run_config(args, Scenario("", len(indices), opset, False))
+    return cfg, bits, build_network([decode_cell(i, opset) for i in indices], cfg.macro)
 
 
 def _cmd_score(args: argparse.Namespace) -> str:
-    _, cfg, net = _net_from_args(args)
+    cfg, _, net = _net_from_args(args)
     pixels = sample_batch(cfg.dataset, cfg.batch_size, cfg.seed)
     result = score_candidate(net, pixels, cfg.lif, cfg.seed, cfg.alpha,
                              code_mode=cfg.code_mode, input_coding=cfg.input_coding)
@@ -293,9 +280,9 @@ def _cmd_score(args: argparse.Namespace) -> str:
 
 
 def _cmd_memcalc(args: argparse.Namespace) -> str:
-    s, _, net = _net_from_args(args)
+    _, bits, net = _net_from_args(args)
     n_param = count_network_params(net)
-    fp = footprint(n_param, s["bits"])
+    fp = footprint(n_param, bits)
     return f"n_param={n_param} mem_bits={fp.bits} mem_bytes={fp.bytes}"
 
 

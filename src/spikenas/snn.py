@@ -386,7 +386,5 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
         rng = np.random.default_rng(coding_seed)
         x = rng.random((p.timesteps, *x.shape), dtype=np.float32) < x
     run = partial(_simulate, net, weights, p=p, code_mode=code_mode, rate=rate)
-    if n <= 1:
-        return run(x)
     parts = thread_map(run, np.array_split(x, n, axis=int(rate)), threads)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

@@ -13,7 +13,7 @@ from spikenas.arch import MacroConfig, build_network, decode_cell, get_opset
 from spikenas.cli import (
     PRESET_BUDGET_PARAMS,
     Scenario,
-    _resolve_budget,
+    _run_config,
     _settings_from_args,
     build_parser,
     main,
@@ -35,13 +35,22 @@ TINY = ["--stem-channels", "4", "--classes", "4", "--batch-size", "4",
 
 
 def _args(**kw):
+    """Parsed arguments with every setting flag unset but those in `kw`; a `dataset`
+    only if given, as a command without `--dataset` has none."""
     ns = argparse.Namespace()
     for key in ("config", "data_dir", "seed", "alpha", "timesteps", "batch_size",
                 "jobs", "bits", "budget", "stem_channels", "width_mult", "classes",
                 "no_bias", "code_mode", "input_coding", "carryover",
                 "candidate_log"):
         setattr(ns, key, kw.get(key))
+    if "dataset" in kw:
+        ns.dataset = kw["dataset"]
     return ns
+
+
+def _config(scenario="1C2O", **kw):
+    """`_run_config`'s SearchConfig and bits for `scenario` and the settings in `kw`."""
+    return _run_config(_args(**kw), parse_scenario(scenario))
 
 
 class TestScenarioParsing:
@@ -82,25 +91,46 @@ class TestScenarioParsing:
 
 
 class TestBudgetResolution:
-    def test_presets(self):
-        s = _settings_from_args(_args())
-        c10 = _resolve_budget(parse_scenario("2C3O_M"), "cifar10", s)
-        assert c10.max_params == PRESET_BUDGET_PARAMS["cifar10"] == 1_200_000
-        c100 = _resolve_budget(parse_scenario("2C3O_M"), "cifar100", s)
-        assert c100.max_params == PRESET_BUDGET_PARAMS["cifar100"] == 2_000_000
+    @pytest.fixture
+    def synth_load(self, monkeypatch):
+        """`cli.load_dataset` answers every dataset with synthetic data."""
+        monkeypatch.setattr(cli_mod, "load_dataset", lambda *a, **kw: synth_dataset(2, 10, 0))
 
-    def test_unconstrained_scenario_has_no_budget(self):
-        s = _settings_from_args(_args())
-        assert _resolve_budget(parse_scenario("1C2O"), "cifar10", s) is None
+    def test_presets(self, synth_load):
+        c10, _ = _config("2C3O_M", dataset="cifar10")
+        assert c10.budget == MemoryBudget(PRESET_BUDGET_PARAMS["cifar10"], 32)
+        assert c10.budget.max_params == 1_200_000
+        c100, _ = _config("2C3O_M", dataset="cifar100")
+        assert c100.budget.max_params == PRESET_BUDGET_PARAMS["cifar100"] == 2_000_000
 
-    def test_explicit_budget_overrides_preset(self):
-        s = _settings_from_args(_args(budget=777))
-        assert _resolve_budget(parse_scenario("2C3O_M"), "cifar10", s).max_params == 777
+    def test_unconstrained_scenario_has_no_budget(self, synth_load):
+        assert _config("1C2O", dataset="cifar10")[0].budget is None
+
+    def test_explicit_budget_overrides_preset(self, synth_load):
+        assert _config("2C3O_M", dataset="cifar10", budget=777)[0].budget.max_params == 777
 
     def test_constrained_synth_requires_explicit_budget(self):
-        s = _settings_from_args(_args())
         with pytest.raises(SpikeNasError, match="'synth' has no preset budget"):
-            _resolve_budget(parse_scenario("1C2O_M"), "synth", s)
+            _config("1C2O_M", dataset="synth")
+
+    @pytest.mark.parametrize("file_cfg, flags, budget", [
+        ({"budget": 5000}, [], MemoryBudget(5000, 32)),
+        ({"budget": 5000}, ["--bits", "8"], MemoryBudget(5000, 8)),
+        ({"bits": 8}, [], MemoryBudget(1_200_000, 8)),
+        ({"bits": 8}, ["--bits", "4"], MemoryBudget(1_200_000, 4)),
+    ], ids=["file-budget", "file-budget-flag-bits", "file-bits", "flag-bits"])
+    def test_report_budget_of_a_constrained_search(self, tmp_path, capsys, file_cfg,
+                                                   flags, budget):
+        # a file-set budget beats the preset as a flag does; the preset holds `bits`
+        write_cifar10(tmp_path / "data_batch_1.bin", synth_dataset(8, 10, 1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        argv = ["search", "--scenario", "1C2O_M", "--dataset", "cifar10", "--data-dir",
+                str(tmp_path), "--config", str(cfg), *flags] + TINY
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["budget"] == {"max_params": budget.max_params,
+                                 "bit_precision": budget.bit_precision}
 
 
 class TestSettingsPrecedence:
@@ -128,13 +158,13 @@ class TestSettingsPrecedence:
     def test_lif_settings_from_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"v_threshold": 0.25, "timesteps": 3}))
-        s = _settings_from_args(_args(config=str(cfg)))
-        assert s["lif"].v_threshold == 0.25
-        assert s["lif"].timesteps == 3
+        lif = _config(config=str(cfg))[0].lif
+        assert lif.v_threshold == 0.25
+        assert lif.timesteps == 3
 
     def test_no_bias_flag(self):
-        s = _settings_from_args(_args(no_bias=True))
-        assert not s["macro"].bias
+        assert _settings_from_args(_args(no_bias=True))["no_bias"] is True
+        assert not _config(no_bias=True)[0].macro.bias
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -210,11 +240,14 @@ class TestStrictSettings:
         }))
         s = _settings_from_args(_args(config=str(cfg)))
         assert s["alpha"] == 2.0 and type(s["alpha"]) is float
-        assert s["budget"] == MemoryBudget(900, 8)
-        assert s["iterations"] == 7
-        assert s["macro"] == MacroConfig(stem_channels=4, width_mult=3, num_classes=5)
-        assert s["lif"] == LIFParams(3.0, 0.5, -0.5, 2)
-        assert (s["code_mode"], s["input_coding"], s["carryover"]) == (
+        assert (s["budget"], s["bits"], s["iterations"]) == (900, 8, 7)
+        run, bits = _config(config=str(cfg))
+        assert bits == 8 and run.budget == MemoryBudget(900, 8)
+        assert (run.seed, run.alpha, run.batch_size, run.jobs, run.iterations) == (
+            3, 2.0, 8, 2, 7)
+        assert run.macro == MacroConfig(stem_channels=4, width_mult=3, num_classes=5)
+        assert run.lif == LIFParams(3.0, 0.5, -0.5, 2)
+        assert (run.code_mode, run.input_coding, run.carryover) == (
             "concat", "rate", "literal")
 
 
@@ -240,11 +273,23 @@ OUT_OF_RANGE = [
     ("input_coding", "ttfs", "unknown input_coding 'ttfs'"),
     ("carryover", "worst", "unknown carryover 'worst'"),
 ]
-# Every row by file, and by flag where `search` has one; a choice flag takes only its
-# choices, so its value is given by file alone.
-_BY_FLAG = set(cli_mod._SEARCH_KEYS) - set(CHOICES)
-REFUSALS = [pytest.param(via, *row, id=f"{row[0]}-{via}") for row in OUT_OF_RANGE
-            for via in ("flag", "file") if via == "file" or row[0] in _BY_FLAG]
+# The commands that read a dataset, on cifar10 files that are not there.
+DATA_COMMANDS = {
+    "search": ["search", "--scenario", "1C2O", "--dataset", "cifar10"],
+    "random-search": ["random-search", "--scenario", "1C2O", "--dataset", "cifar10"],
+    "ablate": ["ablate", "--opset", "3O", "--remove", "avgpool3x3", "--dataset", "cifar10"],
+    "score": ["score", "--opset", "2O", "--indices", "4", "--dataset", "cifar10"],
+}
+
+# The settings each of them takes as flags, but the choice flags: they take only their
+# choices, so a choice's value is given by file alone.
+_SUBCOMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+_BY_FLAG = {command: {a.dest for a in _SUBCOMMANDS[command]._actions} - set(CHOICES)
+            for command in DATA_COMMANDS}
+# Every row for every data command, by file, and by flag where the command has one.
+REFUSALS = [pytest.param(command, via, *row, id=f"{command}-{row[0]}-{via}")
+            for command in DATA_COMMANDS for row in OUT_OF_RANGE for via in ("flag", "file")
+            if via == "file" or row[0] in _BY_FLAG[command]]
 
 
 class TestRangesCheckedByRecords:
@@ -264,11 +309,11 @@ class TestRangesCheckedByRecords:
         assert [key for key, _, _ in OUT_OF_RANGE] == [
             row[0] for row in cli_mod.SETTINGS if row[0] in ranged]
 
-    @pytest.mark.parametrize("via, key, value, message", REFUSALS)
-    def test_refused_before_the_data(self, tmp_path, capsys, no_data, via, key, value,
-                                     message):
-        # `search` without --budget, so a bad `bits` has no MemoryBudget to check it
-        argv = ["search", "--scenario", "1C2O", "--dataset", "cifar10"]
+    @pytest.mark.parametrize("command, via, key, value, message", REFUSALS)
+    def test_refused_before_the_data(self, tmp_path, capsys, no_data, command, via, key,
+                                     value, message):
+        # without --budget, so a bad `bits` has no MemoryBudget to check it
+        argv = list(DATA_COMMANDS[command])
         if via == "flag":
             argv += ["--" + key.replace("_", "-"), str(value)]
         else:
@@ -285,12 +330,8 @@ class TestRangesCheckedByRecords:
         (True, "bad value for 'iterations': True; expected an integer"),
     ])
     @pytest.mark.parametrize("command", [
-        ["search", "--scenario", "1C2O", "--dataset", "cifar10"],
-        ["random-search", "--scenario", "1C2O", "--dataset", "cifar10"],
-        ["ablate", "--opset", "3O", "--remove", "avgpool3x3", "--dataset", "cifar10"],
-        ["score", "--opset", "2O", "--indices", "4", "--dataset", "cifar10"],
-        ["memcalc", "--opset", "2O", "--indices", "4"],
-    ], ids=["search", "random-search", "ablate", "score", "memcalc"])
+        *DATA_COMMANDS.values(), ["memcalc", "--opset", "2O", "--indices", "4"],
+    ], ids=[*DATA_COMMANDS, "memcalc"])
     def test_iterations_in_a_file_refused_by_every_command(self, tmp_path, capsys, no_data,
                                                            command, value, message):
         cfg = tmp_path / "cfg.json"
@@ -357,7 +398,9 @@ class TestFlagsFromTable:
             ["memcalc", "--opset", "2O", "--indices", "1", "--no-bias", "--bits", "8"])
         assert (args.no_bias, args.bits) == (True, 8)
         s = _settings_from_args(args)
-        assert s["bits"] == 8 and s["macro"] == MacroConfig().without_bias()
+        assert (s["bits"], s["no_bias"]) == (8, True)
+        assert _run_config(args, Scenario("", 1, get_opset("2O"), False))[0].macro == (
+            MacroConfig().without_bias())
         args = build_parser().parse_args(
             SCORE + ["--alpha", "2", "--code-mode", "concat"])
         assert (args.alpha, args.code_mode) == (2.0, "concat")
