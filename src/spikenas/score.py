@@ -41,8 +41,10 @@ class ScoreResult:
 def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Kernel matrix of one bit matrix (samples x neurons).
 
-    Distances are computed on bit-packed rows with a popcount; the
-    diagonal is exactly the neuron count.
+    Distances are computed on rows packed into 64-bit words with a
+    popcount; the diagonal is exactly the neuron count.  An `alpha` that
+    overflows is not checked here: `score._kernels` refuses it for
+    `network_score` and `write_kernel_dump`.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2:
@@ -54,9 +56,10 @@ def hamming_kernel(codes: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         raise SpikeNasError("bit matrix must have at least one neuron column")
     if not codes.any():  # every distance is 0: skip the pack, XOR and popcount
         return np.full((num_samples,) * 2, num_neurons - alpha * 0.0, dtype=np.float64)
-    packed = np.packbits(codes.astype(np.uint8, copy=False), axis=1)
-    xored = packed[:, None, :] ^ packed[None, :, :]
-    distances = np.bitwise_count(xored).sum(axis=2, dtype=np.int64)
+    packed = np.zeros((num_samples, -(-num_neurons // 64) * 8), np.uint8)  # zero tail bits
+    packed[:, :-(-num_neurons // 8)] = np.packbits(codes.astype(np.uint8, copy=False), axis=1)
+    words = packed.view(np.uint64)
+    distances = np.bitwise_count(words[:, None] ^ words).sum(axis=2, dtype=np.int64)
     return num_neurons - alpha * distances.astype(np.float64)
 
 
@@ -64,7 +67,9 @@ def log_abs_det(matrix: np.ndarray) -> float:
     """log|det| by partially pivoted triangular elimination.
 
     Returns NEG_INF, the singular sentinel, when any pivot magnitude drops
-    to PIVOT_RTOL times the max row norm of the input.
+    to PIVOT_RTOL times the max row norm of the input.  Neither this nor
+    `hamming_kernel` checks `alpha` for overflow: `score._kernels` does, for
+    `network_score` and `write_kernel_dump`.
     """
     a = np.array(matrix, dtype=np.float64)
     n = a.shape[0]

@@ -1,58 +1,58 @@
 """Discrete-time spiking forward engine.
 
-Untrained networks are run for a few timesteps on a mini-batch and each
-spiking stage records which neurons fired, producing the per-layer
-binary codes consumed by the scorer.  A stage keeps its membrane
-potential and one bool mask per step, the spike map the next layer reads
-as numbers (bool `+` is a logical OR, and a bool mean is float64); the
-codes are built from the masks once, after the last step.  The neuron model
-integrates its input into a membrane potential that decays toward a
-reset value and fires (then resets) when it crosses a threshold:
+Untrained networks run for a few timesteps on a mini-batch, and each
+spiking stage records which neurons fired: the per-layer binary codes
+the scorer reads.  A stage keeps its membrane potential and one bool mask
+per step, the spike map the next layer reads as numbers (bool `+` is a
+logical OR, and a bool mean is float64); codes are built from the masks
+after the last step.  The neuron integrates its input into a potential
+that decays toward a reset value and fires (then resets) when it crosses
+a threshold:
 
     v <- v + (-(v - v_reset) + x) / tau
 
-Inputs use direct coding by default: the analog image is presented as
-synaptic input at every timestep, so the stem convolution of that image
-is computed once and fed to the stem at every step (rate coding draws
-every step's spike map in one call, then runs the stem per step).
-Convolutions are plain stride-1 same-padding weighted sums implemented
-via im2col, one GEMM per sample, with no bias term: an untrained
+Direct coding (the default) presents the analog image at every step, so
+the stem convolution runs once; rate coding draws every step's spike map
+in one call and runs the stem per step.  Convolutions are stride-1
+same-padding im2col GEMMs, one per sample, with no bias: an untrained
 network's biases are zero, so a weight set holds one weight array per
-layer and nothing else (biases count only toward the memory model's
-`n_param`).  Every map is a C-contiguous (S, C, H, W) array, and all
-feature-map operators preserve the stage shape so node summations are
-well defined.  The 3x3 average pool is a separable box sum over the
-zero-padded map: three column-shifted slices summed into row sums, then
-three row-shifted row sums, then a division by 9; the 2x2 downsampling
-pool adds strided slices the same way.  That is the order numpy's
-windowed mean adds in, so both are bit-identical to it.
+layer (biases count only toward the memory model's `n_param`).  Every map
+is a C-contiguous (S, C, H, W) array of its stage's shape.  The 3x3
+average pool is a box sum over the flattened zero-padded map: three
+slices one cell apart summed into row sums, then three row sums one
+padded row apart, then a division by 9 read through a view of the
+unpadded cells; the 2x2 downsampling pool adds strided slices the same
+way.  That is the order numpy's windowed mean adds in, so both are
+bit-identical to it.
 
 A cell runs only its live edges.  An edge is dead when its output is
-always zero (zeroize, or any op reading a node that is always zero) or
-when no live edge reads its target node.  Conv edges of one kind that
-read the same node (the fan-out of node 0 or node 1) run as one GEMM
-over their stacked filters, whose output is split per edge.  Each output
-column sums the same products in the same order as a separate
-convolution, and node values are summed in edge order, so spike codes
-equal those of running all six edges one by one.
+always zero (zeroize, or any op reading an always-zero node) or no live
+edge reads its target node.  Conv edges of one kind that read the same
+node (a fan-out) run as one GEMM over their stacked filters, and each
+edge reads its own output channels: each column sums the same products in
+the same order as a separate convolution, and node values are summed in
+edge order, so codes equal those of running all six edges one by one.  A
+pass plans each cell once, before any tile runs (`_cell_plan`: the live
+edges, each node's last reader and each fan-out's stacked filters); the
+plans and one all-False view per stage shape are then only read, by every
+tile and step of that pass.
 
 A stage that fires no spike at a step is silent, and the next stage
 then gets an all-zero input: the cell does not run, and the downsample
 (2x2 pool, 1x1 conv) and the classifier pass zeros on.  A zero input
 leaves a spiking stage at reset where it is, runs no kernel and stores
-nothing (its mask is a read-only all-False view); a potential off reset
+nothing (its mask is the plan's all-False view); a potential off reset
 decays through `lif_step` as usual, so spike codes stay exactly the same.
 
-Every kernel works per sample and the silent test is exact per sample
-too, so a batch can be split into contiguous tiles that run one after
-another or on threads through `blas.thread_map`, each on one BLAS
-thread: each stage's codes are the tiles' codes in sample order, the same
-bits as one run over the whole batch.  The pass owns that plan, from one
-sample's cell-1 conv3x3 multiply-adds: `TILE_MACS` sizes the tiles to keep
-a tile's working set near the size of a core's cache, and a batch whose
-conv3x3 work reaches `SPLIT_MACS` runs on up to `blas.free_cores()`
-threads, in at least as many tiles: every usable core, or one on a pooled
-search worker.
+Every kernel and the silent test work per sample, so a batch can be
+split into contiguous tiles that run in turn or on threads through
+`blas.thread_map`, each on one BLAS thread: each stage's codes are the
+tiles' codes in sample order, the same bits as one run over the whole
+batch.  The pass sizes its tiles from one sample's cell-1 conv3x3
+multiply-adds: `TILE_MACS` keeps a tile's working set near the size of a
+core's cache, and a batch whose conv3x3 work reaches `SPLIT_MACS` runs on
+up to `blas.free_cores()` threads, in at least as many tiles: every usable
+core, or one on a pooled search worker.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import arch
 from .arch import NetworkArch, Operation
@@ -150,31 +150,34 @@ def conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise SpikeNasError(f"input {x.shape} incompatible with weights {weights.shape}")
     out_ch, _, kh, kw = weights.shape
     ph, pw = kh // 2, kw // 2
+    s, c, h, w = x.shape
     dtype = np.result_type(x, weights)  # a bool map is cast by the pad, or a 1x1's copy
     if ph or pw:
         x = _pad_hw(x, ph, pw, dtype)
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    s, _, h, w = win.shape[:4]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).astype(dtype, order="C", copy=False)
-    del x, win  # free the padded copy before the GEMM output is allocated
+    cols = as_strided(x, (s, c, kh, kw, h, w), x.strides + x.strides[2:], writeable=False)
+    cols = cols.astype(dtype, order="C", copy=False)
+    del x  # free the padded copy before the GEMM output is allocated
     return (weights.reshape(out_ch, -1) @ cols.reshape(s, -1, h * w)).reshape(s, out_ch, h, w)
 
 
 def avgpool3x3_same(x: np.ndarray) -> np.ndarray:
     """3x3 window mean with zero padding (pad cells count toward the mean).
 
-    Row sums of three column-shifted slices, then sums of three
-    row-shifted row sums, then one division: keep this order, it matches
-    numpy's windowed mean bit for bit on float maps at least 2 wide.
+    Row sums of three shifted flat slices of the padded map, then sums of
+    three row sums a padded row apart, then one division read through a
+    strided view of the valid cells: keep this order, it matches numpy's
+    windowed mean bit for bit on float maps at least 2 wide.
     """
     xp = _pad_hw(x, 1, 1, np.uint8 if x.dtype == bool else x.dtype)  # spikes sum as uint8
-    rows = xp[..., :-2] + xp[..., 1:-1]
-    rows += xp[..., 2:]
+    wp, strides, xp = xp.shape[3], xp.strides, xp.reshape(-1)
+    rows = xp[:-2] + xp[1:-1]  # sums that wrap across a row end are never read
+    rows += xp[2:]
     del xp
-    out = rows[:, :, :-2] + rows[:, :, 1:-1]
-    out += rows[:, :, 2:]
-    dtype = np.result_type(out, np.float32)  # a uint8 spike count divides into float32
-    return np.divide(out, 9, out=out if out.dtype == dtype else None, dtype=dtype)
+    out = rows[:-2 * wp] + rows[wp:-wp]
+    out += rows[2 * wp:]
+    del rows
+    sums = as_strided(out, x.shape, strides, writeable=False)  # the unpadded cells
+    return np.divide(sums, 9, dtype=np.result_type(out, np.float32))  # a uint8 count: float32
 
 
 def avgpool2x2_down(x: np.ndarray) -> np.ndarray:
@@ -219,14 +222,13 @@ class _LifStage:
     potential: np.ndarray | None = None  # None while every neuron is at reset
     masks: list[np.ndarray] = field(default_factory=list)  # bool, one per step
 
-    def step(self, pre: np.ndarray | None,
-             shape: tuple[int, ...] = ()) -> tuple[np.ndarray, bool]:
-        """One step on `pre` (None: all zero, of `shape`); returns (mask, silent)."""
+    def step(self, pre: np.ndarray | None, zero: np.ndarray | None = None):
+        """One step on `pre` (None: all zero, `zero` its silent mask); returns (mask, silent)."""
         if pre is None:
-            if self.potential is None:  # stays at reset, fires nothing
-                self.masks.append(np.broadcast_to(False, shape))  # read-only, no memory
-                return self.masks[-1], True
-            pre = np.broadcast_to(np.float32(0), shape)
+            if self.potential is None:  # stays at reset, fires nothing, stores no memory
+                self.masks.append(zero)
+                return zero, True
+            pre = np.broadcast_to(np.float32(0), zero.shape)
         if self.potential is None:
             self.potential = np.full(pre.shape, self.params.v_reset, np.float32)
         self.potential, mask = lif_step(self.potential, pre, self.params)
@@ -255,62 +257,66 @@ def _check_weights(net: NetworkArch, weights: WeightSet) -> None:
                                 f"{layer.weight_shape}, got {got}")
 
 
-def _live_edges(cell) -> list[tuple[str, int, int]]:
-    """The edges that can change the cell output, in `arch.CELL_EDGES` order.
+def _cell_plan(cell, weights: WeightSet, prefix: str) -> list[tuple]:
+    """The cell's live edges in `arch.CELL_EDGES` order, as read-only steps.
 
     An edge is dead if its output is always zero (zeroize, or any op
     reading an always-zero node) or nothing live reads its target node.
+    A step is (name, src, dst, op, fan_out, last): `last` marks the last
+    reader of `src`, and the first edge of a conv fan-out (the live conv
+    edges of one kind reading one node) holds the fan-out's stacked filters
+    and each edge's output channels, the others None.
     """
-    zero = [False, True, True, True]
-    nonzero = set()
+    zero, nonzero = [False, True, True, True], set()
     for name, src, dst in arch.CELL_EDGES:
-        if zero[src] or getattr(cell, name) is Operation.ZEROIZE:
-            continue
-        nonzero.add(name)
-        zero[dst] = False
-    used = {3}
-    live = []
+        if not zero[src] and getattr(cell, name) is not Operation.ZEROIZE:
+            nonzero.add(name)
+            zero[dst] = False
+    used, live = {3}, []
     for name, src, dst in reversed(arch.CELL_EDGES):
         if name in nonzero and dst in used:
             used.add(src)
-            live.append((name, src, dst))
-    return live[::-1]
+            live.insert(0, (name, src, dst, getattr(cell, name)))
+    last = {src: name for name, src, _, _ in live}
+    fan_outs: dict[tuple, list[str]] = {}  # (src, conv op) -> its live edges
+    for name, src, _, op in live:
+        if op in arch.CONV_OPS:
+            fan_outs.setdefault((src, op), []).append(name)
+    plan = []
+    for name, src, dst, op in live:
+        fan_out = None
+        if group := fan_outs.pop((src, op), None):  # the fan-out runs at its first edge
+            c = len(weights[f"{prefix}.{name}"])  # every cell conv is as wide
+            fan_out = (np.concatenate([weights[f"{prefix}.{e}"] for e in group]),
+                       [(e, slice(k * c, k * c + c)) for k, e in enumerate(group)])
+        plan.append((name, src, dst, op, fan_out, last[src] == name))
+    return plan
 
 
-def _conv_fan_out(x: np.ndarray, filters: list[np.ndarray]) -> list[np.ndarray]:
-    """`conv2d_same(x, w)` for each w, as one GEMM over stacked filters."""
-    return np.split(conv2d_same(x, np.concatenate(filters)), len(filters), axis=1)
-
-
-def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
-                        prefix: str) -> np.ndarray | None:
+def _cell_preactivation(plan: list[tuple], x_spikes: np.ndarray) -> np.ndarray | None:
     """Sum-combined node values of one cell, before its spiking stage.
 
-    Runs the live edges only.  The first live conv edge of a fan-out runs
-    the whole fan-out; the other outputs wait in `pending`.  A sum is
-    written into a buffer that no other node or edge holds (a conv or
-    pool output, or an earlier sum), and a node value is dropped after
-    its last reader, so a fused output buffer is freed as soon as every
-    slice of it has been summed and few map-sized arrays are allocated.
-    An output that is always zero comes back as None.
+    Runs the steps of its `_cell_plan`: a fan-out's first edge runs one GEMM
+    whose output channels wait in `pending`.  A sum is written into a buffer
+    that no other node or edge holds (a conv or pool output, or an earlier
+    sum), and a node value is dropped after its last reader, so a fused
+    output buffer is freed as soon as every slice of it has been summed and
+    few map-sized arrays are allocated.  An always-zero output is None.
     """
-    live = _live_edges(cell)
-    last_reader = {src: name for name, src, _ in live}
     nodes: list[np.ndarray | None] = [x_spikes, None, None, None]
     private = [False] * 4  # node buffer held by nobody else: sum into it
     pending: dict[str, np.ndarray] = {}
-    for name, src, dst in live:
-        op = getattr(cell, name)
-        if name not in pending:
-            if op in arch.CONV_OPS:
-                group = [e for e, s, _ in live if s == src and getattr(cell, e) is op]
-                outs = _conv_fan_out(nodes[src], [weights[f"{prefix}.{e}"] for e in group])
-                pending.update(zip(group, outs))
-            elif op is Operation.AVGPOOL3X3:
-                pending[name] = avgpool3x3_same(nodes[src])
-            else:  # skipcon; a live edge is never zeroize
-                pending[name] = nodes[src]
-        term = pending.pop(name)
+    for name, src, dst, op, fan_out, last in plan:
+        if fan_out:
+            out = conv2d_same(nodes[src], fan_out[0])
+            pending.update((edge, out[:, channels]) for edge, channels in fan_out[1])
+            del out
+        if op is Operation.AVGPOOL3X3:
+            term = avgpool3x3_same(nodes[src])
+        elif op is Operation.SKIPCON:
+            term = nodes[src]
+        else:  # a conv; a live edge is never zeroize
+            term = pending.pop(name)
         term_private = op is not Operation.SKIPCON  # skipcon passes its source on
         if nodes[dst] is None:
             nodes[dst], private[dst] = term, term_private
@@ -318,37 +324,36 @@ def _cell_preactivation(cell, x_spikes: np.ndarray, weights: WeightSet,
             out = term if term_private else nodes[dst] if private[dst] else None
             nodes[dst], private[dst] = np.add(nodes[dst], term, out=out, dtype=np.float32), True
         del term
-        if last_reader[src] == name:
+        if last:
             nodes[src] = None
     return nodes[3]
 
 
 def _simulate(net: NetworkArch, weights: WeightSet, x: np.ndarray, p: LIFParams,
-              code_mode: str, rate: bool) -> BinaryCodes:
-    """Codes of the samples in `x`: an image batch, or (rate) T spike batches."""
-    num_cells = net.num_cells
+              code_mode: str, rate: bool, cells: list, zeros: list) -> BinaryCodes:
+    """Codes of the samples in `x`: an image batch, or (rate) T spike batches.
+
+    Reads the pass's plan: `cells`, each cell's `_cell_plan`, and `zeros`,
+    an all-False view of the batch per stage shape (stem, each downsample, classifier).
+    """
     # a stage is made at its first step, so `stages` is in stage order
     stages: dict[str, _LifStage] = defaultdict(lambda: _LifStage(p))
+    zeros = [zero[:x.shape[int(rate)]] for zero in zeros]  # this tile's samples
 
-    fc_w = weights["classifier.fc"]
-    stem_w = weights["stem.conv"]
+    fc_w, stem_w = weights["classifier.fc"], weights["stem.conv"]
     # direct coding feeds the same image at every step: one stem conv
     stem_pre = None if rate else conv2d_same(x, stem_w)
     for t in range(p.timesteps):
-        if rate:
-            cur, silent = stages["stem"].step(conv2d_same(x[t], stem_w))
-        else:
-            cur, silent = stages["stem"].step(stem_pre)
-        for i, cell in enumerate(net.cells, start=1):
-            pre = None if silent else _cell_preactivation(cell, cur, weights, f"cell{i}")
-            cur, silent = stages[f"cell{i}"].step(pre, cur.shape)
-            if i < num_cells:
-                w = weights[f"down{i}.conv"]
-                s, _, h, wd = cur.shape
-                pre = None if silent else conv2d_same(avgpool2x2_down(cur), w)
-                cur, silent = stages[f"down{i}"].step(pre, (s, len(w), h // 2, wd // 2))
+        cur, silent = stages["stem"].step(conv2d_same(x[t], stem_w) if rate else stem_pre)
+        for i, plan in enumerate(cells, start=1):
+            pre = None if silent else _cell_preactivation(plan, cur)
+            cur, silent = stages[f"cell{i}"].step(pre, zeros[i - 1])
+            if i < net.num_cells:
+                pre = None if silent else conv2d_same(avgpool2x2_down(cur),
+                                                      weights[f"down{i}.conv"])
+                cur, silent = stages[f"down{i}"].step(pre, zeros[i])
         logits = None if silent else cur.mean(axis=(2, 3), dtype=np.float32) @ fc_w.T
-        stages["classifier"].step(logits, (len(cur), len(fc_w)))
+        stages["classifier"].step(logits, zeros[-1])
 
     return {name: stage.codes(code_mode) for name, stage in stages.items()}
 
@@ -372,19 +377,24 @@ def forward_collect_codes(net: NetworkArch, weights: WeightSet, batch: np.ndarra
     arch.check_choice("code_mode", code_mode, CODE_MODES)
     arch.check_choice("input_coding", input_coding, INPUT_CODINGS)
     x = np.asarray(batch, dtype=np.float32)
-    expected = net.macro.input_shape
-    if x.ndim != 4 or x.shape[1:] != expected:
-        raise SpikeNasError(f"batch shape {x.shape} does not match input {expected}")
+    m = net.macro
+    if x.ndim != 4 or x.shape[1:] != m.input_shape:
+        raise SpikeNasError(f"batch shape {x.shape} does not match input {m.input_shape}")
     _check_weights(net, weights)
 
-    _, h, w = expected
-    macs = h * w * 9 * net.macro.stem_channels ** 2  # one sample's cell-1 conv3x3
+    _, h, w = m.input_shape
+    macs = h * w * 9 * m.stem_channels ** 2  # one sample's cell-1 conv3x3
     threads = min(free_cores(), len(x)) if len(x) * macs >= SPLIT_MACS else 1
     n = min(len(x), max(threads, -(-len(x) // max(1, TILE_MACS // macs))))
     rate = input_coding == "rate"
     if rate:  # all T steps' spikes in one draw: the stream of T draws of one step
         rng = np.random.default_rng(coding_seed)
         x = rng.random((p.timesteps, *x.shape), dtype=np.float32) < x
-    run = partial(_simulate, net, weights, p=p, code_mode=code_mode, rate=rate)
+    # the plan every tile reads: each cell's steps, one all-False view per stage shape
+    cells = [_cell_plan(cell, weights, f"cell{i}") for i, cell in enumerate(net.cells, 1)]
+    shapes = [(m.stem_channels * m.width_mult**i, h >> i, w >> i) for i in range(net.num_cells)]
+    zeros = [np.broadcast_to(False, (len(batch), *s)) for s in shapes + [(m.num_classes,)]]
+    run = partial(_simulate, net, weights, p=p, code_mode=code_mode, rate=rate,
+                  cells=cells, zeros=zeros)
     parts = thread_map(run, np.array_split(x, n, axis=int(rate)), threads)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

@@ -74,6 +74,19 @@ class TestHammingKernel:
         assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
         np.testing.assert_array_equal(got, naive_hamming_kernel(codes, alpha))
 
+    @pytest.mark.parametrize("width", [63, 64, 65, 513, 4103])
+    def test_word_packing_matches_naive_loops(self, width):
+        # rows pack into 64-bit words: a width off a word boundary leaves tail
+        # bits that must read as zero in every row
+        rng = np.random.default_rng(width)
+        codes = (rng.random((4, width)) < 0.3).astype(np.uint8)
+        codes[1] = 1  # a row of all ones
+        codes[2] = 0
+        codes[2, -1] = 1  # one set bit, in the last word
+        kernel = hamming_kernel(codes, 0.5)
+        np.testing.assert_array_equal(kernel, naive_hamming_kernel(codes, 0.5))
+        assert kernel[1, 2] == width - 0.5 * (width - 1)
+
     def test_alpha_doubling_relation_exact(self):
         codes = (np.random.default_rng(9).random((5, 33)) < 0.5).astype(np.uint8)
         base = hamming_kernel(codes, alpha=0.75)

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -247,15 +249,30 @@ class TestFeatureOps:
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(16, 64, 16, 16), (4, 4, 32, 32), (2, 3, 7, 9),
-                                       (3, 2, 1, 5), (1, 1, 1, 1)])
+                                       (3, 2, 1, 5), (1, 1, 1, 1), (1, 1, 2, 2), (1, 1, 3, 5),
+                                       (3, 2, 5, 7), (1, 64, 32, 32)])
     def test_avgpool3x3_box_sum_equals_windowed_mean(self, shape):
+        # the box sum runs over the flattened padded map; a spike mask sums as uint8
         rng = np.random.default_rng(shape)
         for x in (rng.random(shape, dtype=np.float32),
-                  rng.normal(0.0, 10.0, size=shape).astype(np.float32)):
+                  rng.normal(0.0, 10.0, size=shape).astype(np.float32),
+                  rng.random(shape) < 0.5):
             got = avgpool3x3_same(x)
-            want = windowed_mean_avgpool3x3(x)
-            assert got.dtype == want.dtype == np.float32
-            np.testing.assert_array_equal(got, want)
+            want = windowed_mean_avgpool3x3(x.astype(np.float32))
+            assert got.dtype == want.dtype == np.float32 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, bool])
+    def test_flat_box_sum_ends_at_the_last_cell(self, dtype):
+        # the last output cell reads the last input cell, whose sums end the
+        # flat buffers: a view reading past their end gives other numbers
+        shape = (2, 3, 4, 5)
+        x = np.random.default_rng(5).random(shape, dtype=np.float32)
+        x = x < 0.5 if dtype is bool else x * 1e-3
+        x[-1, -1, -1, -1] = 1
+        got = avgpool3x3_same(x)
+        want = windowed_mean_avgpool3x3(x.astype(np.float32))
+        assert got.tobytes() == want.tobytes() and got[-1, -1, -1, -1] >= np.float32(1 / 9)
 
     @pytest.mark.parametrize("shape", [(16, 64, 32, 32), (2, 3, 6, 10), (3, 1, 2, 4)])
     def test_downsample_pool_equals_reshaped_mean(self, shape):
@@ -464,10 +481,11 @@ class TestForwardCollectCodes:
     def test_stage_silent_at_reset_stores_nothing(self):
         shape = (16, 64, 32, 32)  # a paper-macro stem map: 4 MiB as float32
         stage = snn._LifStage(LIFParams())
+        zero = np.broadcast_to(False, shape)
         tracemalloc.start()
         try:
             for _ in range(5):
-                spikes, silent = stage.step(None, shape)
+                spikes, silent = stage.step(None, zero)
                 assert silent and spikes.shape == shape and not spikes.any()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -490,7 +508,7 @@ class TestForwardCollectCodes:
         dense = []
         for step in pattern:
             pre = rng.random(shape, dtype=np.float32) if step == "1" else None
-            stage.step(pre, shape)
+            stage.step(pre, np.broadcast_to(False, shape))
             dense.append(np.array(stage.masks[-1]))
         at_reset = len(pattern) - len(pattern.lstrip("0"))
         assert [not any(m.strides) for m in stage.masks] == [i < at_reset for i in range(4)]
@@ -818,7 +836,7 @@ EDGES = ("con01", "con02", "con03", "con12", "con13", "con23")
 
 
 class TestCellPath:
-    """_cell_preactivation against running all six edges one by one."""
+    """_cell_preactivation on a `_cell_plan` against running all six edges one by one."""
 
     C = 2
 
@@ -854,7 +872,7 @@ class TestCellPath:
                        for e, op in zip(EDGES, cell.edges()) if op in CONV_OPS}
             want = straight_cell_preactivation(cell, x.astype(np.float32), weights, "cell1")
             calls.clear()
-            got = snn._cell_preactivation(cell, x, weights, "cell1")
+            got = snn._cell_preactivation(snn._cell_plan(cell, weights, "cell1"), x)
             if not want.any():
                 dead += 1
                 assert got is None, f"dead cell {index} gave a map"
@@ -876,7 +894,7 @@ class TestCellPath:
         mask = np.random.default_rng(0).random((2, self.C, 4, 4)) < 0.5
         cell = CellArch(con01=O.SKIPCON, con02=O.ZEROIZE, con03=O.SKIPCON,
                         con12=O.ZEROIZE, con13=O.SKIPCON, con23=O.ZEROIZE)
-        got = snn._cell_preactivation(cell, mask, {}, "cell1")
+        got = snn._cell_preactivation(snn._cell_plan(cell, {}, "cell1"), mask)
         assert got.dtype == np.float32 and mask.any()
         assert got.tobytes() == (2 * mask.astype(np.float32)).tobytes()
 
@@ -894,15 +912,73 @@ class TestCellPath:
         weights = {f"cell1.{e}": np.ones((self.C, self.C, k, k), np.float32)
                    for e, k in (("con01", 3), ("con02", 3), ("con12", 1))}
         for cell in (CellArch.uniform(O.ZEROIZE), dead):
-            assert snn._cell_preactivation(cell, x, weights, "cell1") is None
+            assert snn._cell_preactivation(snn._cell_plan(cell, weights, "cell1"), x) is None
 
     def test_fan_out_convs_run_as_one_gemm(self, monkeypatch):
         bank = self._weights(np.random.default_rng(0))
         weights = {f"cell1.{e}": bank[O.CONV3X3, e] for e in EDGES}
         shapes = self._count_convs(monkeypatch)
-        snn._cell_preactivation(CellArch.uniform(O.CONV3X3),
-                                np.ones((2, self.C, 4, 4), np.float32), weights, "cell1")
+        plan = snn._cell_plan(CellArch.uniform(O.CONV3X3), weights, "cell1")
+        snn._cell_preactivation(plan, np.ones((2, self.C, 4, 4), np.float32))
         assert [s[0] for s in shapes] == [3 * self.C, 2 * self.C, self.C]
+
+
+class TestCellPlan:
+    """The pass plans each cell once; its tiles, steps and threads only read the plan."""
+
+    MACRO = MacroConfig(stem_channels=4, num_classes=4, input_shape=(3, 8, 8))
+    CELLS = [CellArch.uniform(O.CONV3X3), ORACLE_CELLS[0]]
+
+    @pytest.mark.parametrize("timesteps", [1, 5])
+    @pytest.mark.parametrize("tiles", [1, 4, 16])
+    def test_fan_out_filters_stack_once_per_pass(self, monkeypatch, tiles, timesteps):
+        net = build_network(self.CELLS, self.MACRO)
+        weights = init_weights(net, 3)
+        batch = np.random.default_rng(tiles).random((16, 3, 8, 8), dtype=np.float32)
+        lif = LIFParams(v_threshold=0.3, timesteps=timesteps)
+        stacked, runs, real_concat, real_simulate = [], [], np.concatenate, snn._simulate
+
+        def concatenate(arrays, *args, **kwargs):
+            if np.ndim(arrays[0]) == 4:  # filters; codes are joined as 2-D arrays
+                stacked.append(len(arrays))
+            return real_concat(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", concatenate)
+        monkeypatch.setattr(snn, "_simulate", lambda *a, **k: runs.append(1) or real_simulate(
+            *a, **k))
+        monkeypatch.setattr(snn, "TILE_MACS", 16 // tiles * 8 * 8 * 9 * 4**2)
+        _set_cores(monkeypatch, 1)
+        codes = forward_collect_codes(net, weights, batch, lif)
+        assert len(runs) == tiles and codes["cell1"].any() and codes["cell2"].any()
+        # the uniform cell's fan-outs: 3, 2 and 1 conv3x3 edges on nodes 0, 1 and 2;
+        # ORACLE_CELLS[0]'s: conv3x3 and conv1x1 on node 0, conv3x3 on node 2
+        assert sorted(stacked) == [1, 1, 1, 1, 2, 3]
+
+    def test_two_passes_at_once_equal_each_alone(self, monkeypatch):
+        nets = [build_network([cell] * 2, self.MACRO) for cell in self.CELLS]
+        weights = [init_weights(net, seed) for seed, net in enumerate(nets)]
+        batch = np.random.default_rng(0).random((5, 3, 8, 8), dtype=np.float32)
+        lif = LIFParams(v_threshold=0.3, timesteps=3)
+        monkeypatch.setattr(snn, "SPLIT_MACS", 0)
+        _set_cores(monkeypatch, 2)
+        alone = [forward_collect_codes(n, w, batch, lif) for n, w in zip(nets, weights)]
+        barrier, real_map = threading.Barrier(2, timeout=30), snn.thread_map
+
+        def run_tiles(fn, items, workers):
+            barrier.wait()  # both passes have planned before either runs a tile
+            return real_map(fn, items, workers)
+
+        monkeypatch.setattr(snn, "thread_map", run_tiles)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the two passes' steps interleave finely
+        try:
+            together = blas.thread_map(
+                lambda k: forward_collect_codes(nets[k], weights[k], batch, lif), [0, 1], 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert alone[0]["cell1"].tobytes() != alone[1]["cell1"].tobytes()
+        for got, want in zip(together, alone):
+            _assert_same_codes(got, want)
 
 
 class TestCodeBytes:
